@@ -148,6 +148,8 @@ class GroupTable:
     ):
         self.elements = elements
         self.index = index
+        # The closure is built from gens alone, so they generate the whole
+        # group; verify_algebra's equivariance reduction relies on this.
         self.gens = gens
         self.inverse_index = inverse_index
         self._mult_rows = mult_rows
@@ -234,6 +236,16 @@ class GroupTable:
             value = self.index[self.elements[i] * self.elements[j]]
             self._pair_cache[key] = value
         return value
+
+    def row(self, i: int) -> Sequence[int]:
+        """Products i*j for j = 0..order-1, indexed by j; callers must not mutate it.
+
+        A dense table hands out its own row without copying; a lazy table
+        builds the row through mult.
+        """
+        if self._mult_rows is not None:
+            return self._mult_rows[i]
+        return tuple(self.mult(i, j) for j in range(self.order))
 
     def element_order(self, i: int) -> int:
         m = 1

@@ -34,6 +34,23 @@ def corpus_model(name: str, forget: bool = False) -> OrbifoldModel:
     return _models[key]
 
 
+def gmpn_spec(m: int, p: int, n: int) -> OrbifoldSpec:
+    """The imprimitive reflection group G(m, p, n) on C^n, n >= 2, p dividing m.
+
+    Generated by the adjacent transpositions, diag(z^p, 1, ...) and
+    diag(z, z^-1, 1, ...), with z = exp(2 pi i / m).
+    """
+    gens = []
+    for i in range(n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        gens.append({"perm": perm, "phases": ["0"] * n})
+    for entries in ({0: Fraction(p, m)}, {0: Fraction(1, m), 1: Fraction(-1, m)}):
+        phases = [str(entries.get(j, Fraction(0)) % 1) for j in range(n)]
+        gens.append({"perm": list(range(n)), "phases": phases})
+    return OrbifoldSpec.from_dict({"name": f"G({m},{p},{n})", "dimension": n, "generators": gens})
+
+
 # --- independent polynomial oracle (rational arithmetic, no package code) ---
 
 def poly_mul(a, b):

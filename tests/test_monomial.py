@@ -12,7 +12,7 @@ from orbring import (
     RationalPhase,
     ResourceCapError,
 )
-from support import corpus_model
+from support import CORPUS_NAMES, corpus_model, corpus_spec, gmpn_spec
 
 
 def zp(num, den=1):
@@ -188,10 +188,12 @@ def test_identity_sits_at_index_zero():
         assert table.mult(table.inverse_index[i], i) == 0
 
 
-@pytest.mark.parametrize("name", ["s3-perm", "q8", "z4-13"])
+@pytest.mark.parametrize("name", ["s3-perm", "q8", "z4-13", "trivial-c2"])
 def test_mult_table_matches_composition(name):
     table = corpus_model(name).table
+    assert table._mult_rows is not None
     for i in range(table.order):
+        assert list(table.row(i)) == [table.mult(i, j) for j in range(table.order)]
         for j in range(table.order):
             assert table.elements[table.mult(i, j)] == table.elements[i] * table.elements[j]
 
@@ -204,6 +206,19 @@ def test_lazy_mult_path_matches_eager(monkeypatch):
     for i in range(6):
         for j in range(6):
             assert lazy.mult(i, j) == eager.mult(i, j)
+        assert list(lazy.row(i)) == [lazy.mult(i, j) for j in range(6)]
+
+
+# verify_algebra checks equivariance under table.gens only, which is exact
+# because the table's generators generate the whole table.
+@pytest.mark.parametrize(
+    "spec",
+    [corpus_spec(name) for name in CORPUS_NAMES] + [gmpn_spec(4, 1, 2), gmpn_spec(2, 1, 3)],
+    ids=lambda spec: spec.name,
+)
+def test_gens_generate_the_whole_table(spec):
+    table = spec.close()
+    assert table.subgroup_closure(table.gens) == tuple(range(table.order))
 
 
 def test_element_orders():

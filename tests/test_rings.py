@@ -1,14 +1,28 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbring import (
     CR,
+    THEORIES,
     VIRT,
+    AlgebraReport,
+    GroupTable,
     OrbifoldModel,
     OrbifoldSpec,
     build_algebra,
     verify_algebra,
+)
+from orbring.rings import (
+    _check_associativity,
+    _check_equivariance,
+    _check_frobenius,
+    _check_grading,
+    _check_nondegeneracy,
+    _check_unit,
 )
 from support import (
     CORPUS_NAMES,
@@ -16,6 +30,7 @@ from support import (
     class_convolution_oracle,
     corpus_model,
     corpus_spec,
+    gmpn_spec,
     invariant_expansion_oracle,
 )
 
@@ -206,6 +221,97 @@ def test_corrupted_unit_detected():
     report = verify_algebra(alg.with_constant(0, 1, 0))
     assert not report.passed
     assert any(c.name == "unit" and not c.passed for c in report.checks)
+
+
+# --- reduced verifier against the exhaustive cube scans ---
+
+def cube_report(alg):
+    """The report of the six |G|^3 and |G|^2 scans, the verifier's reference."""
+    return AlgebraReport(
+        (
+            _check_associativity(alg),
+            _check_grading(alg),
+            _check_unit(alg),
+            _check_frobenius(alg),
+            _check_nondegeneracy(alg),
+            _check_equivariance(alg),
+        )
+    )
+
+
+CORRUPTION_VALUES = (0, 1, 2, Fraction(1, 2))
+
+
+@st.composite
+def corrupted(draw, alg):
+    """alg with up to three entries replaced; an orbit corruption keeps equivariance.
+
+    Replacing a whole simultaneous-conjugation orbit of (g, h) keeps the
+    constants equivariant, which sends associativity down the
+    class-representative path instead of the full scan.
+    """
+    table = alg.table
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        g = draw(st.integers(min_value=0, max_value=alg.order - 1))
+        h = draw(st.integers(min_value=0, max_value=alg.order - 1))
+        value = draw(st.sampled_from(CORRUPTION_VALUES))
+        if draw(st.booleans()):
+            pairs = {(g, h)}
+        else:
+            pairs = {(table.conjugate(g, k), table.conjugate(h, k)) for k in range(alg.order)}
+        for a, b in sorted(pairs):
+            alg = alg.with_constant(a, b, value)
+    return alg
+
+
+@functools.cache
+def g412_point_model():
+    return OrbifoldModel(gmpn_spec(4, 1, 2), forget_geometry=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(CORPUS_NAMES),
+    theory=st.sampled_from(THEORIES),
+    forget=st.booleans(),
+)
+def test_verifier_matches_cube_on_corrupted_corpus(data, name, theory, forget):
+    alg = data.draw(corrupted(corpus_model(name, forget=forget).algebra(theory)))
+    assert verify_algebra(alg) == cube_report(alg)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), theory=st.sampled_from(THEORIES))
+def test_verifier_matches_cube_on_corrupted_g412_point_mode(data, theory):
+    alg = data.draw(corrupted(g412_point_model().algebra(theory)))
+    assert verify_algebra(alg) == cube_report(alg)
+
+
+def test_associativity_failing_off_the_class_representatives():
+    # The corruption breaks equivariance, and every associativity defect it
+    # causes has its g outside the class representatives, so the verifier
+    # must let g range over the whole group.
+    model = corpus_model("s3-perm")
+    alg = model.algebra(CR).with_constant(3, 5, 1)
+    report = verify_algebra(alg)
+    assert report == cube_report(alg)
+    associativity = report.checks[0]
+    assert associativity.name == "associativity" and not associativity.passed
+    g = model.labels.index(associativity.counterexample["triple"][0])
+    assert g not in model.table.conjugacy_classes().representatives
+
+
+def test_verifier_matches_cube_on_lazy_table(monkeypatch):
+    monkeypatch.setattr(GroupTable, "EAGER_TABLE_LIMIT", 1)
+    model = OrbifoldModel(corpus_spec("s3-perm"))
+    assert model.table._mult_rows is None
+    for theory in THEORIES:
+        alg = model.algebra(theory)
+        broken = alg.with_constant(1, 2, 1 - alg.constant(1, 2))
+        assert verify_algebra(alg) == cube_report(alg)
+        assert verify_algebra(broken) == cube_report(broken)
+        assert verify_algebra(alg).passed and not verify_algebra(broken).passed
 
 
 # --- invariant rings ---
