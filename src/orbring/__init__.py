@@ -18,7 +18,7 @@ from .cyclotomic import (
 from .errors import ConsistencyError, InputError, OrbringError, ResourceCapError
 from .monomial import DEFAULT_GROUP_ORDER_CAP, ConjugacyPartition, GroupTable, MonomialMap
 from .orbifold import OrbifoldSpec, cotangent_double
-from .sectors import SectorData, SectorGeometry, age, cr_shift, eigen_phases, fixed_dim, virtual_shift
+from .sectors import SectorData, SectorGeometry, eigen_phases
 from .rings import (
     CR,
     THEORIES,
@@ -28,7 +28,6 @@ from .rings import (
     InvariantRing,
     OrbifoldModel,
     SectorAlgebra,
-    build_algebra,
     verify_algebra,
 )
 from .cotangent import (
@@ -69,16 +68,12 @@ __all__ = [
     "SectorData",
     "SectorGeometry",
     "VerificationReport",
-    "age",
-    "build_algebra",
     "conductor_cap",
     "cotangent_double",
-    "cr_shift",
     "cyclotomic_polynomial",
     "decomposition_check",
     "eigen_phases",
     "euler_phi",
-    "fixed_dim",
     "grading_check",
     "k_rank",
     "main_theorem_check",
@@ -86,5 +81,4 @@ __all__ = [
     "sector_bijection",
     "set_conductor_cap",
     "verify_algebra",
-    "virtual_shift",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import ConsistencyError
@@ -96,7 +95,7 @@ def sector_bijection(original: GroupTable, doubled: GroupTable) -> tuple[int, ..
 def k_rank(model: OrbifoldModel, g: int, h: int) -> int:
     """Rank of the virtual difference bundle at (g, h); may be negative."""
     gh = model.table.mult(g, h)
-    return model.fixed_dim_pair(g, h) - model.fixed_dim(gh)
+    return model.fixed_dim_pair(g, h) - model.sector(gh).fixed_dim
 
 
 def closure_sanity_check(model: OrbifoldModel) -> Optional[dict]:
@@ -127,9 +126,9 @@ def closure_sanity_check(model: OrbifoldModel) -> Optional[dict]:
 
 def age_duality_check(model: OrbifoldModel) -> Optional[dict]:
     for g in range(model.order):
-        g_inv = model.table.inverse_index[g]
-        lhs = model.age(g) + model.age(g_inv)
-        rhs = Fraction(model.n - model.fixed_dim(g))
+        sector = model.sector(g)
+        lhs = sector.age + model.sector(model.table.inverse_index[g]).age
+        rhs = model.n - sector.fixed_dim
         if lhs != rhs:
             return {
                 "element": model.label(g),
@@ -169,8 +168,8 @@ def grading_check(
 ) -> Optional[dict]:
     """Doubled cr shift equals original virtual shift, element by element."""
     for g in range(model.order):
-        doubled_s = doubled.cr_shift(bijection[g])
-        sigma = Fraction(model.virtual_shift(g))
+        doubled_s = doubled.sector(bijection[g]).cr_shift
+        sigma = model.sector(g).virtual_shift
         if doubled_s != sigma:
             return {
                 "element": model.label(g),

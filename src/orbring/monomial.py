@@ -130,7 +130,7 @@ class GroupTable:
     """A finite group of monomial maps closed from generators.
 
     Elements are indexed in breadth-first discovery order (index 0 is the
-    identity).  Multiplication is a dense table for small groups and a cached
+    identity).  Multiplication is a dense table for small groups and a
     canonical-form lookup for large ones; both are exact.
     """
 
@@ -153,7 +153,6 @@ class GroupTable:
         self.gens = gens
         self.inverse_index = inverse_index
         self._mult_rows = mult_rows
-        self._pair_cache: dict[tuple[int, int], int] = {}
         self._classes: Optional[ConjugacyPartition] = None
 
     @classmethod
@@ -230,12 +229,7 @@ class GroupTable:
     def mult(self, i: int, j: int) -> int:
         if self._mult_rows is not None:
             return self._mult_rows[i][j]
-        key = (i, j)
-        value = self._pair_cache.get(key)
-        if value is None:
-            value = self.index[self.elements[i] * self.elements[j]]
-            self._pair_cache[key] = value
-        return value
+        return self.index[self.elements[i] * self.elements[j]]
 
     def row(self, i: int) -> Sequence[int]:
         """Products i*j for j = 0..order-1, indexed by j; callers must not mutate it.

@@ -104,7 +104,11 @@ class OrbifoldSpec:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        path = Path(path)
+        try:
+            path.write_text(self.to_json(), encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write spec file {path}: {exc}") from exc
 
     def close(self) -> GroupTable:
         return GroupTable.close(self.generators, self.dimension, cap=self.max_group_order)

@@ -5,8 +5,8 @@ every sector contributes a single generator.  Two gates decide each product:
 the Euler class of a positive-rank bundle over a contractible base vanishes
 (rank gate), and the wrong-way map into a strictly larger fixed subspace
 raises cohomological degree out of a contractible space (codimension gate).
-Structure constants are therefore 0 or 1 at sector level; class-level
-constants of the conjugation-invariant subring are nonnegative integers.
+Structure constants are therefore the ints 0 or 1 at sector level; class-level
+constants of the conjugation-invariant subring are nonnegative ints.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "InvariantRing",
     "OrbifoldModel",
     "SectorAlgebra",
-    "build_algebra",
     "verify_algebra",
 ]
 
@@ -82,22 +81,10 @@ class OrbifoldModel:
     def sector(self, i: int) -> SectorData:
         return self.geometry.sector(i)
 
-    def age(self, i: int) -> Fraction:
-        return self.geometry.age(i)
-
-    def fixed_dim(self, i: int) -> int:
-        return self.geometry.fixed_dim(i)
-
-    def virtual_shift(self, i: int) -> int:
-        return self.geometry.virtual_shift(i)
-
-    def cr_shift(self, i: int) -> Fraction:
-        return self.geometry.cr_shift(i)
-
     def fixed_dim_pair(self, g: int, h: int) -> int:
         return self.geometry.fixed_dim_pair(g, h)
 
-    def _as_bundle_rank(self, value: Fraction, kind: str, g: int, h: int) -> int:
+    def _as_bundle_rank(self, value: int | Fraction, kind: str, g: int, h: int) -> int:
         value = Fraction(value)
         if value.denominator != 1 or value < 0:
             raise ConsistencyError(
@@ -108,12 +95,12 @@ class OrbifoldModel:
 
     def obstruction_rank(self, g: int, h: int) -> int:
         """Rank of the correction bundle gating the cr product at (g, h)."""
-        gh = self.table.mult(g, h)
+        product = self.sector(self.table.mult(g, h))
         value = (
-            self.age(g)
-            + self.age(h)
-            - self.age(gh)
-            - self.fixed_dim(gh)
+            self.sector(g).age
+            + self.sector(h).age
+            - product.age
+            - product.fixed_dim
             + self.fixed_dim_pair(g, h)
         )
         return self._as_bundle_rank(value, "obstruction", g, h)
@@ -122,9 +109,9 @@ class OrbifoldModel:
         """Triple-age form of the same rank; an independent cross-check."""
         gh_inv = self.table.inverse_index[self.table.mult(g, h)]
         value = (
-            self.age(g)
-            + self.age(h)
-            + self.age(gh_inv)
+            self.sector(g).age
+            + self.sector(h).age
+            + self.sector(gh_inv).age
             - (self.n - self.fixed_dim_pair(g, h))
         )
         return self._as_bundle_rank(value, "obstruction (dual form)", g, h)
@@ -136,11 +123,11 @@ class OrbifoldModel:
         """
         value = (
             self.n
-            - self.fixed_dim(g)
-            - self.fixed_dim(h)
+            - self.sector(g).fixed_dim
+            - self.sector(h).fixed_dim
             + self.fixed_dim_pair(g, h)
         )
-        return self._as_bundle_rank(Fraction(value), "excess", g, h)
+        return self._as_bundle_rank(value, "excess", g, h)
 
     def structure_constant(self, theory: str, g: int, h: int) -> int:
         """Coefficient of x_{gh} in x_g * x_h: 1 iff both gates pass, else 0."""
@@ -149,7 +136,7 @@ class OrbifoldModel:
         if rank != 0:
             return 0
         gh = self.table.mult(g, h)
-        return 1 if self.fixed_dim_pair(g, h) == self.fixed_dim(gh) else 0
+        return 1 if self.fixed_dim_pair(g, h) == self.sector(gh).fixed_dim else 0
 
     def algebra(self, theory: str) -> "SectorAlgebra":
         _check_theory(theory)
@@ -157,11 +144,11 @@ class OrbifoldModel:
         if alg is None:
             order = self.order
             if theory == CR:
-                degrees = tuple(self.cr_shift(i) for i in range(order))
+                degrees = tuple(self.sector(i).cr_shift for i in range(order))
             else:
-                degrees = tuple(Fraction(self.virtual_shift(i)) for i in range(order))
+                degrees = tuple(Fraction(self.sector(i).virtual_shift) for i in range(order))
             constants = tuple(
-                tuple(Fraction(self.structure_constant(theory, g, h)) for h in range(order))
+                tuple(self.structure_constant(theory, g, h) for h in range(order))
                 for g in range(order)
             )
             alg = SectorAlgebra(
@@ -183,19 +170,13 @@ class OrbifoldModel:
         return self._cotangent
 
 
-def build_algebra(
-    spec: OrbifoldSpec, theory: str, *, forget_geometry: bool = False
-) -> "SectorAlgebra":
-    """Close the spec's group and build the requested sector algebra."""
-    return OrbifoldModel(spec, forget_geometry=forget_geometry).algebra(theory)
-
-
 @dataclass(frozen=True, eq=False)
 class SectorAlgebra:
     """Group-graded algebra on one generator x_g per sector.
 
     Carries the degree map, the 0/1 structure constants, the normalized sector
-    pairing, and the conjugation action (through the group table).
+    pairing, and the conjugation action (through the group table).  Constants
+    are ints; only with_constant can put in a non-integral (Fraction) value.
 
     Two bilinear forms appear on this algebra.  The *sector pairing* couples
     x_g to x_{g^-1} with value 1: sectors are contractible, so there is no
@@ -208,37 +189,34 @@ class SectorAlgebra:
     theory: str
     table: GroupTable = field(repr=False)
     degrees: tuple[Fraction, ...]
-    constants: tuple[tuple[Fraction, ...], ...]
+    constants: tuple[tuple[int | Fraction, ...], ...]
     labels: tuple[str, ...]
 
     @property
     def order(self) -> int:
         return len(self.degrees)
 
-    def constant(self, g: int, h: int) -> Fraction:
+    def constant(self, g: int, h: int) -> int | Fraction:
         return self.constants[g][h]
 
-    def product_index(self, g: int, h: int) -> int:
-        return self.table.mult(g, h)
-
-    def pairing(self, g: int, h: int) -> Fraction:
+    def pairing(self, g: int, h: int) -> int:
         """Normalized sector pairing: 1 on (g, g^-1), else 0."""
-        return Fraction(1) if self.table.inverse_index[g] == h else Fraction(0)
+        return 1 if self.table.inverse_index[g] == h else 0
 
-    def trace_form(self, g: int, h: int) -> Fraction:
+    def trace_form(self, g: int, h: int) -> int | Fraction:
         """eps(x_g * x_h) where eps extracts the identity-sector coefficient."""
         if self.table.mult(g, h) == 0:
             return self.constants[g][h]
-        return Fraction(0)
-
-    def conjugated(self, k: int, g: int) -> int:
-        """Index of k^-1 g k; the conjugation action on the basis."""
-        return self.table.conjugate(g, k)
+        return 0
 
     def with_constant(self, g: int, h: int, value) -> "SectorAlgebra":
-        """Copy of the algebra with one table entry replaced (for negative tests)."""
+        """Copy of the algebra with one table entry replaced (for negative tests).
+
+        An integral value is stored as an int, any other as an exact Fraction.
+        """
         rows = [list(row) for row in self.constants]
-        rows[g][h] = Fraction(value)
+        value = Fraction(value)
+        rows[g][h] = int(value) if value.denominator == 1 else value
         return SectorAlgebra(
             theory=self.theory,
             table=self.table,
@@ -259,10 +237,10 @@ class SectorAlgebra:
                 )
             degrees.append(values.pop())
         order = self.order
-        constants: dict[tuple[int, int, int], Fraction] = {}
+        constants: dict[tuple[int, int, int], int | Fraction] = {}
         for a, class_a in enumerate(part.classes):
             for b, class_b in enumerate(part.classes):
-                acc = [Fraction(0)] * order
+                acc = [0] * order
                 for g in class_a:
                     row = self.constants[g]
                     for h in class_b:
@@ -326,14 +304,14 @@ class InvariantRing:
     labels: tuple[str, ...]
     class_sizes: tuple[int, ...]
     degrees: tuple[Fraction, ...]
-    constants: dict[tuple[int, int, int], Fraction]
+    constants: dict[tuple[int, int, int], int | Fraction]
 
     @property
     def order(self) -> int:
         return len(self.labels)
 
-    def constant(self, a: int, b: int, c: int) -> Fraction:
-        return self.constants.get((a, b, c), Fraction(0))
+    def constant(self, a: int, b: int, c: int) -> int | Fraction:
+        return self.constants.get((a, b, c), 0)
 
     def to_json_dict(self) -> dict:
         entries = [
@@ -410,28 +388,16 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     report the same lex-first counterexample; the six _check_* scans together
     are the reference the tests compare this report against.
     """
-    rows = _exact_rows(alg)
-    equivariance = _equivariance_by_generators(alg, rows)
+    equivariance = _equivariance_by_generators(alg)
     checks = (
-        _associativity_reduced(alg, rows, equivariance.passed),
+        _associativity_reduced(alg, equivariance.passed),
         _check_grading(alg),
         _check_unit(alg),
-        _frobenius_reduced(alg, rows),
+        _frobenius_reduced(alg),
         _check_nondegeneracy(alg),
         equivariance,
     )
     return AlgebraReport(checks)
-
-
-def _exact_rows(alg: SectorAlgebra) -> list[tuple]:
-    """The constant rows, integral values as int and any other as a Fraction.
-
-    Products and comparisons stay exact and avoid Fraction arithmetic on
-    the 0/1 constants every real algebra has.
-    """
-    return [
-        tuple(int(c) if c.denominator == 1 else c for c in row) for row in alg.constants
-    ]
 
 
 def _gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -443,7 +409,7 @@ def _gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*indices)
 
 
-def _associativity_reduced(alg: SectorAlgebra, rows: list[tuple], equivariant: bool) -> AxiomCheck:
+def _associativity_reduced(alg: SectorAlgebra, equivariant: bool) -> AxiomCheck:
     """Associativity with g over class representatives when the constants are equivariant.
 
     The defect at (g, h, k) is the pair c[g][h] c[gh][k], c[h][k] c[g][hk].
@@ -457,6 +423,7 @@ def _associativity_reduced(alg: SectorAlgebra, rows: list[tuple], equivariant: b
     On failure the cube scan finds the lex-first counterexample.
     """
     table = alg.table
+    rows = alg.constants
     order = alg.order
     firsts = table.conjugacy_classes().representatives if equivariant else range(order)
     zero = (0,) * order
@@ -477,7 +444,7 @@ def _associativity_reduced(alg: SectorAlgebra, rows: list[tuple], equivariant: b
     return AxiomCheck("associativity", True)
 
 
-def _frobenius_reduced(alg: SectorAlgebra, rows: list[tuple]) -> AxiomCheck:
+def _frobenius_reduced(alg: SectorAlgebra) -> AxiomCheck:
     """Frobenius compatibility, checked at the one k per pair where it can fail.
 
     trace_form(x, k) vanishes unless xk = e, that is k = x^-1.  At (g, h, k)
@@ -488,6 +455,7 @@ def _frobenius_reduced(alg: SectorAlgebra, rows: list[tuple]) -> AxiomCheck:
     (g, h) has at most one failing k, so scanning the pairs in lex order meets
     the cube's first counterexample first, with the same printed values.
     """
+    rows = alg.constants
     inverse = alg.table.inverse_index
     for g in range(alg.order):
         row_g = rows[g]
@@ -501,7 +469,7 @@ def _frobenius_reduced(alg: SectorAlgebra, rows: list[tuple]) -> AxiomCheck:
     return AxiomCheck("frobenius", True)
 
 
-def _equivariance_by_generators(alg: SectorAlgebra, rows: list[tuple]) -> AxiomCheck:
+def _equivariance_by_generators(alg: SectorAlgebra) -> AxiomCheck:
     """Equivariance, checked for conjugation by the table's generators only.
 
     Call k a symmetry when c[k^-1 g k][k^-1 h k] = c[g][h] for all g, h.
@@ -513,6 +481,7 @@ def _equivariance_by_generators(alg: SectorAlgebra, rows: list[tuple]) -> AxiomC
     lex-first counterexample.
     """
     table = alg.table
+    rows = alg.constants
     for s in table.gens:
         conj = table.conjugation_permutation(s)
         gather = _gatherer(conj)

@@ -10,21 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cyclotomic import CyclotomicNumber, RationalPhase
 from .errors import ConsistencyError
 from .monomial import GroupTable, MonomialMap
 
-__all__ = [
-    "SectorData",
-    "SectorGeometry",
-    "age",
-    "cr_shift",
-    "eigen_phases",
-    "fixed_dim",
-    "virtual_shift",
-]
+__all__ = ["SectorData", "SectorGeometry", "eigen_phases"]
 
 _ZERO_PHASE = RationalPhase(0)
 
@@ -58,22 +50,6 @@ def eigen_phases(m: MonomialMap) -> tuple[RationalPhase, ...]:
     return tuple(out)
 
 
-def age(m: MonomialMap) -> Fraction:
-    return sum((p.as_fraction() for p in eigen_phases(m)), Fraction(0))
-
-
-def fixed_dim(m: MonomialMap) -> int:
-    return sum(1 for p in eigen_phases(m) if p == _ZERO_PHASE)
-
-
-def virtual_shift(m: MonomialMap) -> int:
-    return 2 * (m.dimension - fixed_dim(m))
-
-
-def cr_shift(m: MonomialMap) -> Fraction:
-    return 2 * age(m)
-
-
 @dataclass(frozen=True)
 class SectorData:
     """Geometric data of one sector (one group element)."""
@@ -104,6 +80,12 @@ class SectorGeometry:
         self._pairs: dict[tuple[int, int], int] = {}
 
     def sector(self, i: int) -> SectorData:
+        """Age, fixed dimension and degree shifts of element i, computed on first use.
+
+        The one place these are derived from the eigen-phases: the age is
+        their sum, the fixed dimension counts the zero phases, the virtual
+        shift is twice the codimension and the cr shift twice the age.
+        """
         data = self._sectors.get(i)
         if data is None:
             if self.forget:
@@ -115,21 +97,6 @@ class SectorGeometry:
                 data = SectorData(i, eigen, a, fd, 2 * (self.n - fd), 2 * a)
             self._sectors[i] = data
         return data
-
-    def eigen(self, i: int) -> tuple[RationalPhase, ...]:
-        return self.sector(i).eigen
-
-    def age(self, i: int) -> Fraction:
-        return self.sector(i).age
-
-    def fixed_dim(self, i: int) -> int:
-        return self.sector(i).fixed_dim
-
-    def virtual_shift(self, i: int) -> int:
-        return self.sector(i).virtual_shift
-
-    def cr_shift(self, i: int) -> Fraction:
-        return self.sector(i).cr_shift
 
     def trace(self, i: int) -> CyclotomicNumber:
         value = self._traces.get(i)

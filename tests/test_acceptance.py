@@ -195,7 +195,8 @@ def test_criterion_8_age_duality():
         model = OrbifoldModel(corpus_spec(name))
         for g in range(model.order):
             g_inv = model.table.inverse_index[g]
-            if model.age(g) + model.age(g_inv) != model.n - model.fixed_dim(g):
+            sector = model.sector(g)
+            if sector.age + model.sector(g_inv).age != model.n - sector.fixed_dim:
                 failures.append((name, g))
     ok = not failures
     report(8, "age duality a(g) + a(g^-1) = codim V^g, every element", ok)

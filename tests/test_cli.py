@@ -192,6 +192,14 @@ def test_cotangent_round_trip(capsys, tmp_path):
     assert "all 8 checks passed" in out
 
 
+def test_cotangent_unwritable_output_is_input_error(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "doubled.json"
+    code, _out, err = run(capsys, "cotangent", str(corpus_path("z3-11")), "-o", str(out_path))
+    assert code == 2
+    assert err.startswith("error: cannot write")
+    assert not out_path.exists()
+
+
 def test_cotangent_stdout(capsys):
     code, out, _err = run(capsys, "cotangent", str(corpus_path("z2-c1")))
     assert code == 0

@@ -53,15 +53,15 @@ def test_sector_bijection_is_total():
 def test_grading_z3_by_hand():
     model, doubled, bij = doubled_and_bijection("z3-11")
     # doubled age of g: 1/3 + 1/3 + 2/3 + 2/3 = 2, so s = 4 = sigma
-    assert doubled.age(bij[1]) == 2
-    assert doubled.cr_shift(bij[1]) == 4 == model.virtual_shift(1)
+    assert doubled.sector(bij[1]).age == 2
+    assert doubled.sector(bij[1]).cr_shift == 4 == model.sector(1).virtual_shift
 
 
 def test_grading_s3_transposition_by_hand():
     model, doubled, bij = doubled_and_bijection("s3-perm")
     tau = next(i for i in range(6) if model.table.element_order(i) == 2)
-    assert doubled.age(bij[tau]) == 1
-    assert doubled.cr_shift(bij[tau]) == 2 == model.virtual_shift(tau)
+    assert doubled.sector(bij[tau]).age == 1
+    assert doubled.sector(bij[tau]).cr_shift == 2 == model.sector(tau).virtual_shift
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

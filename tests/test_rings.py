@@ -13,7 +13,6 @@ from orbring import (
     GroupTable,
     OrbifoldModel,
     OrbifoldSpec,
-    build_algebra,
     verify_algebra,
 )
 from orbring.rings import (
@@ -141,16 +140,16 @@ def test_full_virt_table_z3_11():
 
 def test_trivial_group_gives_unit_algebra():
     for theory in (CR, VIRT):
-        alg = build_algebra(corpus_spec("trivial-c2"), theory)
+        alg = OrbifoldModel(corpus_spec("trivial-c2")).algebra(theory)
         assert alg.order == 1
         assert alg.degrees == (Fraction(0),)
-        assert alg.constants == ((Fraction(1),),)
+        assert alg.constants == ((1,),)
 
 
 @pytest.mark.parametrize("name", ["s3-perm", "q8"])
 def test_forget_geometry_gives_the_group_ring(name):
     for theory in (CR, VIRT):
-        alg = build_algebra(corpus_spec(name), theory, forget_geometry=True)
+        alg = OrbifoldModel(corpus_spec(name), forget_geometry=True).algebra(theory)
         assert all(c == 1 for row in alg.constants for c in row)
         assert all(d == 0 for d in alg.degrees)
 
@@ -300,6 +299,24 @@ def test_associativity_failing_off_the_class_representatives():
     assert associativity.name == "associativity" and not associativity.passed
     g = model.labels.index(associativity.counterexample["triple"][0])
     assert g not in model.table.conjugacy_classes().representatives
+
+
+def test_constants_are_ints():
+    for name in CORPUS_NAMES:
+        for theory in THEORIES:
+            for forget in (False, True):
+                alg = corpus_model(name, forget=forget).algebra(theory)
+                assert all(type(c) is int for row in alg.constants for c in row)
+                assert all(type(v) is int for v in alg.invariant_ring().constants.values())
+    alg = corpus_model("s3-perm").algebra(CR)
+    two = alg.with_constant(1, 2, Fraction(2))
+    assert type(two.constant(1, 2)) is int and two.constant(1, 2) == 2
+    half = alg.with_constant(1, 2, Fraction(1, 2))
+    assert type(half.constant(1, 2)) is Fraction and half.constant(1, 2) == Fraction(1, 2)
+    for broken in (two, half):
+        report = verify_algebra(broken)
+        assert not report.passed
+        assert report == cube_report(broken)
 
 
 def test_verifier_matches_cube_on_lazy_table(monkeypatch):

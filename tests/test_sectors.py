@@ -3,17 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from orbring import (
-    MonomialMap,
-    RationalPhase,
-    age,
-    cr_shift,
-    eigen_phases,
-    fixed_dim,
-    virtual_shift,
-)
+from orbring import GroupTable, MonomialMap, RationalPhase, SectorGeometry, eigen_phases
 from support import CORPUS_NAMES, SMALL_NAMES, corpus_model
 from test_monomial import QUAT_J, S3_GENS, Z3_GEN, monomial_maps, zp
+
+
+def sector_of(m):
+    """Sector data of m, read from the geometry of the cyclic group m generates."""
+    table = GroupTable.close([m], m.dimension)
+    return SectorGeometry(table, m.dimension).sector(table.index[m])
 
 
 # --- eigen phases ---
@@ -64,32 +62,33 @@ def test_fixed_dim_matches_projector_over_cyclic_group(m):
         assert len(powers) <= 720, "element order blew past the strategy bounds"
     total = sum((p.trace() for p in powers), 0)
     value = (total * Fraction(1, len(powers))).as_rational()
-    assert value == fixed_dim(m)
+    assert value == sector_of(m).fixed_dim
 
 
 # --- ages and shifts ---
 
 def test_identity_sector_is_flat():
-    e = MonomialMap.identity(2)
-    assert age(e) == 0
-    assert fixed_dim(e) == 2
-    assert virtual_shift(e) == 0
-    assert cr_shift(e) == 0
+    e = sector_of(MonomialMap.identity(2))
+    assert e.age == 0
+    assert e.fixed_dim == 2
+    assert e.virtual_shift == 0
+    assert e.cr_shift == 0
 
 
 def test_z3_generator_sector():
-    assert age(Z3_GEN) == Fraction(2, 3)
-    assert fixed_dim(Z3_GEN) == 0
-    assert virtual_shift(Z3_GEN) == 4
-    assert cr_shift(Z3_GEN) == Fraction(4, 3)
+    g = sector_of(Z3_GEN)
+    assert g.age == Fraction(2, 3)
+    assert g.fixed_dim == 0
+    assert g.virtual_shift == 4
+    assert g.cr_shift == Fraction(4, 3)
 
 
 def test_three_cycle_sector():
-    cycle = MonomialMap((1, 2, 0), (zp(0),) * 3)
-    assert age(cycle) == 1
-    assert fixed_dim(cycle) == 1
-    assert virtual_shift(cycle) == 4
-    assert cr_shift(cycle) == 2
+    cycle = sector_of(MonomialMap((1, 2, 0), (zp(0),) * 3))
+    assert cycle.age == 1
+    assert cycle.fixed_dim == 1
+    assert cycle.virtual_shift == 4
+    assert cycle.cr_shift == 2
 
 
 def test_sector_data_invariants_across_corpus():
@@ -108,7 +107,8 @@ def test_age_duality(name):
     model = corpus_model(name)
     for g in range(model.order):
         g_inv = model.table.inverse_index[g]
-        assert model.age(g) + model.age(g_inv) == model.n - model.fixed_dim(g)
+        sector = model.sector(g)
+        assert sector.age + model.sector(g_inv).age == model.n - sector.fixed_dim
 
 
 # --- pair fixed dimensions ---
@@ -116,7 +116,7 @@ def test_age_duality(name):
 def test_pair_with_identity_and_self():
     model = corpus_model("z3-11")
     assert model.fixed_dim_pair(0, 0) == 2
-    assert model.fixed_dim_pair(1, 0) == model.fixed_dim(1) == 0
+    assert model.fixed_dim_pair(1, 0) == model.sector(1).fixed_dim == 0
     assert model.fixed_dim_pair(1, 1) == 0
 
 
@@ -133,12 +133,12 @@ def test_s3_two_transpositions_share_the_diagonal_line():
 def test_pair_dimension_properties(name):
     model = corpus_model(name)
     for g in range(model.order):
-        assert model.fixed_dim_pair(g, g) == model.fixed_dim(g)
-        assert model.fixed_dim_pair(g, 0) == model.fixed_dim(g)
+        assert model.fixed_dim_pair(g, g) == model.sector(g).fixed_dim
+        assert model.fixed_dim_pair(g, 0) == model.sector(g).fixed_dim
         for h in range(model.order):
             pair = model.fixed_dim_pair(g, h)
             assert pair == model.fixed_dim_pair(h, g)
-            assert pair <= min(model.fixed_dim(g), model.fixed_dim(h))
+            assert pair <= min(model.sector(g).fixed_dim, model.sector(h).fixed_dim)
             assert 0 <= pair <= model.n
 
 
@@ -170,8 +170,8 @@ def test_doubling_doubles_fixed_dimensions():
         doubled = model.cotangent_model()
         bij = sector_bijection(model.table, doubled.table)
         for g in range(model.order):
-            assert doubled.fixed_dim(bij[g]) == 2 * model.fixed_dim(g)
-            assert doubled.age(bij[g]) == model.n - model.fixed_dim(g)
+            assert doubled.sector(bij[g]).fixed_dim == 2 * model.sector(g).fixed_dim
+            assert doubled.sector(bij[g]).age == model.n - model.sector(g).fixed_dim
             for h in range(model.order):
                 assert doubled.fixed_dim_pair(bij[g], bij[h]) == 2 * model.fixed_dim_pair(g, h)
 
@@ -180,9 +180,10 @@ def test_forget_geometry_zeroes_everything():
     model = corpus_model("s3-perm", forget=True)
     assert model.n == 0
     for g in range(model.order):
-        assert model.age(g) == 0
-        assert model.fixed_dim(g) == 0
-        assert model.virtual_shift(g) == 0
-        assert model.cr_shift(g) == 0
+        sector = model.sector(g)
+        assert sector.age == 0
+        assert sector.fixed_dim == 0
+        assert sector.virtual_shift == 0
+        assert sector.cr_shift == 0
         for h in range(model.order):
             assert model.fixed_dim_pair(g, h) == 0
