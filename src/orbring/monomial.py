@@ -257,6 +257,16 @@ class GroupTable:
         return tuple(self.conjugate(g, by) for g in range(self.order))
 
     def conjugacy_classes(self) -> ConjugacyPartition:
+        """Classes found by walking each one under conjugation by the generators.
+
+        The walk from g collects the smallest set containing g and closed
+        under x -> s^-1 x s for every generator s.  Conjugating by a product
+        ab is conjugating by a, then by b, so the set is closed under
+        conjugation by every word in the generators.  Each inverse s^-1 is
+        the power s^(ord(s)-1), so in a finite group every element is such a
+        word, and the set is the whole class of g.  That costs about
+        |class| * |gens| conjugations, not |class| * |G|.
+        """
         if self._classes is None:
             order = self.order
             class_of = [-1] * order
@@ -264,7 +274,16 @@ class GroupTable:
             for g in range(order):
                 if class_of[g] >= 0:
                     continue
-                orbit = sorted({self.conjugate(g, k) for k in range(order)})
+                seen = {g}
+                stack = [g]
+                while stack:
+                    x = stack.pop()
+                    for s in self.gens:
+                        y = self.conjugate(x, s)
+                        if y not in seen:
+                            seen.add(y)
+                            stack.append(y)
+                orbit = sorted(seen)
                 cid = len(classes)
                 for member in orbit:
                     if class_of[member] >= 0:

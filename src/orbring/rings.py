@@ -11,6 +11,7 @@ constants of the conjugation-invariant subring are nonnegative ints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -130,7 +131,11 @@ class OrbifoldModel:
         return self._as_bundle_rank(value, "excess", g, h)
 
     def structure_constant(self, theory: str, g: int, h: int) -> int:
-        """Coefficient of x_{gh} in x_g * x_h: 1 iff both gates pass, else 0."""
+        """Coefficient of x_{gh} in x_g * x_h: 1 iff both gates pass, else 0.
+
+        algebra() computes the whole table from arrays instead; this one-entry
+        form is its reference.
+        """
         _check_theory(theory)
         rank = self.obstruction_rank(g, h) if theory == CR else self.excess_rank(g, h)
         if rank != 0:
@@ -147,19 +152,50 @@ class OrbifoldModel:
                 degrees = tuple(self.sector(i).cr_shift for i in range(order))
             else:
                 degrees = tuple(Fraction(self.sector(i).virtual_shift) for i in range(order))
-            constants = tuple(
-                tuple(self.structure_constant(theory, g, h) for h in range(order))
-                for g in range(order)
-            )
             alg = SectorAlgebra(
                 theory=theory,
                 table=self.table,
                 degrees=degrees,
-                constants=constants,
+                constants=self._constant_rows(theory),
                 labels=self.labels,
             )
             self._algebras[theory] = alg
         return alg
+
+    def _constant_rows(self, theory: str) -> tuple[tuple[int, ...], ...]:
+        """Every structure_constant(theory, g, h), read from per-element int arrays.
+
+        The same two gates, with each rank scaled to an integer: the cr
+        obstruction rank times the common denominator of the ages, or the
+        excess rank itself.  An entry whose rank is not a nonnegative integer
+        is handed to the per-entry rank method, which raises its error.
+        """
+        sectors = [self.sector(i) for i in range(self.order)]
+        fixed = [s.fixed_dim for s in sectors]
+        n = self.n
+        pair = self.geometry.fixed_dim_pair
+        cr = theory == CR
+        if cr:
+            scale = math.lcm(*(s.age.denominator for s in sectors))
+            ages = [s.age.numerator * (scale // s.age.denominator) for s in sectors]
+            rank_of = self.obstruction_rank
+        else:
+            scale = 1
+            rank_of = self.excess_rank
+        rows = []
+        for g in range(self.order):
+            row = []
+            for h, gh in enumerate(self.table.row(g)):
+                p = pair(g, h)
+                if cr:
+                    scaled = ages[g] + ages[h] - ages[gh] + scale * (p - fixed[gh])
+                else:
+                    scaled = n - fixed[g] - fixed[h] + p
+                if scaled < 0 or scaled % scale:
+                    rank_of(g, h)  # raises the entry's ConsistencyError
+                row.append(1 if scaled == 0 and p == fixed[gh] else 0)
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def cotangent_model(self) -> "OrbifoldModel":
         """Model of the doubled orbifold, in the same geometry mode."""

@@ -2,12 +2,16 @@
 
 Per group element: the multiset of rotation numbers (eigen-phases), the age,
 the fixed-subspace dimension, and the two degree shifts.  Per pair: the
-dimension of the common fixed subspace, computed by the averaging projector of
-the generated subgroup, so no linear algebra over cyclotomic fields is needed.
+dimension of the common fixed subspace, counted by a union-find over the
+coordinates with potentials in Z/N, so it needs neither a subgroup closure nor
+cyclotomic arithmetic.  The averaging projector of the generated subgroup
+(fixed_dim_of_subgroup) computes the same number exactly in Q(zeta_N) and is
+kept as its independent oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -76,8 +80,14 @@ class SectorGeometry:
         self.forget = forget
         self.n = 0 if forget else dimension
         self._sectors: dict[int, SectorData] = {}
+        self._monomials: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._traces: dict[int, CyclotomicNumber] = {}
         self._pairs: dict[tuple[int, int], int] = {}
+        # Every element is a product of the generators, so its phases lie in
+        # (1/N)Z/Z for N the lcm of the generators' phase denominators.
+        self._conductor = math.lcm(
+            1, *(p.denominator for g in table.gens for p in table.elements[g].phases)
+        )
 
     def sector(self, i: int) -> SectorData:
         """Age, fixed dimension and degree shifts of element i, computed on first use.
@@ -96,6 +106,27 @@ class SectorGeometry:
                 fd = sum(1 for p in eigen if p == _ZERO_PHASE)
                 data = SectorData(i, eigen, a, fd, 2 * (self.n - fd), 2 * a)
             self._sectors[i] = data
+        return data
+
+    def _monomial(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Element i as (perm, phases) with integer phases mod conductor, cached.
+
+        The map sends e_j to zeta^phases[j] e_{perm[j]}, zeta = e^(2*pi*i/conductor).
+        """
+        data = self._monomials.get(i)
+        if data is None:
+            m = self.table.elements[i]
+            phases = []
+            for p in m.phases:
+                scale, rest = divmod(self._conductor, p.denominator)
+                if rest:
+                    raise ConsistencyError(
+                        f"element {i} has phase {p}, whose denominator does not "
+                        f"divide the generators' conductor {self._conductor}"
+                    )
+                phases.append(p.numerator * scale)
+            data = (m.perm, tuple(phases))
+            self._monomials[i] = data
         return data
 
     def trace(self, i: int) -> CyclotomicNumber:
@@ -127,12 +158,51 @@ class SectorGeometry:
         return int(value)
 
     def fixed_dim_pair(self, g: int, h: int) -> int:
-        """dim of V^g intersect V^h: the fixed space of the subgroup <g, h>."""
+        """dim of V^g intersect V^h, by a union-find over the coordinates.
+
+        v is fixed by a monomial map exactly when v_{perm[j]} = zeta^phase[j] v_j
+        for every j.  Each such equation, for g and for h, is an edge
+        j -> perm[j] of weight phase[j] mod N.  Within a connected component
+        every coordinate is then a fixed root of unity times the component's
+        root coordinate (its potential), so the component carries exactly one
+        free parameter if every edge closes consistently and none otherwise.
+        The answer is the number of consistent components.  The projector of
+        fixed_dim_of_subgroup is the oracle for this count.
+        """
         if self.forget:
             return 0
         key = (g, h) if g <= h else (h, g)
         value = self._pairs.get(key)
         if value is None:
-            value = self.fixed_dim_of_subgroup(self.table.subgroup_closure((g, h)))
+            value = self._common_fixed_dim(key)
             self._pairs[key] = value
         return value
+
+    def _common_fixed_dim(self, elements: tuple[int, ...]) -> int:
+        n = self.n
+        modulus = self._conductor
+        parent = list(range(n))
+        # v_x = zeta^potential[x] * v_parent[x]
+        potential = [0] * n
+        consistent = [True] * n
+        for i in elements:
+            perm, phases = self._monomial(i)
+            for j in range(n):
+                k = perm[j]
+                # the edge says v_k = zeta^phases[j] * v_j; find both roots
+                rj, pj = j, 0
+                while parent[rj] != rj:
+                    pj += potential[rj]
+                    rj = parent[rj]
+                rk, pk = k, 0
+                while parent[rk] != rk:
+                    pk += potential[rk]
+                    rk = parent[rk]
+                if rj == rk:
+                    if (pj + phases[j] - pk) % modulus:
+                        consistent[rj] = False
+                else:
+                    parent[rk] = rj
+                    potential[rk] = (pj + phases[j] - pk) % modulus
+                    consistent[rj] = consistent[rj] and consistent[rk]
+        return sum(1 for x in range(n) if parent[x] == x and consistent[x])

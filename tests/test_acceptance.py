@@ -224,12 +224,16 @@ def test_criterion_9_cyclotomic_kernel():
         model = OrbifoldModel(corpus_spec(name))
         for g in range(model.order):
             for h in range(model.order):
-                value = model.fixed_dim_pair(g, h)  # raises if not an integer in range
+                members = model.table.subgroup_closure((g, h))
+                # raises if the projector's trace is not an integer in [0, n]
+                value = model.geometry.fixed_dim_of_subgroup(members)
                 if not 0 <= value <= model.n:
                     failures.append((name, g, h, value))
+                if value != model.fixed_dim_pair(g, h):
+                    failures.append((name, g, h, value, model.fixed_dim_pair(g, h)))
                 pairs += 1
     ok = not failures
-    report(9, "cyclotomic kernel (Phi products, zeta sums, projector integrality)", ok, f"{pairs} pairs")
+    report(9, "cyclotomic kernel (Phi products, zeta sums, projector integrality and agreement)", ok, f"{pairs} pairs")
     assert ok, failures
 
 

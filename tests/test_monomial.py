@@ -272,6 +272,33 @@ def test_partition_covers_everything():
             assert part.class_of[member] == part.class_of[rep]
 
 
+def conjugation_partition(table):
+    """Classes straight from the definition: conjugate by every element."""
+    classes = {
+        tuple(sorted({table.conjugate(g, k) for k in range(table.order)}))
+        for g in range(table.order)
+    }
+    return tuple(sorted(classes))
+
+
+# conjugacy_classes walks each class under the generators only
+@pytest.mark.parametrize(
+    "spec",
+    [corpus_spec(name) for name in CORPUS_NAMES] + [gmpn_spec(4, 1, 2)],
+    ids=lambda spec: spec.name,
+)
+def test_class_walk_matches_full_conjugation(spec):
+    table = spec.close()
+    assert table.conjugacy_classes().classes == conjugation_partition(table)
+
+
+def test_class_walk_matches_full_conjugation_on_lazy_table(monkeypatch):
+    monkeypatch.setattr(GroupTable, "EAGER_TABLE_LIMIT", 1)
+    table = gmpn_spec(3, 1, 2).close()
+    assert table._mult_rows is None
+    assert table.conjugacy_classes().classes == conjugation_partition(table)
+
+
 # --- subgroup closure ---
 
 def test_subgroup_closure_identity():

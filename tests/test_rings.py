@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from orbring import (
     THEORIES,
     VIRT,
     AlgebraReport,
+    ConsistencyError,
     GroupTable,
     OrbifoldModel,
     OrbifoldSpec,
@@ -136,6 +138,58 @@ def test_full_virt_table_z3_11():
     ]
     assert [[int(c) for c in row] for row in alg.constants] == expected
     assert alg.degrees == (Fraction(0), Fraction(4), Fraction(4))
+
+
+# algebra() builds its rows from per-element arrays; structure_constant is
+# the per-entry oracle for every one of them
+@pytest.mark.parametrize(
+    "spec",
+    [corpus_spec(name) for name in CORPUS_NAMES] + [gmpn_spec(4, 1, 2)],
+    ids=lambda spec: spec.name,
+)
+@pytest.mark.parametrize("forget", [False, True])
+def test_algebra_rows_match_structure_constant(spec, forget):
+    model = OrbifoldModel(spec, forget_geometry=forget)
+    for theory in THEORIES:
+        constants = model.algebra(theory).constants
+        for g in range(model.order):
+            for h in range(model.order):
+                assert constants[g][h] == model.structure_constant(theory, g, h), (theory, g, h)
+
+
+def first_entry_error(model, theory):
+    with pytest.raises(ConsistencyError) as entry:
+        for g in range(model.order):
+            for h in range(model.order):
+                model.structure_constant(theory, g, h)
+    return str(entry.value)
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_algebra_raises_the_entry_error_on_a_negative_rank(theory):
+    model = OrbifoldModel(corpus_spec("s3-perm"))
+    model.geometry.fixed_dim_pair = lambda g, h: -5
+    expected = first_entry_error(model, theory)
+    assert "expected a nonnegative integer" in expected
+    with pytest.raises(ConsistencyError) as built:
+        model.algebra(theory)
+    assert str(built.value) == expected
+
+
+def test_algebra_raises_the_entry_error_on_a_fractional_rank():
+    model = OrbifoldModel(corpus_spec("z3-11"))
+    sector = model.geometry.sector
+
+    def shifted(i):
+        data = sector(i)
+        return dataclasses.replace(data, age=data.age + Fraction(1, 7)) if i == 1 else data
+
+    model.geometry.sector = shifted
+    expected = first_entry_error(model, CR)
+    assert "/7, expected a nonnegative integer" in expected
+    with pytest.raises(ConsistencyError) as built:
+        model.algebra(CR)
+    assert str(built.value) == expected
 
 
 def test_trivial_group_gives_unit_algebra():

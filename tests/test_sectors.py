@@ -1,10 +1,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from orbring import GroupTable, MonomialMap, RationalPhase, SectorGeometry, eigen_phases
-from support import CORPUS_NAMES, SMALL_NAMES, corpus_model
+from orbring import (
+    GroupTable,
+    MonomialMap,
+    OrbifoldModel,
+    OrbifoldSpec,
+    RationalPhase,
+    ResourceCapError,
+    SectorGeometry,
+    eigen_phases,
+    run_full_verification,
+)
+from support import CORPUS_NAMES, SMALL_NAMES, corpus_model, corpus_spec, gmpn_spec
 from test_monomial import QUAT_J, S3_GENS, Z3_GEN, monomial_maps, zp
 
 
@@ -125,8 +136,10 @@ def test_s3_two_transpositions_share_the_diagonal_line():
     table = model.table
     transpositions = [i for i in range(6) if table.element_order(i) == 2]
     t1, t2 = transpositions[:2]
-    # projector over all of S3: (3 + 3*1 + 2*0) / 6 = 1
+    # two distinct transpositions fix only the diagonal line
     assert model.fixed_dim_pair(t1, t2) == 1
+    # they generate S3, whose projector has trace (3 + 3*1 + 2*0) / 6 = 1
+    assert model.geometry.fixed_dim_of_subgroup(table.subgroup_closure((t1, t2))) == 1
 
 
 @pytest.mark.parametrize("name", SMALL_NAMES)
@@ -160,6 +173,50 @@ def test_whole_group_projector_is_a_dimension(name):
         "s4-perm": 1,
     }[name]
     assert value == expected
+
+
+def assert_pairs_match_projector(model):
+    """fixed_dim_pair against the projector of <g, h> on every pair."""
+    table, geometry = model.table, model.geometry
+    projected = {}
+    for g in range(table.order):
+        for h in range(g, table.order):
+            members = table.subgroup_closure((g, h))
+            if members not in projected:
+                projected[members] = geometry.fixed_dim_of_subgroup(members)
+            assert model.fixed_dim_pair(g, h) == projected[members], (g, h)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [corpus_spec(name) for name in CORPUS_NAMES]
+    + [gmpn_spec(4, 1, 2), gmpn_spec(6, 2, 2), gmpn_spec(2, 1, 3), gmpn_spec(5, 1, 2)],
+    ids=lambda spec: spec.name,
+)
+def test_pair_union_find_matches_projector(spec):
+    model = OrbifoldModel(spec)
+    assert_pairs_match_projector(model)
+    assert_pairs_match_projector(model.cotangent_model())
+
+
+@st.composite
+def monomial_generator_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    return n, draw(st.lists(monomial_maps(dimension=n), min_size=1, max_size=3))
+
+
+@given(monomial_generator_sets())
+@settings(max_examples=60, deadline=None)
+def test_pair_union_find_matches_projector_on_random_groups(generated):
+    n, gens = generated
+    spec = OrbifoldSpec("random", n, tuple(gens), max_group_order=32)
+    try:
+        model = OrbifoldModel(spec)
+    except ResourceCapError:
+        assume(False)
+    assert_pairs_match_projector(model)
+    assert_pairs_match_projector(model.cotangent_model())
+    assert run_full_verification(spec).all_passed
 
 
 def test_doubling_doubles_fixed_dimensions():
