@@ -145,12 +145,16 @@ class GroupTable:
         gens: tuple[int, ...],
         inverse_index: tuple[int, ...],
         mult_rows: Optional[list[list[int]]],
+        conductor: int,
     ):
         self.elements = elements
         self.index = index
         # The closure is built from gens alone, so they generate the whole
         # group; verify_algebra's equivariance reduction relies on this.
         self.gens = gens
+        # The lcm of the generators' phase denominators.  Every element is a
+        # product of the generators, so its phases lie in (1/conductor)Z/Z.
+        self.conductor = conductor
         self.inverse_index = inverse_index
         self._mult_rows = mult_rows
         self._classes: Optional[ConjugacyPartition] = None
@@ -171,13 +175,13 @@ class GroupTable:
                 raise InputError(
                     f"generator of dimension {g.dimension} in a dimension-{dimension} orbifold"
                 )
-        denom_lcm = 1
+        conductor = 1
         for g in gens:
             for p in g.phases:
-                denom_lcm = math.lcm(denom_lcm, p.denominator)
-        if denom_lcm > conductor_cap():
+                conductor = math.lcm(conductor, p.denominator)
+        if conductor > conductor_cap():
             raise ResourceCapError(
-                f"generator phases need conductor {denom_lcm}, above the cap {conductor_cap()}"
+                f"generator phases need conductor {conductor}, above the cap {conductor_cap()}"
             )
 
         identity = MonomialMap.identity(dimension)
@@ -217,7 +221,8 @@ class GroupTable:
                 rows.append([parent_row[lg[j]] for j in range(order)])
             mult_rows = rows
 
-        return cls(elements, index, tuple(index[g] for g in gens), inverse_index, mult_rows)
+        return cls(elements, index, tuple(index[g] for g in gens), inverse_index, mult_rows,
+                   conductor)
 
     @property
     def order(self) -> int:

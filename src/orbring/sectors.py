@@ -11,7 +11,6 @@ kept as its independent oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -83,11 +82,6 @@ class SectorGeometry:
         self._monomials: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._traces: dict[int, CyclotomicNumber] = {}
         self._pairs: dict[tuple[int, int], int] = {}
-        # Every element is a product of the generators, so its phases lie in
-        # (1/N)Z/Z for N the lcm of the generators' phase denominators.
-        self._conductor = math.lcm(
-            1, *(p.denominator for g in table.gens for p in table.elements[g].phases)
-        )
 
     def sector(self, i: int) -> SectorData:
         """Age, fixed dimension and degree shifts of element i, computed on first use.
@@ -118,11 +112,11 @@ class SectorGeometry:
             m = self.table.elements[i]
             phases = []
             for p in m.phases:
-                scale, rest = divmod(self._conductor, p.denominator)
+                scale, rest = divmod(self.table.conductor, p.denominator)
                 if rest:
                     raise ConsistencyError(
                         f"element {i} has phase {p}, whose denominator does not "
-                        f"divide the generators' conductor {self._conductor}"
+                        f"divide the generators' conductor {self.table.conductor}"
                     )
                 phases.append(p.numerator * scale)
             data = (m.perm, tuple(phases))
@@ -180,7 +174,7 @@ class SectorGeometry:
 
     def _common_fixed_dim(self, elements: tuple[int, ...]) -> int:
         n = self.n
-        modulus = self._conductor
+        modulus = self.table.conductor
         parent = list(range(n))
         # v_x = zeta^potential[x] * v_parent[x]
         potential = [0] * n

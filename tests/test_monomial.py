@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,19 @@ def test_closure_respects_conductor_cap():
     huge = diag(zp(1, 5000))
     with pytest.raises(ResourceCapError):
         GroupTable.close([huge], 1)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [corpus_spec(name) for name in CORPUS_NAMES] + [gmpn_spec(6, 2, 2)],
+    ids=lambda spec: spec.name,
+)
+def test_conductor_is_the_generators_denominator_lcm(spec):
+    table = spec.close()
+    gen_denominators = {p.denominator for g in table.gens for p in table.elements[g].phases}
+    assert table.conductor == math.lcm(1, *gen_denominators)
+    for m in table.elements:
+        assert all(table.conductor % p.denominator == 0 for p in m.phases)
 
 
 def test_identity_sits_at_index_zero():
