@@ -3,15 +3,20 @@
 A monomial map on C^n sends the basis vector e_j to a root-of-unity multiple
 of e_{perm[j]}.  Groups are closed by breadth-first search from sorted
 generators and stored as index tables, which keeps every later computation a
-table lookup.
+table lookup.  The closure runs on integer codes of the maps (perm and phases
+mod the generators' conductor packed into one tuple of ints), not on
+MonomialMap objects, and records left and right multiplication by each
+generator; the conjugacy classes are walked through per-generator conjugation
+tables built from those.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import repeat
+from operator import add, floordiv, itemgetter, mod
+from typing import Callable, Iterable, Optional, Sequence
 
 from .cyclotomic import CyclotomicNumber, RationalPhase, conductor_cap
 from .errors import ConsistencyError, InputError, ResourceCapError
@@ -126,38 +131,75 @@ class ConjugacyPartition:
         return len(self.classes)
 
 
+def _gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """C-level gather: seq -> tuple(seq[i] for i in indices)."""
+    if len(indices) == 1:
+        # itemgetter with a single index returns the bare item, not a 1-tuple
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    if not indices:
+        return lambda seq: ()
+    return itemgetter(*indices)
+
+
 class GroupTable:
     """A finite group of monomial maps closed from generators.
 
     Elements are indexed in breadth-first discovery order (index 0 is the
-    identity).  Multiplication is a dense table for small groups and a
-    canonical-form lookup for large ones; both are exact.
+    identity).  Multiplication is a dense table for small groups and, for
+    large ones, a lookup of the composed codes (below); both are exact.
+
+    Each element is also held as its integer code: codes[i][j] = a*n + k when
+    element i sends e_j to zeta^a e_k, with zeta = e^(2*pi*i/conductor) and
+    0 <= a < conductor.  Read as a permutation of the n*conductor points
+    a*n + k (the vectors zeta^a e_k), a monomial map is fixed by the images of
+    the points 0*n + j, and those images are its code.  So composing two maps
+    needs only integer arithmetic mod n*conductor.
     """
 
     # Above this order the dense |G|^2 multiplication table is not
-    # materialized; products are resolved through the canonical-form index.
+    # materialized; products are resolved through the index of the codes.
     EAGER_TABLE_LIMIT = 2048
 
     def __init__(
         self,
-        elements: list[MonomialMap],
-        index: dict[MonomialMap, int],
+        *,
+        dimension: int,
+        conductor: int,
+        codes: list[tuple[int, ...]],
+        code_index: dict[tuple[int, ...], int],
         gens: tuple[int, ...],
         inverse_index: tuple[int, ...],
-        mult_rows: Optional[list[list[int]]],
-        conductor: int,
+        right: tuple[Sequence[int], ...],
+        left: tuple[Sequence[int], ...],
+        mult_rows: Optional[list[tuple[int, ...]]],
     ):
-        self.elements = elements
-        self.index = index
-        # The closure is built from gens alone, so they generate the whole
-        # group; verify_algebra's equivariance reduction relies on this.
-        self.gens = gens
+        self.dimension = dimension
         # The lcm of the generators' phase denominators.  Every element is a
         # product of the generators, so its phases lie in (1/conductor)Z/Z.
         self.conductor = conductor
+        self.codes = codes
+        self._code_index = code_index
+        # The closure is built from gens alone, so they generate the whole
+        # group; verify_algebra's equivariance reduction relies on this.
+        self.gens = gens
         self.inverse_index = inverse_index
+        # right[k][x] and left[k][x]: indices of x*s and s*x for s = gens[k]
+        self._right = right
+        self._left = left
         self._mult_rows = mult_rows
         self._classes: Optional[ConjugacyPartition] = None
+
+        phase_of = [RationalPhase(a, conductor) for a in range(conductor)]
+        n = dimension
+        self.elements = [
+            MonomialMap(
+                tuple(map(mod, code, repeat(n))),
+                tuple(map(phase_of.__getitem__, map(floordiv, code, repeat(n)))),
+            )
+            for code in codes
+        ]
+        self.index = {element: i for i, element in enumerate(self.elements)}
 
     @classmethod
     def close(
@@ -166,7 +208,7 @@ class GroupTable:
         dimension: int,
         cap: int = DEFAULT_GROUP_ORDER_CAP,
     ) -> "GroupTable":
-        """Breadth-first closure of the generators into a full group table."""
+        """Breadth-first closure of the generators, run on their integer codes."""
         if type(cap) is not int or cap < 1:
             raise InputError(f"group order cap must be a positive integer, got {cap!r}")
         gens = sorted(set(generators), key=MonomialMap.sort_key)
@@ -184,45 +226,73 @@ class GroupTable:
                 f"generator phases need conductor {conductor}, above the cap {conductor_cap()}"
             )
 
-        identity = MonomialMap.identity(dimension)
-        elements: list[MonomialMap] = [identity]
-        index: dict[MonomialMap, int] = {identity: 0}
+        n = dimension
+        points = n * conductor
+        gen_codes = [
+            tuple(p.numerator * (conductor // p.denominator) * n + k
+                  for k, p in zip(g.perm, g.phases))
+            for g in gens
+        ]
+        # x*s applies s first: e_j -> zeta^a e_k (code a*n + k) -> x's image of
+        # e_k turned by zeta^a, that is x's code at k plus a*n, mod n*conductor.
+        picks = [_gatherer(tuple(c % n for c in code)) for code in gen_codes]
+        shifts = [tuple(c - c % n for c in code) for code in gen_codes]
+        moduli = repeat(points)
+
+        identity = tuple(range(n))
+        codes: list[tuple[int, ...]] = [identity]
+        code_index: dict[tuple[int, ...], int] = {identity: 0}
         parent_gen: list[tuple[int, int]] = [(-1, -1)]
-        queue: deque[int] = deque([0])
-        while queue:
-            i = queue.popleft()
-            x = elements[i]
-            for gpos, g in enumerate(gens):
-                y = x * g
-                if y not in index:
-                    if len(elements) >= cap:
+        right: list[list[int]] = [[] for _ in gens]
+        # the queue of the breadth-first search is codes[i:], in index order
+        i = 0
+        while i < len(codes):
+            x = codes[i]
+            for gpos, (pick, shift) in enumerate(zip(picks, shifts)):
+                y = tuple(map(mod, map(add, pick(x), shift), moduli))
+                j = code_index.get(y)
+                if j is None:
+                    if len(codes) >= cap:
                         raise ResourceCapError(
                             f"group not closed within cap {cap} elements"
                         )
-                    j = len(elements)
-                    elements.append(y)
-                    index[y] = j
+                    j = len(codes)
+                    codes.append(y)
+                    code_index[y] = j
                     parent_gen.append((i, gpos))
-                    queue.append(j)
+                right[gpos].append(j)
+            i += 1
 
-        order = len(elements)
-        inverse_index = tuple(index[e.inverse()] for e in elements)
+        order = len(codes)
+        inverse_index = tuple(code_index[_invert(code, n, conductor)] for code in codes)
+        # s*x sends e_j to s's image of x's point codes[x][j]; tabulate s on
+        # all n*conductor points once
+        left = []
+        for code in gen_codes:
+            image = [(code[k] + a * n) % points for a in range(conductor) for k in range(n)]
+            left.append([code_index[tuple(map(image.__getitem__, x))] for x in codes])
 
-        mult_rows: Optional[list[list[int]]] = None
+        mult_rows: Optional[list[tuple[int, ...]]] = None
         if order <= cls.EAGER_TABLE_LIMIT:
             # row recurrence: e_i = e_p * g implies e_i e_j = e_p (g e_j), so a
-            # row is the parent's row permuted through g's left-multiplication.
-            left = [[index[g * e] for e in elements] for g in gens]
-            rows: list[list[int]] = [list(range(order))]
-            for i in range(1, order):
-                p, gpos = parent_gen[i]
-                parent_row = rows[p]
-                lg = left[gpos]
-                rows.append([parent_row[lg[j]] for j in range(order)])
+            # row is the parent's row gathered through g's left-multiplication.
+            gathers = [_gatherer(lg) for lg in left]
+            rows: list[tuple[int, ...]] = [tuple(range(order))]
+            for p, gpos in parent_gen[1:]:
+                rows.append(gathers[gpos](rows[p]))
             mult_rows = rows
 
-        return cls(elements, index, tuple(index[g] for g in gens), inverse_index, mult_rows,
-                   conductor)
+        return cls(
+            dimension=dimension,
+            conductor=conductor,
+            codes=codes,
+            code_index=code_index,
+            gens=tuple(code_index[code] for code in gen_codes),
+            inverse_index=inverse_index,
+            right=tuple(right),
+            left=tuple(left),
+            mult_rows=mult_rows,
+        )
 
     @property
     def order(self) -> int:
@@ -234,7 +304,9 @@ class GroupTable:
     def mult(self, i: int, j: int) -> int:
         if self._mult_rows is not None:
             return self._mult_rows[i][j]
-        return self.index[self.elements[i] * self.elements[j]]
+        return self._code_index[
+            _compose(self.codes[i], self.codes[j], self.dimension, self.conductor)
+        ]
 
     def row(self, i: int) -> Sequence[int]:
         """Products i*j for j = 0..order-1, indexed by j; callers must not mutate it.
@@ -261,6 +333,21 @@ class GroupTable:
     def conjugation_permutation(self, by: int) -> tuple[int, ...]:
         return tuple(self.conjugate(g, by) for g in range(self.order))
 
+    def _generator_conjugations(self) -> tuple[tuple[int, ...], ...]:
+        """For each generator s, the permutation x -> index of s^-1 x s.
+
+        left_s (x -> s x) is a bijection of G whose inverse permutation is
+        left multiplication by s^-1.  So right_s[left_s^-1[x]] = (s^-1 x) s,
+        and each table is two lookups per element, with no products formed.
+        """
+        tables = []
+        for right, left in zip(self._right, self._left):
+            left_inverse = [0] * self.order
+            for x, y in enumerate(left):
+                left_inverse[y] = x
+            tables.append(tuple(map(right.__getitem__, left_inverse)))
+        return tuple(tables)
+
     def conjugacy_classes(self) -> ConjugacyPartition:
         """Classes found by walking each one under conjugation by the generators.
 
@@ -270,9 +357,10 @@ class GroupTable:
         conjugation by every word in the generators.  Each inverse s^-1 is
         the power s^(ord(s)-1), so in a finite group every element is such a
         word, and the set is the whole class of g.  That costs about
-        |class| * |gens| conjugations, not |class| * |G|.
+        |class| * |gens| lookups in the tables of _generator_conjugations.
         """
         if self._classes is None:
+            conjugations = self._generator_conjugations()
             order = self.order
             class_of = [-1] * order
             classes: list[tuple[int, ...]] = []
@@ -283,8 +371,8 @@ class GroupTable:
                 stack = [g]
                 while stack:
                     x = stack.pop()
-                    for s in self.gens:
-                        y = self.conjugate(x, s)
+                    for conj in conjugations:
+                        y = conj[x]
                         if y not in seen:
                             seen.add(y)
                             stack.append(y)
@@ -318,3 +406,18 @@ class GroupTable:
                     members.add(y)
                     queue.append(y)
         return tuple(sorted(members))
+
+
+def _compose(x: tuple[int, ...], y: tuple[int, ...], n: int, conductor: int) -> tuple[int, ...]:
+    """Code of x*y (apply y first): y's point a*n + k goes to x's code at k plus a*n."""
+    points = n * conductor
+    return tuple((x[v % n] + v - v % n) % points for v in y)
+
+
+def _invert(code: tuple[int, ...], n: int, conductor: int) -> tuple[int, ...]:
+    """Code of the inverse: e_j -> zeta^a e_k becomes e_k -> zeta^-a e_j."""
+    inverse = [0] * n
+    for j, c in enumerate(code):
+        a, k = divmod(c, n)
+        inverse[k] = (-a % conductor) * n + j
+    return tuple(inverse)

@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, mul
-from typing import Callable, Optional, Sequence
+from operator import mul
+from typing import Optional
 
 from .errors import ConsistencyError, InputError
-from .monomial import GroupTable
+from .monomial import GroupTable, _gatherer
 from .orbifold import OrbifoldSpec, cotangent_double
 from .sectors import SectorData, SectorGeometry
 
@@ -434,15 +434,6 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
         equivariance,
     )
     return AlgebraReport(checks)
-
-
-def _gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """C-level gather: seq -> tuple(seq[i] for i in indices)."""
-    if len(indices) == 1:
-        # itemgetter with a single index returns the bare item, not a 1-tuple
-        (i,) = indices
-        return lambda seq: (seq[i],)
-    return itemgetter(*indices)
 
 
 def _associativity_reduced(alg: SectorAlgebra, equivariant: bool) -> AxiomCheck:

@@ -79,7 +79,6 @@ class SectorGeometry:
         self.forget = forget
         self.n = 0 if forget else dimension
         self._sectors: dict[int, SectorData] = {}
-        self._monomials: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._traces: dict[int, CyclotomicNumber] = {}
         self._pairs: dict[tuple[int, int], int] = {}
 
@@ -100,27 +99,6 @@ class SectorGeometry:
                 fd = sum(1 for p in eigen if p == _ZERO_PHASE)
                 data = SectorData(i, eigen, a, fd, 2 * (self.n - fd), 2 * a)
             self._sectors[i] = data
-        return data
-
-    def _monomial(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Element i as (perm, phases) with integer phases mod conductor, cached.
-
-        The map sends e_j to zeta^phases[j] e_{perm[j]}, zeta = e^(2*pi*i/conductor).
-        """
-        data = self._monomials.get(i)
-        if data is None:
-            m = self.table.elements[i]
-            phases = []
-            for p in m.phases:
-                scale, rest = divmod(self.table.conductor, p.denominator)
-                if rest:
-                    raise ConsistencyError(
-                        f"element {i} has phase {p}, whose denominator does not "
-                        f"divide the generators' conductor {self.table.conductor}"
-                    )
-                phases.append(p.numerator * scale)
-            data = (m.perm, tuple(phases))
-            self._monomials[i] = data
         return data
 
     def trace(self, i: int) -> CyclotomicNumber:
@@ -180,10 +158,10 @@ class SectorGeometry:
         potential = [0] * n
         consistent = [True] * n
         for i in elements:
-            perm, phases = self._monomial(i)
-            for j in range(n):
-                k = perm[j]
-                # the edge says v_k = zeta^phases[j] * v_j; find both roots
+            # the table's code of element i: e_j -> zeta^a e_k is a*n + k
+            for j, code in enumerate(self.table.codes[i]):
+                a, k = divmod(code, n)
+                # the edge says v_k = zeta^a * v_j; find both roots
                 rj, pj = j, 0
                 while parent[rj] != rj:
                     pj += potential[rj]
@@ -193,10 +171,10 @@ class SectorGeometry:
                     pk += potential[rk]
                     rk = parent[rk]
                 if rj == rk:
-                    if (pj + phases[j] - pk) % modulus:
+                    if (pj + a - pk) % modulus:
                         consistent[rj] = False
                 else:
                     parent[rk] = rj
-                    potential[rk] = (pj + phases[j] - pk) % modulus
+                    potential[rk] = (pj + a - pk) % modulus
                     consistent[rj] = consistent[rj] and consistent[rk]
         return sum(1 for x in range(n) if parent[x] == x and consistent[x])

@@ -1,11 +1,15 @@
-"""Shared fixtures-in-spirit: corpus loading, cached models, independent oracles."""
+"""Shared fixtures-in-spirit: corpus loading, cached models, hypothesis strategies,
+independent oracles."""
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
-from orbring import OrbifoldModel, OrbifoldSpec
+from hypothesis import strategies as st
+
+from orbring import MonomialMap, OrbifoldModel, OrbifoldSpec, RationalPhase, ResourceCapError
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -49,6 +53,63 @@ def gmpn_spec(m: int, p: int, n: int) -> OrbifoldSpec:
         phases = [str(entries.get(j, Fraction(0)) % 1) for j in range(n)]
         gens.append({"perm": list(range(n)), "phases": phases})
     return OrbifoldSpec.from_dict({"name": f"G({m},{p},{n})", "dimension": n, "generators": gens})
+
+
+# --- random monomial maps and generator sets (hypothesis strategies) ---
+
+@st.composite
+def monomial_maps(draw, dimension=None):
+    n = dimension if dimension is not None else draw(st.integers(min_value=1, max_value=4))
+    perm = tuple(draw(st.permutations(range(n))))
+    phases = tuple(
+        draw(
+            st.builds(
+                RationalPhase,
+                numerator=st.integers(min_value=0, max_value=11),
+                denominator=st.integers(min_value=1, max_value=6),
+            )
+        )
+        for _ in range(n)
+    )
+    return MonomialMap(perm, phases)
+
+
+@st.composite
+def monomial_generator_sets(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    return n, draw(st.lists(monomial_maps(dimension=n), min_size=1, max_size=3))
+
+
+# --- independent closure oracle: breadth-first search on MonomialMap objects ---
+
+def closure_oracle(generators, dimension, cap):
+    """GroupTable's fields by composing MonomialMap objects, as a dict.
+
+    The same sorted generators and the same breadth-first discovery order as
+    GroupTable.close, so the indices must agree; rows holds every product row.
+    """
+    gens = sorted(set(generators), key=MonomialMap.sort_key)
+    identity = MonomialMap.identity(dimension)
+    elements = [identity]
+    index = {identity: 0}
+    queue = deque([0])
+    while queue:
+        x = elements[queue.popleft()]
+        for g in gens:
+            y = x * g
+            if y not in index:
+                if len(elements) >= cap:
+                    raise ResourceCapError(f"group not closed within cap {cap} elements")
+                index[y] = len(elements)
+                elements.append(y)
+                queue.append(index[y])
+    return {
+        "elements": elements,
+        "index": index,
+        "gens": tuple(index[g] for g in gens),
+        "inverse_index": tuple(index[e.inverse()] for e in elements),
+        "rows": [tuple(index[x * y] for y in elements) for x in elements],
+    }
 
 
 # --- independent polynomial oracle (rational arithmetic, no package code) ---

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from orbring import (
     CyclotomicNumber,
@@ -13,7 +12,15 @@ from orbring import (
     RationalPhase,
     ResourceCapError,
 )
-from support import CORPUS_NAMES, corpus_model, corpus_spec, gmpn_spec
+from support import (
+    CORPUS_NAMES,
+    closure_oracle,
+    corpus_model,
+    corpus_spec,
+    gmpn_spec,
+    monomial_generator_sets,
+    monomial_maps,
+)
 
 
 def zp(num, den=1):
@@ -31,23 +38,6 @@ S3_GENS = [
     MonomialMap((1, 0, 2), (zp(0),) * 3),
     MonomialMap((1, 2, 0), (zp(0),) * 3),
 ]
-
-
-@st.composite
-def monomial_maps(draw, dimension=None):
-    n = dimension if dimension is not None else draw(st.integers(min_value=1, max_value=4))
-    perm = tuple(draw(st.permutations(range(n))))
-    phases = tuple(
-        draw(
-            st.builds(
-                RationalPhase,
-                numerator=st.integers(min_value=0, max_value=11),
-                denominator=st.integers(min_value=1, max_value=6),
-            )
-        )
-        for _ in range(n)
-    )
-    return MonomialMap(perm, phases)
 
 
 # --- composition, inverse, dual ---
@@ -381,3 +371,108 @@ def test_closure_is_deterministic():
     assert first.elements == second.elements
     assert first.inverse_index == second.inverse_index
     assert first.gens == second.gens
+
+
+# --- the coded closure against the MonomialMap breadth-first oracle ---
+
+def assert_table_matches_oracle(table, generators, dimension, cap):
+    oracle = closure_oracle(generators, dimension, cap)
+    assert table.elements == oracle["elements"]
+    assert table.index == oracle["index"]
+    assert table.gens == oracle["gens"]
+    assert table.inverse_index == oracle["inverse_index"]
+    assert [tuple(table.row(i)) for i in range(table.order)] == oracle["rows"]
+
+
+ORACLE_SPECS = [corpus_spec(name) for name in CORPUS_NAMES] + [
+    gmpn_spec(4, 1, 2),
+    gmpn_spec(6, 2, 2),
+    gmpn_spec(2, 1, 3),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("doubled", [False, True], ids=["original", "doubled"])
+def test_coded_closure_matches_monomial_oracle(spec, doubled):
+    gens = [g.double() for g in spec.generators] if doubled else list(spec.generators)
+    dimension = 2 * spec.dimension if doubled else spec.dimension
+    table = GroupTable.close(gens, dimension, cap=spec.max_group_order)
+    assert_table_matches_oracle(table, gens, dimension, spec.max_group_order)
+
+
+@given(monomial_generator_sets())
+@settings(max_examples=60, deadline=None)
+def test_coded_closure_matches_monomial_oracle_on_random_groups(generated):
+    n, gens = generated
+    for generators, dimension in ((gens, n), ([g.double() for g in gens], 2 * n)):
+        try:
+            closure_oracle(generators, dimension, 32)
+        except ResourceCapError:
+            with pytest.raises(ResourceCapError):
+                GroupTable.close(generators, dimension, cap=32)
+            continue
+        table = GroupTable.close(generators, dimension, cap=32)
+        assert_table_matches_oracle(table, generators, dimension, 32)
+
+
+def test_lazy_table_matches_monomial_composition(monkeypatch):
+    monkeypatch.setattr(GroupTable, "EAGER_TABLE_LIMIT", 1)
+    table = gmpn_spec(2, 1, 3).close()
+    assert table._mult_rows is None
+    elements, index = table.elements, table.index
+    for i, x in enumerate(elements):
+        assert [elements[table.mult(i, j)] for j in range(table.order)] == [
+            x * y for y in elements
+        ]
+        assert tuple(table.row(i)) == tuple(index[x * y] for y in elements)
+        power, order = x, 1
+        while not power.is_identity():
+            power, order = power * x, order + 1
+        assert table.element_order(i) == order
+    for g in range(table.order):
+        for h in range(g, table.order, 7):
+            members = {elements[0]}
+            frontier = [elements[0]]
+            while frontier:
+                y = frontier.pop()
+                for s in (elements[g], elements[h]):
+                    if y * s not in members:
+                        members.add(y * s)
+                        frontier.append(y * s)
+            assert table.subgroup_closure((g, h)) == tuple(sorted(index[m] for m in members))
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
+def test_generator_conjugation_tables(spec, lazy, monkeypatch):
+    if lazy:
+        monkeypatch.setattr(GroupTable, "EAGER_TABLE_LIMIT", 0)
+    table = spec.close()
+    assert (table._mult_rows is None) == lazy
+    assert table._generator_conjugations() == tuple(
+        table.conjugation_permutation(s) for s in table.gens
+    )
+
+
+def test_close_lazy_mult_and_classes_form_no_monomial_products(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("MonomialMap composition")
+
+    monkeypatch.setattr(GroupTable, "EAGER_TABLE_LIMIT", 1)
+    monkeypatch.setattr(MonomialMap, "__mul__", refuse)
+    table = gmpn_spec(2, 1, 3).close()
+    assert table._mult_rows is None
+    assert table.mult(5, 7) == table.row(5)[7]
+    assert len(table.conjugacy_classes()) == 10
+
+
+@pytest.mark.parametrize(
+    "spec", [corpus_spec(name) for name in CORPUS_NAMES] + [gmpn_spec(2, 1, 3)],
+    ids=lambda spec: spec.name,
+)
+def test_order_cap_boundary(spec):
+    order = spec.close().order
+    if order > 1:
+        with pytest.raises(ResourceCapError):
+            GroupTable.close(spec.generators, spec.dimension, cap=order - 1)
+    assert GroupTable.close(spec.generators, spec.dimension, cap=order).order == order

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from orbring import (
     GroupTable,
@@ -15,8 +14,16 @@ from orbring import (
     eigen_phases,
     run_full_verification,
 )
-from support import CORPUS_NAMES, SMALL_NAMES, corpus_model, corpus_spec, gmpn_spec
-from test_monomial import QUAT_J, S3_GENS, Z3_GEN, monomial_maps, zp
+from support import (
+    CORPUS_NAMES,
+    SMALL_NAMES,
+    corpus_model,
+    corpus_spec,
+    gmpn_spec,
+    monomial_generator_sets,
+    monomial_maps,
+)
+from test_monomial import QUAT_J, S3_GENS, Z3_GEN, zp
 
 
 def sector_of(m):
@@ -197,12 +204,6 @@ def test_pair_union_find_matches_projector(spec):
     model = OrbifoldModel(spec)
     assert_pairs_match_projector(model)
     assert_pairs_match_projector(model.cotangent_model())
-
-
-@st.composite
-def monomial_generator_sets(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
-    return n, draw(st.lists(monomial_maps(dimension=n), min_size=1, max_size=3))
 
 
 @given(monomial_generator_sets())
