@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Callable, Optional
 
 from .errors import ConsistencyError
-from .monomial import GroupTable
+from .monomial import GroupTable, _gatherer
 from .orbifold import OrbifoldSpec
 from .rings import CR, VIRT, OrbifoldModel, verify_algebra
 
@@ -99,6 +100,12 @@ def k_rank(model: OrbifoldModel, g: int, h: int) -> int:
 
 
 def closure_sanity_check(model: OrbifoldModel) -> Optional[dict]:
+    """Identity, inverses and element orders; up to order 64, products against composition.
+
+    The composition test first tries _composition_by_generators, about
+    |G|*|gens| map products; the |G|^2 scan runs only when that fails, and
+    decides the check and finds the first disagreeing pair.
+    """
     table = model.table
     if not table.elements[0].is_identity():
         return {"problem": "index 0 is not the identity"}
@@ -113,7 +120,7 @@ def closure_sanity_check(model: OrbifoldModel) -> Optional[dict]:
                 "element_order": table.element_order(i),
                 "group_order": order,
             }
-    if order <= 64:
+    if order <= 64 and not _composition_by_generators(table):
         for i in range(order):
             for j in range(order):
                 if table.elements[table.mult(i, j)] != table.elements[i] * table.elements[j]:
@@ -124,31 +131,106 @@ def closure_sanity_check(model: OrbifoldModel) -> Optional[dict]:
     return None
 
 
+def _composition_by_generators(table: GroupTable) -> bool:
+    """Whether elements[mult(i, j)] = elements[i] * elements[j] for all i, j follows from
+    the generators' columns.
+
+    Write phi(i) for elements[i], with phi(0) the identity, and suppose
+      (a) phi(mult(i, s)) = phi(i) phi(s) for every i and generator s;
+      (b) mult(i, mult(j, s)) = mult(mult(i, j), s) for all i, j and generators s;
+      (c) mult(i, 0) = i for every i;
+      (d) every element is reached from 0 by right multiplication by generators.
+    Then phi(mult(i, j)) = phi(i) phi(j), by induction on the number d of
+    steps from 0 to j in (d).  For d = 0, j = 0 and mult(i, 0) = i by (c),
+    while phi(i) phi(0) = phi(i).  For d > 0, j = mult(j', s) with j' one
+    step closer, and
+      phi(mult(i, j)) = phi(mult(mult(i, j'), s))     by (b)
+                      = phi(mult(i, j')) phi(s)       by (a)
+                      = phi(i) phi(j') phi(s)         by induction
+                      = phi(i) phi(j)                 by (a) at j'.
+    (b) costs two C-level gathers per (i, s): row i through the column of s,
+    and the column of s through row i.  A False answer decides nothing; the
+    caller's scan does.
+    """
+    order = table.order
+    elements = table.elements
+    columns = [tuple(table.mult(j, s) for j in range(order)) for s in table.gens]
+    if tuple(table.mult(i, 0) for i in range(order)) != tuple(range(order)):
+        return False
+    for s, column in zip(table.gens, columns):
+        for i, j in enumerate(column):
+            if elements[j] != elements[i] * elements[s]:
+                return False
+    through_columns = [_gatherer(column) for column in columns]
+    for i in range(order):
+        row = table.row(i)
+        through_row = _gatherer(row)
+        for column, through_column in zip(columns, through_columns):
+            if through_column(row) != through_row(column):
+                return False
+    reached = {0}
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for column in columns:
+            y = column[x]
+            if y not in reached:
+                reached.add(y)
+                stack.append(y)
+    return len(reached) == order
+
+
 def age_duality_check(model: OrbifoldModel) -> Optional[dict]:
-    for g in range(model.order):
-        sector = model.sector(g)
-        lhs = sector.age + model.sector(model.table.inverse_index[g]).age
-        rhs = model.n - sector.fixed_dim
-        if lhs != rhs:
-            return {
-                "element": model.label(g),
-                "age_sum": str(lhs),
-                "codimension": str(rhs),
-            }
-    return None
+    """age(g) + age(g^-1) = n - dim V^g for every g, on the scaled ages."""
+    geometry = model.geometry
+    ages, scale = geometry.ages, geometry.scale
+    lhs = tuple(map(add, ages, _gatherer(model.table.inverse_index)(ages)))
+    rhs = tuple(scale * (model.n - f) for f in geometry.fixed)
+    if lhs == rhs:
+        return None
+    g = next(g for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    sector = model.sector(g)
+    return {
+        "element": model.label(g),
+        "age_sum": str(sector.age + model.sector(model.table.inverse_index[g]).age),
+        "codimension": str(model.n - sector.fixed_dim),
+    }
 
 
 def rank_oracle_check(model: OrbifoldModel) -> Optional[dict]:
+    """The cr obstruction rank in its direct and its dual (triple-age) form, per pair.
+
+    Row by row on ints scaled by the age denominator: the direct form
+    age g + age h - age gh - dim V^gh + dim(V^g meet V^h) against the dual
+    form age g + age h + age (gh)^-1 - (n - dim(V^g meet V^h)).  At each
+    entry where they differ, or the direct form is not a nonnegative
+    integer, the two rank methods give the report or raise.
+    """
+    geometry = model.geometry
+    table = model.table
+    ages, scale = geometry.ages, geometry.scale
+    # per product x: the terms of x in the direct and in the dual form
+    direct_terms = [a + scale * f for a, f in zip(ages, geometry.fixed)]
+    dual_terms = [ages[x] - scale * model.n for x in table.inverse_index]
     for g in range(model.order):
-        for h in range(model.order):
-            direct = model.obstruction_rank(g, h)
-            dual = model.obstruction_rank_dual_form(g, h)
-            if direct != dual:
-                return {
-                    "pair": [model.label(g), model.label(h)],
-                    "rank": direct,
-                    "dual_form": dual,
-                }
+        at_products = _gatherer(table.row(g))
+        shared = list(
+            map(add, map(ages[g].__add__, ages), map(scale.__mul__, geometry.pair_row(g)))
+        )
+        direct = tuple(map(sub, shared, at_products(direct_terms)))
+        dual = tuple(map(add, shared, at_products(dual_terms)))
+        if direct == dual and min(direct) >= 0 and not any(map(scale.__rmod__, direct)):
+            continue
+        for h, (d, u) in enumerate(zip(direct, dual)):
+            if d != u or d < 0 or d % scale:
+                rank = model.obstruction_rank(g, h)
+                dual_form = model.obstruction_rank_dual_form(g, h)
+                if rank != dual_form:
+                    return {
+                        "pair": [model.label(g), model.label(h)],
+                        "rank": rank,
+                        "dual_form": dual_form,
+                    }
     return None
 
 
@@ -166,58 +248,109 @@ def algebra_axioms_check(model: OrbifoldModel, theory: str) -> Optional[dict]:
 def grading_check(
     model: OrbifoldModel, doubled: OrbifoldModel, bijection: tuple[int, ...]
 ) -> Optional[dict]:
-    """Doubled cr shift equals original virtual shift, element by element."""
-    for g in range(model.order):
-        doubled_s = doubled.sector(bijection[g]).cr_shift
-        sigma = model.sector(g).virtual_shift
-        if doubled_s != sigma:
-            return {
-                "element": model.label(g),
-                "doubled_cr_shift": str(doubled_s),
-                "virtual_shift": str(sigma),
-            }
-    return None
+    """Doubled cr shift equals original virtual shift, element by element.
+
+    Compared on ints: 2 age over the doubled scale against 2 (n - dim V^g).
+    """
+    scale = doubled.geometry.scale
+    lhs = _gatherer(bijection)(doubled.geometry.ages)
+    rhs = tuple(scale * (model.n - f) for f in model.geometry.fixed)
+    if lhs == rhs:
+        return None
+    g = next(g for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    return {
+        "element": model.label(g),
+        "doubled_cr_shift": str(doubled.sector(bijection[g]).cr_shift),
+        "virtual_shift": str(model.sector(g).virtual_shift),
+    }
 
 
 def decomposition_check(
     model: OrbifoldModel, doubled: OrbifoldModel, bijection: tuple[int, ...]
 ) -> Optional[dict]:
-    """Doubled obstruction rank = excess rank + difference-bundle rank, per pair."""
+    """Doubled obstruction rank = excess rank + difference-bundle rank, per pair.
+
+    Row by row on ints scaled by the doubled age denominator: the doubled
+    row of bijection[g] (products and pair dimensions) is gathered through
+    the bijection into the order of the original row.  At each entry where
+    the sides differ, the doubled rank is negative or the excess rank is,
+    the rank methods give the report or raise.
+    """
+    geometry, doubled_geometry = model.geometry, doubled.geometry
+    scale = doubled_geometry.scale
+    fixed = geometry.fixed
+    doubled_ages = doubled_geometry.ages
+    doubled_terms = [a + scale * f for a, f in zip(doubled_ages, doubled_geometry.fixed)]
+    at_image = _gatherer(bijection)
+    image_ages = at_image(doubled_ages)
     for g in range(model.order):
-        for h in range(model.order):
-            lhs = doubled.obstruction_rank(bijection[g], bijection[h])
-            rhs = model.excess_rank(g, h) + k_rank(model, g, h)
-            if lhs != rhs:
-                return {
-                    "pair": [model.label(g), model.label(h)],
-                    "doubled_obstruction_rank": lhs,
-                    "excess_plus_k": rhs,
-                }
+        b = bijection[g]
+        at_products = _gatherer(at_image(doubled.table.row(b)))
+        shared = map(
+            add,
+            map(doubled_ages[b].__add__, image_ages),
+            map(scale.__mul__, at_image(doubled_geometry.pair_row(b))),
+        )
+        lhs = tuple(map(sub, shared, at_products(doubled_terms)))
+        pairs = geometry.pair_row(g)
+        excess = tuple(map(add, map((model.n - fixed[g]).__sub__, fixed), pairs))
+        k = map(sub, pairs, _gatherer(model.table.row(g))(fixed))
+        rhs = tuple(map(scale.__mul__, map(add, excess, k)))
+        if lhs == rhs and min(lhs) >= 0 and min(excess) >= 0:
+            continue
+        for h, (left, right, e) in enumerate(zip(lhs, rhs, excess)):
+            if left != right or left < 0 or e < 0:
+                doubled_rank = doubled.obstruction_rank(b, bijection[h])
+                excess_plus_k = model.excess_rank(g, h) + k_rank(model, g, h)
+                if doubled_rank != excess_plus_k:
+                    return {
+                        "pair": [model.label(g), model.label(h)],
+                        "doubled_obstruction_rank": doubled_rank,
+                        "excess_plus_k": excess_plus_k,
+                    }
     return None
 
 
 def main_theorem_check(
     model: OrbifoldModel, doubled: OrbifoldModel, bijection: tuple[int, ...]
 ) -> Optional[dict]:
-    """Full ring comparison: degrees, constants, pairings, and class tables."""
+    """Full ring comparison: degrees, constants, pairings, and class tables.
+
+    Constants are compared a row at a time: the doubled row of bijection[g]
+    gathered through the bijection against the virtual row g.  Pairings are
+    compared in O(|G|) when the bijection is injective: the doubled pairing
+    at (bijection[g], bijection[h]) is 1 exactly when bijection[h] is the
+    doubled inverse of bijection[g], and the virtual one exactly when h is
+    the inverse of g.  For injective bijection the first holds for at most
+    one h, so row g agrees everywhere exactly when that h is g^-1, that is
+    when the doubled inverse of bijection[g] is bijection[g^-1].  A row that
+    fails that test, or every row when the bijection is not injective, is
+    scanned pair by pair.
+    """
     mismatch = grading_check(model, doubled, bijection)
     if mismatch is not None:
         return {"stage": "degrees", **mismatch}
 
     virt = model.algebra(VIRT)
     cr_doubled = doubled.algebra(CR)
+    at_image = _gatherer(bijection)
     for g in range(model.order):
-        for h in range(model.order):
-            lhs = cr_doubled.constant(bijection[g], bijection[h])
-            rhs = virt.constant(g, h)
-            if lhs != rhs:
-                return {
-                    "stage": "constants",
-                    "pair": [model.label(g), model.label(h)],
-                    "doubled_cr": str(lhs),
-                    "virtual": str(rhs),
-                }
+        lhs = at_image(cr_doubled.constants[bijection[g]])
+        rhs = virt.constants[g]
+        if lhs != rhs:
+            h = next(h for h, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            return {
+                "stage": "constants",
+                "pair": [model.label(g), model.label(h)],
+                "doubled_cr": str(lhs[h]),
+                "virtual": str(rhs[h]),
+            }
+    inverse = virt.table.inverse_index
+    doubled_inverse = cr_doubled.table.inverse_index
+    injective = len(set(bijection)) == len(bijection)
     for g in range(model.order):
+        if injective and doubled_inverse[bijection[g]] == bijection[inverse[g]]:
+            continue
         for h in range(model.order):
             if cr_doubled.pairing(bijection[g], bijection[h]) != virt.pairing(g, h):
                 return {"stage": "pairings", "pair": [model.label(g), model.label(h)]}

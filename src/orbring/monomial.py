@@ -319,9 +319,19 @@ class GroupTable:
         return tuple(self.mult(i, j) for j in range(self.order))
 
     def element_order(self, i: int) -> int:
+        """Least m >= 1 with i^m = e.
+
+        In a group of order |G| that m divides |G|, so powers that have not
+        reached e after |G| steps mean a broken table; that raises
+        ConsistencyError instead of looping forever.
+        """
         m = 1
         x = i
         while x != 0:
+            if m >= self.order:
+                raise ConsistencyError(
+                    f"powers of element {i} do not reach the identity within {self.order} steps"
+                )
             x = self.mult(x, i)
             m += 1
         return m

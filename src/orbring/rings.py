@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Optional
 
 from .errors import ConsistencyError, InputError
@@ -275,14 +275,14 @@ class SectorAlgebra:
         order = self.order
         constants: dict[tuple[int, int, int], int | Fraction] = {}
         for a, class_a in enumerate(part.classes):
+            rows_a = [(self.constants[g], self.table.row(g)) for g in class_a]
             for b, class_b in enumerate(part.classes):
                 acc = [0] * order
-                for g in class_a:
-                    row = self.constants[g]
+                for row, products in rows_a:
                     for h in class_b:
                         c = row[h]
                         if c:
-                            acc[self.table.mult(g, h)] += c
+                            acc[products[h]] += c
                 for cid, cls in enumerate(part.classes):
                     values = {acc[k] for k in cls}
                     if len(values) != 1:
@@ -421,16 +421,19 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     in _frobenius_reduced, _equivariance_by_generators and
     _associativity_reduced).  The cube scans _check_associativity and
     _check_equivariance run only after their reduced check has failed, to
-    report the same lex-first counterexample; the six _check_* scans together
-    are the reference the tests compare this report against.
+    report the same lex-first counterexample.  Grading is checked a row at a
+    time on ints, and nondegeneracy in O(|G|) on inverse_index
+    (_nondegeneracy_by_inverses).  The tests compare this report against
+    the scans: the four _check_* scans here, and the grading and
+    nondegeneracy scans of the tests' support module.
     """
     equivariance = _equivariance_by_generators(alg)
     checks = (
         _associativity_reduced(alg, equivariance.passed),
-        _check_grading(alg),
+        _grading_by_rows(alg),
         _check_unit(alg),
         _frobenius_reduced(alg),
-        _check_nondegeneracy(alg),
+        _nondegeneracy_by_inverses(alg),
         equivariance,
     )
     return AlgebraReport(checks)
@@ -545,22 +548,30 @@ def _check_associativity(alg: SectorAlgebra) -> AxiomCheck:
     return AxiomCheck("associativity", True)
 
 
-def _check_grading(alg: SectorAlgebra) -> AxiomCheck:
-    order = alg.order
-    for g in range(order):
-        for h in range(order):
-            if alg.constants[g][h]:
-                gh = alg.table.mult(g, h)
-                if alg.degrees[g] + alg.degrees[h] != alg.degrees[gh]:
-                    return AxiomCheck(
-                        "grading",
-                        False,
-                        {
-                            "pair": [alg.labels[g], alg.labels[h]],
-                            "degree_sum": str(alg.degrees[g] + alg.degrees[h]),
-                            "product_degree": str(alg.degrees[gh]),
-                        },
-                    )
+def _grading_by_rows(alg: SectorAlgebra) -> AxiomCheck:
+    """Grading: deg g + deg h = deg gh wherever c[g][h] is nonzero, a row at a time.
+
+    The degrees are scaled to ints over their common denominator.  For row
+    g, the differences deg gh - deg g - deg h are formed at C level and
+    multiplied by the row's constants, so a nonzero product marks exactly a
+    failing pair; the first one is reported.
+    """
+    scale = math.lcm(*(d.denominator for d in alg.degrees))
+    degrees = [d.numerator * (scale // d.denominator) for d in alg.degrees]
+    for g, row in enumerate(alg.constants):
+        products = alg.table.row(g)
+        gaps = tuple(map(sub, _gatherer(products)(degrees), map(degrees[g].__add__, degrees)))
+        if any(map(mul, row, gaps)):
+            h = next(h for h, (c, gap) in enumerate(zip(row, gaps)) if c and gap)
+            return AxiomCheck(
+                "grading",
+                False,
+                {
+                    "pair": [alg.labels[g], alg.labels[h]],
+                    "degree_sum": str(alg.degrees[g] + alg.degrees[h]),
+                    "product_degree": str(alg.degrees[products[h]]),
+                },
+            )
     return AxiomCheck("grading", True)
 
 
@@ -600,16 +611,36 @@ def _check_frobenius(alg: SectorAlgebra) -> AxiomCheck:
     return AxiomCheck("frobenius", True)
 
 
-def _check_nondegeneracy(alg: SectorAlgebra) -> AxiomCheck:
-    for g in range(alg.order):
-        partners = [h for h in range(alg.order) if alg.pairing(g, h)]
-        if partners != [alg.table.inverse_index[g]] or alg.pairing(g, partners[0]) != 1:
-            return AxiomCheck(
-                "nondegeneracy",
-                False,
-                {"sector": alg.labels[g], "partners": [alg.labels[h] for h in partners]},
-            )
-    return AxiomCheck("nondegeneracy", True)
+def _nondegeneracy_by_inverses(alg: SectorAlgebra) -> AxiomCheck:
+    """Nondegeneracy of the sector pairing, decided on inverse_index alone.
+
+    The pairing is a 0/1 matrix, nondegenerate in the checked sense when
+    every row and every column holds exactly one partner.  pairing(g, h) is
+    1 exactly when h = inverse_index[g], so row g has the one partner
+    inverse_index[g] when that is an index of the algebra and none
+    otherwise, and the partners of column h are the g with
+    inverse_index[g] = h.  Every row and every column therefore has exactly
+    one partner exactly when inverse_index maps range(order) onto itself,
+    that is, when its order values are exactly the indices 0..order-1; that
+    is an O(|G|) set comparison with no pairing call.  Otherwise the first
+    failing row, and failing that the first failing column, is reported as
+    the row-then-column scan reports it.
+    """
+    order = alg.order
+    inverse = alg.table.inverse_index
+    if len(inverse) == order and set(inverse) == set(range(order)):
+        return AxiomCheck("nondegeneracy", True)
+    partners: list[list[int]] = [[] for _ in range(order)]
+    for g, h in enumerate(inverse):
+        if not 0 <= h < order:
+            return AxiomCheck("nondegeneracy", False, {"sector": alg.labels[g], "partners": []})
+        partners[h].append(g)
+    h = next(h for h, found in enumerate(partners) if len(found) != 1)
+    return AxiomCheck(
+        "nondegeneracy",
+        False,
+        {"sector": alg.labels[h], "partners": [alg.labels[g] for g in partners[h]]},
+    )
 
 
 def _check_equivariance(alg: SectorAlgebra) -> AxiomCheck:

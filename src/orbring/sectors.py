@@ -1,27 +1,31 @@
 """Exact sector geometry of a linear orbifold.
 
-Per group element: the multiset of rotation numbers (eigen-phases), the age,
-the fixed-subspace dimension, and the two degree shifts.  Per pair: the
+Per group element: the age, the fixed-subspace dimension and the two degree
+shifts, read from the element's integer code in one pass over the group
+(ages as ints over 2N, N the generators' conductor).  The multiset of
+rotation numbers (eigen_phases) computes the same ages and dimensions from a
+MonomialMap and is kept as their independent oracle.  Per pair: the
 dimension of the common fixed subspace, counted by a union-find over the
 coordinates with potentials in Z/N, so it needs neither a subgroup closure nor
-cyclotomic arithmetic.  The averaging projector of the generated subgroup
-(fixed_dim_of_subgroup) computes the same number exactly in Q(zeta_N) and is
-kept as its independent oracle.
+cyclotomic arithmetic; it is stored as one int row per element.  The
+averaging projector of the generated subgroup (fixed_dim_of_subgroup)
+computes the same number exactly in Q(zeta_N) and is kept as its independent
+oracle.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .cyclotomic import CyclotomicNumber, RationalPhase
 from .errors import ConsistencyError
 from .monomial import GroupTable, MonomialMap
 
 __all__ = ["SectorData", "SectorGeometry", "eigen_phases"]
-
-_ZERO_PHASE = RationalPhase(0)
 
 
 def eigen_phases(m: MonomialMap) -> tuple[RationalPhase, ...]:
@@ -58,7 +62,6 @@ class SectorData:
     """Geometric data of one sector (one group element)."""
 
     element: int
-    eigen: tuple[RationalPhase, ...]
     age: Fraction
     fixed_dim: int
     virtual_shift: int
@@ -72,32 +75,81 @@ class SectorGeometry:
     space: every age and fixed dimension is zero.  That realizes the
     point-orbifold (group-ring) limit for an arbitrary finite group without
     needing a zero-dimensional faithful representation.
+
+    ages[i] is the age of element i times scale, and fixed[i] its fixed
+    dimension; pair_row(g)[h] is the dimension of V^g meet V^h.  The lists
+    and rows are built on first use and must not be mutated by callers.
     """
 
     def __init__(self, table: GroupTable, dimension: int, forget: bool = False):
         self.table = table
         self.forget = forget
         self.n = 0 if forget else dimension
+        # every age is an int over 2N (see _element_arrays); zero over 1 in forget mode
+        self.scale = 1 if forget else 2 * table.conductor
         self._sectors: dict[int, SectorData] = {}
         self._traces: dict[int, CyclotomicNumber] = {}
-        self._pairs: dict[tuple[int, int], int] = {}
+        self._pair_rows: list[Optional[array]] = [None] * table.order
+
+    @property
+    def ages(self) -> list[int]:
+        return self._element_arrays[0]
+
+    @property
+    def fixed(self) -> list[int]:
+        return self._element_arrays[1]
+
+    @cached_property
+    def _element_arrays(self) -> tuple[list[int], list[int]]:
+        """Every age (times scale) and fixed dimension, in one pass over the codes.
+
+        A permutation cycle of length L whose phases sum to s/N (0 <= s < N)
+        has the eigen-phases (s/N + t)/L, t = 0..L-1 (see eigen_phases).
+        They sum to s/N + (L-1)/2, which is (2s + (L-1)N) over 2N, and one of
+        them is zero exactly when s = 0.
+        """
+        order = self.table.order
+        if self.forget:
+            return [0] * order, [0] * order
+        n = self.n
+        modulus = self.table.conductor
+        ages = []
+        fixed = []
+        for code in self.table.codes:
+            seen = [False] * n
+            age = 0
+            dim = 0
+            for start in range(n):
+                if seen[start]:
+                    continue
+                s = 0
+                length = 0
+                j = start
+                while not seen[j]:
+                    seen[j] = True
+                    # code a*n + k: e_j -> zeta^a e_k
+                    a, j = divmod(code[j], n)
+                    s += a
+                    length += 1
+                s %= modulus
+                age += 2 * s + (length - 1) * modulus
+                if not s:
+                    dim += 1
+            ages.append(age)
+            fixed.append(dim)
+        return ages, fixed
 
     def sector(self, i: int) -> SectorData:
-        """Age, fixed dimension and degree shifts of element i, computed on first use.
+        """Age, fixed dimension and degree shifts of element i, from the arrays.
 
-        The one place these are derived from the eigen-phases: the age is
-        their sum, the fixed dimension counts the zero phases, the virtual
-        shift is twice the codimension and the cr shift twice the age.
+        The virtual shift is twice the codimension and the cr shift twice
+        the age.
         """
         data = self._sectors.get(i)
         if data is None:
-            if self.forget:
-                data = SectorData(i, (), Fraction(0), 0, 0, Fraction(0))
-            else:
-                eigen = eigen_phases(self.table.elements[i])
-                a = sum((p.as_fraction() for p in eigen), Fraction(0))
-                fd = sum(1 for p in eigen if p == _ZERO_PHASE)
-                data = SectorData(i, eigen, a, fd, 2 * (self.n - fd), 2 * a)
+            age = Fraction(self.ages[i], self.scale)
+            dim = self.fixed[i]
+            data = SectorData(i, age, dim, 2 * (self.n - dim), 2 * age)
             self._sectors[i] = data
         return data
 
@@ -130,7 +182,11 @@ class SectorGeometry:
         return int(value)
 
     def fixed_dim_pair(self, g: int, h: int) -> int:
-        """dim of V^g intersect V^h, by a union-find over the coordinates.
+        """dim of V^g intersect V^h, read from pair_row(g)."""
+        return self.pair_row(g)[h]
+
+    def pair_row(self, g: int) -> array:
+        """fixed_dim_pair(g, h) for h = 0..order-1, by a union-find per pair.
 
         v is fixed by a monomial map exactly when v_{perm[j]} = zeta^phase[j] v_j
         for every j.  Each such equation, for g and for h, is an edge
@@ -139,16 +195,21 @@ class SectorGeometry:
         root coordinate (its potential), so the component carries exactly one
         free parameter if every edge closes consistently and none otherwise.
         The answer is the number of consistent components.  The projector of
-        fixed_dim_of_subgroup is the oracle for this count.
+        fixed_dim_of_subgroup is the oracle for this count.  The count is
+        symmetric in g and h, so an entry whose row h is already built is
+        read from there.
         """
-        if self.forget:
-            return 0
-        key = (g, h) if g <= h else (h, g)
-        value = self._pairs.get(key)
-        if value is None:
-            value = self._common_fixed_dim(key)
-            self._pairs[key] = value
-        return value
+        rows = self._pair_rows
+        row = rows[g]
+        if row is None:
+            order = self.table.order
+            row = array("I", [0]) * order
+            if not self.forget:
+                for h in range(order):
+                    other = rows[h]
+                    row[h] = other[g] if other is not None else self._common_fixed_dim((g, h))
+            rows[g] = row
+        return row
 
     def _common_fixed_dim(self, elements: tuple[int, ...]) -> int:
         n = self.n

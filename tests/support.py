@@ -9,7 +9,17 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from orbring import MonomialMap, OrbifoldModel, OrbifoldSpec, RationalPhase, ResourceCapError
+from orbring import (
+    CR,
+    VIRT,
+    AxiomCheck,
+    MonomialMap,
+    OrbifoldModel,
+    OrbifoldSpec,
+    RationalPhase,
+    ResourceCapError,
+    k_rank,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -187,3 +197,187 @@ def invariant_expansion_oracle(alg):
                 if value:
                     coeffs[(a, b, c)] = value
     return coeffs
+
+
+# --- per-pair scans: the references for the row-wise verify checks ---
+#
+# Each is the check as a plain loop over every element or pair, reading the
+# per-entry methods (sector(), the rank methods, constant, pairing, mult).
+# The checks in orbring must return the same payload or raise the same
+# ConsistencyError text.
+
+def closure_sanity_scan(model):
+    table = model.table
+    if not table.elements[0].is_identity():
+        return {"problem": "index 0 is not the identity"}
+    order = table.order
+    for i in range(order):
+        if table.mult(i, table.inverse_index[i]) != 0:
+            return {"problem": "inverse table broken", "element": model.label(i)}
+        if order % table.element_order(i) != 0:
+            return {
+                "problem": "element order does not divide group order",
+                "element": model.label(i),
+                "element_order": table.element_order(i),
+                "group_order": order,
+            }
+    if order <= 64:
+        for i in range(order):
+            for j in range(order):
+                if table.elements[table.mult(i, j)] != table.elements[i] * table.elements[j]:
+                    return {
+                        "problem": "multiplication table disagrees with composition",
+                        "pair": [model.label(i), model.label(j)],
+                    }
+    return None
+
+
+def age_duality_scan(model):
+    for g in range(model.order):
+        sector = model.sector(g)
+        lhs = sector.age + model.sector(model.table.inverse_index[g]).age
+        rhs = model.n - sector.fixed_dim
+        if lhs != rhs:
+            return {"element": model.label(g), "age_sum": str(lhs), "codimension": str(rhs)}
+    return None
+
+
+def rank_oracle_scan(model):
+    for g in range(model.order):
+        for h in range(model.order):
+            direct = model.obstruction_rank(g, h)
+            dual = model.obstruction_rank_dual_form(g, h)
+            if direct != dual:
+                return {
+                    "pair": [model.label(g), model.label(h)],
+                    "rank": direct,
+                    "dual_form": dual,
+                }
+    return None
+
+
+def grading_check_scan(model, doubled, bijection):
+    for g in range(model.order):
+        doubled_s = doubled.sector(bijection[g]).cr_shift
+        sigma = model.sector(g).virtual_shift
+        if doubled_s != sigma:
+            return {
+                "element": model.label(g),
+                "doubled_cr_shift": str(doubled_s),
+                "virtual_shift": str(sigma),
+            }
+    return None
+
+
+def decomposition_scan(model, doubled, bijection):
+    for g in range(model.order):
+        for h in range(model.order):
+            lhs = doubled.obstruction_rank(bijection[g], bijection[h])
+            rhs = model.excess_rank(g, h) + k_rank(model, g, h)
+            if lhs != rhs:
+                return {
+                    "pair": [model.label(g), model.label(h)],
+                    "doubled_obstruction_rank": lhs,
+                    "excess_plus_k": rhs,
+                }
+    return None
+
+
+def main_theorem_scan(model, doubled, bijection):
+    mismatch = grading_check_scan(model, doubled, bijection)
+    if mismatch is not None:
+        return {"stage": "degrees", **mismatch}
+    virt = model.algebra(VIRT)
+    cr_doubled = doubled.algebra(CR)
+    for g in range(model.order):
+        for h in range(model.order):
+            lhs = cr_doubled.constant(bijection[g], bijection[h])
+            rhs = virt.constant(g, h)
+            if lhs != rhs:
+                return {
+                    "stage": "constants",
+                    "pair": [model.label(g), model.label(h)],
+                    "doubled_cr": str(lhs),
+                    "virtual": str(rhs),
+                }
+    for g in range(model.order):
+        for h in range(model.order):
+            if cr_doubled.pairing(bijection[g], bijection[h]) != virt.pairing(g, h):
+                return {"stage": "pairings", "pair": [model.label(g), model.label(h)]}
+
+    virt_classes = model.table.conjugacy_classes()
+    doubled_classes = doubled.table.conjugacy_classes()
+    if len(virt_classes) != len(doubled_classes):
+        return {
+            "stage": "invariant-ring",
+            "problem": "class counts differ",
+            "original": len(virt_classes),
+            "doubled": len(doubled_classes),
+        }
+    class_map = tuple(
+        doubled_classes.class_of[bijection[rep]] for rep in virt_classes.representatives
+    )
+    if len(set(class_map)) != len(class_map):
+        return {"stage": "invariant-ring", "problem": "class map is not a bijection"}
+    inv_virt = virt.invariant_ring()
+    inv_doubled = cr_doubled.invariant_ring()
+    for a in range(inv_virt.order):
+        if inv_virt.degrees[a] != inv_doubled.degrees[class_map[a]]:
+            return {
+                "stage": "invariant-ring",
+                "class": inv_virt.labels[a],
+                "virtual_degree": str(inv_virt.degrees[a]),
+                "doubled_degree": str(inv_doubled.degrees[class_map[a]]),
+            }
+    remapped = {
+        (class_map[a], class_map[b], class_map[c]): value
+        for (a, b, c), value in inv_virt.constants.items()
+    }
+    for key in sorted(set(remapped) | set(inv_doubled.constants)):
+        if remapped.get(key) != inv_doubled.constants.get(key):
+            return {
+                "stage": "invariant-ring",
+                "classes": [inv_doubled.labels[i] for i in key],
+                "virtual": str(remapped.get(key, 0)),
+                "doubled_cr": str(inv_doubled.constants.get(key, 0)),
+            }
+    return None
+
+
+def grading_axiom_scan(alg):
+    for g in range(alg.order):
+        for h in range(alg.order):
+            if alg.constants[g][h]:
+                gh = alg.table.mult(g, h)
+                if alg.degrees[g] + alg.degrees[h] != alg.degrees[gh]:
+                    return AxiomCheck(
+                        "grading",
+                        False,
+                        {
+                            "pair": [alg.labels[g], alg.labels[h]],
+                            "degree_sum": str(alg.degrees[g] + alg.degrees[h]),
+                            "product_degree": str(alg.degrees[gh]),
+                        },
+                    )
+    return AxiomCheck("grading", True)
+
+
+def nondegeneracy_scan(alg):
+    """Exactly one pairing partner in every row, then in every column."""
+    for g in range(alg.order):
+        partners = [h for h in range(alg.order) if alg.pairing(g, h)]
+        if partners != [alg.table.inverse_index[g]] or alg.pairing(g, partners[0]) != 1:
+            return AxiomCheck(
+                "nondegeneracy",
+                False,
+                {"sector": alg.labels[g], "partners": [alg.labels[h] for h in partners]},
+            )
+    for h in range(alg.order):
+        partners = [g for g in range(alg.order) if alg.pairing(g, h)]
+        if len(partners) != 1:
+            return AxiomCheck(
+                "nondegeneracy",
+                False,
+                {"sector": alg.labels[h], "partners": [alg.labels[g] for g in partners]},
+            )
+    return AxiomCheck("nondegeneracy", True)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 from fractions import Fraction
@@ -11,6 +12,7 @@ from orbring import (
     THEORIES,
     VIRT,
     AlgebraReport,
+    AxiomCheck,
     ConsistencyError,
     GroupTable,
     OrbifoldModel,
@@ -21,8 +23,6 @@ from orbring.rings import (
     _check_associativity,
     _check_equivariance,
     _check_frobenius,
-    _check_grading,
-    _check_nondegeneracy,
     _check_unit,
 )
 from support import (
@@ -32,7 +32,9 @@ from support import (
     corpus_model,
     corpus_spec,
     gmpn_spec,
+    grading_axiom_scan,
     invariant_expansion_oracle,
+    nondegeneracy_scan,
 )
 
 
@@ -283,10 +285,10 @@ def cube_report(alg):
     return AlgebraReport(
         (
             _check_associativity(alg),
-            _check_grading(alg),
+            grading_axiom_scan(alg),
             _check_unit(alg),
             _check_frobenius(alg),
-            _check_nondegeneracy(alg),
+            nondegeneracy_scan(alg),
             _check_equivariance(alg),
         )
     )
@@ -383,6 +385,25 @@ def test_verifier_matches_cube_on_lazy_table(monkeypatch):
         assert verify_algebra(alg) == cube_report(alg)
         assert verify_algebra(broken) == cube_report(broken)
         assert verify_algebra(alg).passed and not verify_algebra(broken).passed
+
+
+def test_nondegeneracy_fails_when_inverse_index_is_not_a_permutation():
+    # Every row of this pairing has its one partner e, so only the columns
+    # can fail: column e has all six sectors, and the pairing has rank 1.
+    alg = corpus_model("s3-perm").algebra(CR)
+    table = copy.copy(alg.table)
+    table.inverse_index = (0,) * table.order
+    broken = dataclasses.replace(alg, table=table)
+    expected = AxiomCheck(
+        "nondegeneracy", False, {"sector": "e", "partners": list(alg.labels)}
+    )
+    assert nondegeneracy_scan(broken) == expected
+    (check,) = [c for c in verify_algebra(broken).checks if c.name == "nondegeneracy"]
+    assert check == expected
+    # and the reduced check matches the scan on the intact table
+    assert verify_algebra(alg).checks[4] == nondegeneracy_scan(alg) == AxiomCheck(
+        "nondegeneracy", True
+    )
 
 
 # --- invariant rings ---

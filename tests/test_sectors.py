@@ -114,10 +114,54 @@ def test_sector_data_invariants_across_corpus():
         model = corpus_model(name)
         for i in range(model.order):
             sector = model.sector(i)
-            assert sector.fixed_dim == sum(1 for p in sector.eigen if p == zp(0))
-            assert sector.age == sum((p.as_fraction() for p in sector.eigen), Fraction(0))
+            eigen = eigen_phases(model.table.elements[i])
+            assert sector.fixed_dim == sum(1 for p in eigen if p == zp(0))
+            assert sector.age == sum((p.as_fraction() for p in eigen), Fraction(0))
             assert sector.virtual_shift == 2 * (model.n - sector.fixed_dim)
             assert sector.cr_shift == 2 * sector.age
+
+
+def assert_arrays_match_eigen_phases(model):
+    """ages and fixed, read from the codes, against the eigen-phase sums."""
+    geometry = model.geometry
+    assert geometry.scale == 2 * model.table.conductor
+    assert len(geometry.ages) == len(geometry.fixed) == model.order
+    for i, element in enumerate(model.table.elements):
+        eigen = eigen_phases(element)
+        age = sum((p.as_fraction() for p in eigen), Fraction(0))
+        assert Fraction(geometry.ages[i], geometry.scale) == age, i
+        assert geometry.fixed[i] == sum(1 for p in eigen if p == zp(0)), i
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [corpus_spec(name) for name in CORPUS_NAMES]
+    + [gmpn_spec(4, 1, 2), gmpn_spec(6, 2, 2), gmpn_spec(2, 1, 3), gmpn_spec(3, 1, 3)],
+    ids=lambda spec: spec.name,
+)
+def test_sector_arrays_match_eigen_phases(spec):
+    model = OrbifoldModel(spec)
+    assert_arrays_match_eigen_phases(model)
+    assert_arrays_match_eigen_phases(model.cotangent_model())
+
+
+@given(monomial_generator_sets())
+@settings(max_examples=60, deadline=None)
+def test_sector_arrays_match_eigen_phases_on_random_groups(generated):
+    n, gens = generated
+    spec = OrbifoldSpec("random", n, tuple(gens), max_group_order=32)
+    try:
+        model = OrbifoldModel(spec)
+    except ResourceCapError:
+        assume(False)
+    assert_arrays_match_eigen_phases(model)
+    assert_arrays_match_eigen_phases(model.cotangent_model())
+
+
+def test_forget_geometry_arrays_are_zero_over_one():
+    geometry = corpus_model("s4-perm", forget=True).geometry
+    assert geometry.scale == 1
+    assert geometry.ages == geometry.fixed == [0] * 24
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
