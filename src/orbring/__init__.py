@@ -10,10 +10,8 @@ from .cyclotomic import (
     DEFAULT_CONDUCTOR_CAP,
     CyclotomicNumber,
     RationalPhase,
-    conductor_cap,
     cyclotomic_polynomial,
     euler_phi,
-    set_conductor_cap,
 )
 from .errors import ConsistencyError, InputError, OrbringError, ResourceCapError
 from .monomial import DEFAULT_GROUP_ORDER_CAP, ConjugacyPartition, GroupTable, MonomialMap
@@ -68,7 +66,6 @@ __all__ = [
     "SectorData",
     "SectorGeometry",
     "VerificationReport",
-    "conductor_cap",
     "cotangent_double",
     "cyclotomic_polynomial",
     "decomposition_check",
@@ -79,6 +76,5 @@ __all__ = [
     "main_theorem_check",
     "run_full_verification",
     "sector_bijection",
-    "set_conductor_cap",
     "verify_algebra",
 ]

@@ -22,35 +22,18 @@ __all__ = [
     "DEFAULT_CONDUCTOR_CAP",
     "CyclotomicNumber",
     "RationalPhase",
-    "conductor_cap",
     "cyclotomic_polynomial",
     "euler_phi",
-    "set_conductor_cap",
 ]
 
 # lcm(1..10).  Bounds Phi_N computation and vector sizes; turns pathological
 # inputs into clean errors instead of runaway memory use.
 DEFAULT_CONDUCTOR_CAP = 2520
 
-_cap = DEFAULT_CONDUCTOR_CAP
-
-
-def conductor_cap() -> int:
-    """Current bound on admissible conductors."""
-    return _cap
-
-
-def set_conductor_cap(cap: int) -> None:
-    """Adjust the conductor bound (a resource guard, not a correctness knob)."""
-    global _cap
-    if type(cap) is not int or cap < 1:
-        raise InputError(f"conductor cap must be a positive integer, got {cap!r}")
-    _cap = cap
-
 
 def _check_conductor(n: int) -> None:
-    if n > _cap:
-        raise ResourceCapError(f"conductor {n} exceeds the cap {_cap}")
+    if n > DEFAULT_CONDUCTOR_CAP:
+        raise ResourceCapError(f"conductor {n} exceeds the cap {DEFAULT_CONDUCTOR_CAP}")
 
 
 def euler_phi(n: int) -> int:

@@ -18,7 +18,7 @@ from itertools import repeat
 from operator import add, floordiv, itemgetter, mod
 from typing import Callable, Iterable, Optional, Sequence
 
-from .cyclotomic import CyclotomicNumber, RationalPhase, conductor_cap
+from .cyclotomic import DEFAULT_CONDUCTOR_CAP, CyclotomicNumber, RationalPhase
 from .errors import ConsistencyError, InputError, ResourceCapError
 
 __all__ = [
@@ -221,9 +221,10 @@ class GroupTable:
         for g in gens:
             for p in g.phases:
                 conductor = math.lcm(conductor, p.denominator)
-        if conductor > conductor_cap():
+        if conductor > DEFAULT_CONDUCTOR_CAP:
             raise ResourceCapError(
-                f"generator phases need conductor {conductor}, above the cap {conductor_cap()}"
+                f"generator phases need conductor {conductor}, "
+                f"above the cap {DEFAULT_CONDUCTOR_CAP}"
             )
 
         n = dimension

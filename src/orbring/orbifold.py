@@ -81,7 +81,7 @@ class OrbifoldSpec:
         path = Path(path)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read spec file {path}: {exc}") from exc
         try:
             data = json.loads(text)

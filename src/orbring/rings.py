@@ -83,7 +83,7 @@ class OrbifoldModel:
         return self.geometry.sector(i)
 
     def fixed_dim_pair(self, g: int, h: int) -> int:
-        return self.geometry.fixed_dim_pair(g, h)
+        return self.geometry.pair_row(g)[h]
 
     def _as_bundle_rank(self, value: int | Fraction, kind: str, g: int, h: int) -> int:
         value = Fraction(value)
@@ -163,21 +163,20 @@ class OrbifoldModel:
         return alg
 
     def _constant_rows(self, theory: str) -> tuple[tuple[int, ...], ...]:
-        """Every structure_constant(theory, g, h), read from per-element int arrays.
+        """Every structure_constant(theory, g, h), read from the geometry's int arrays.
 
         The same two gates, with each rank scaled to an integer: the cr
-        obstruction rank times the common denominator of the ages, or the
-        excess rank itself.  An entry whose rank is not a nonnegative integer
-        is handed to the per-entry rank method, which raises its error.
+        obstruction rank times geometry.scale (the ages' common denominator),
+        or the excess rank itself.  An entry whose rank is not a nonnegative
+        integer is handed to the per-entry rank method, which raises its error.
         """
-        sectors = [self.sector(i) for i in range(self.order)]
-        fixed = [s.fixed_dim for s in sectors]
+        geometry = self.geometry
+        fixed = geometry.fixed
         n = self.n
-        pair = self.geometry.fixed_dim_pair
         cr = theory == CR
         if cr:
-            scale = math.lcm(*(s.age.denominator for s in sectors))
-            ages = [s.age.numerator * (scale // s.age.denominator) for s in sectors]
+            ages = geometry.ages
+            scale = geometry.scale
             rank_of = self.obstruction_rank
         else:
             scale = 1
@@ -185,8 +184,7 @@ class OrbifoldModel:
         rows = []
         for g in range(self.order):
             row = []
-            for h, gh in enumerate(self.table.row(g)):
-                p = pair(g, h)
+            for h, (gh, p) in enumerate(zip(self.table.row(g), geometry.pair_row(g))):
                 if cr:
                     scaled = ages[g] + ages[h] - ages[gh] + scale * (p - fixed[gh])
                 else:

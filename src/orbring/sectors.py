@@ -61,7 +61,6 @@ def eigen_phases(m: MonomialMap) -> tuple[RationalPhase, ...]:
 class SectorData:
     """Geometric data of one sector (one group element)."""
 
-    element: int
     age: Fraction
     fixed_dim: int
     virtual_shift: int
@@ -149,7 +148,7 @@ class SectorGeometry:
         if data is None:
             age = Fraction(self.ages[i], self.scale)
             dim = self.fixed[i]
-            data = SectorData(i, age, dim, 2 * (self.n - dim), 2 * age)
+            data = SectorData(age, dim, 2 * (self.n - dim), 2 * age)
             self._sectors[i] = data
         return data
 
@@ -181,12 +180,8 @@ class SectorGeometry:
             )
         return int(value)
 
-    def fixed_dim_pair(self, g: int, h: int) -> int:
-        """dim of V^g intersect V^h, read from pair_row(g)."""
-        return self.pair_row(g)[h]
-
     def pair_row(self, g: int) -> array:
-        """fixed_dim_pair(g, h) for h = 0..order-1, by a union-find per pair.
+        """dim of V^g intersect V^h for h = 0..order-1, by a union-find per pair.
 
         v is fixed by a monomial map exactly when v_{perm[j]} = zeta^phase[j] v_j
         for every j.  Each such equation, for g and for h, is an edge

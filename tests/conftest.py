@@ -1,8 +1,6 @@
 import sys
 from pathlib import Path
 
-import pytest
-
 # Allow running the suite from a source checkout without an install.
 _SRC = Path(__file__).resolve().parent.parent / "src"
 if str(_SRC) not in sys.path:
@@ -10,12 +8,3 @@ if str(_SRC) not in sys.path:
         import orbring  # noqa: F401
     except ImportError:
         sys.path.insert(0, str(_SRC))
-
-
-@pytest.fixture
-def restore_conductor_cap():
-    from orbring import conductor_cap, set_conductor_cap
-
-    previous = conductor_cap()
-    yield
-    set_conductor_cap(previous)

@@ -28,6 +28,14 @@ def test_malformed_json_is_input_error(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+def test_non_utf8_spec_is_input_error(capsys, tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, _out, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert f"cannot read spec file {path}" in err
+
+
 def write_spec(tmp_path, data, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")

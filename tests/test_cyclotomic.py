@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbring import (
+    DEFAULT_CONDUCTOR_CAP,
     CyclotomicNumber,
     InputError,
     RationalPhase,
     ResourceCapError,
-    conductor_cap,
     cyclotomic_polynomial,
     euler_phi,
-    set_conductor_cap,
 )
 from support import poly_div_exact, poly_mul, x_power_minus_one
 
@@ -75,16 +74,7 @@ def test_phi_rejects_bad_conductor():
     with pytest.raises(InputError):
         cyclotomic_polynomial(0)
     with pytest.raises(ResourceCapError):
-        cyclotomic_polynomial(conductor_cap() + 1)
-
-
-def test_conductor_cap_is_configurable(restore_conductor_cap):
-    set_conductor_cap(10)
-    with pytest.raises(ResourceCapError):
-        cyclotomic_polynomial(11)
-    assert cyclotomic_polynomial(10) == (1, -1, 1, -1, 1)
-    with pytest.raises(InputError):
-        set_conductor_cap(0)
+        cyclotomic_polynomial(DEFAULT_CONDUCTOR_CAP + 1)
 
 
 # --- phases ---
@@ -217,13 +207,14 @@ def test_scalar_multiplication():
     assert Fraction(1, 2) * (z3 * 2) == z3
 
 
-def test_from_phase_respects_cap(restore_conductor_cap):
-    set_conductor_cap(10)
+def test_from_phase_respects_cap():
+    at_cap = CyclotomicNumber.from_phase(RationalPhase(1, DEFAULT_CONDUCTOR_CAP))
+    assert at_cap.conductor == DEFAULT_CONDUCTOR_CAP
     with pytest.raises(ResourceCapError):
-        CyclotomicNumber.from_phase(RationalPhase(1, 11))
-    # lcm during arithmetic is also capped
-    a = CyclotomicNumber.from_phase(RationalPhase(1, 7))
-    b = CyclotomicNumber.from_phase(RationalPhase(1, 4))
+        CyclotomicNumber.from_phase(RationalPhase(1, DEFAULT_CONDUCTOR_CAP + 1))
+    # lcm during arithmetic is also capped: lcm(63, 80) = 5040
+    a = CyclotomicNumber.from_phase(RationalPhase(1, 63))
+    b = CyclotomicNumber.from_phase(RationalPhase(1, 80))
     with pytest.raises(ResourceCapError):
         a * b
 

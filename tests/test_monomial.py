@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from orbring import (
+    DEFAULT_CONDUCTOR_CAP,
     CyclotomicNumber,
     GroupTable,
     InputError,
@@ -166,9 +167,11 @@ def test_closure_respects_order_cap():
 
 
 def test_closure_respects_conductor_cap():
-    huge = diag(zp(1, 5000))
-    with pytest.raises(ResourceCapError):
-        GroupTable.close([huge], 1)
+    at_cap = GroupTable.close([diag(zp(1, DEFAULT_CONDUCTOR_CAP))], 1)
+    assert at_cap.order == DEFAULT_CONDUCTOR_CAP
+    for denominator in (DEFAULT_CONDUCTOR_CAP + 1, 5000):
+        with pytest.raises(ResourceCapError):
+            GroupTable.close([diag(zp(1, denominator))], 1)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ Each check in orbring.cotangent runs a row at a time on the integer arrays of
 the sector geometry.  On intact models, on models whose bijection is permuted
 by a transposition, and on models with one array entry bumped before any
 sector is read, it must give the same payload as its scan, or raise the same
-ConsistencyError text.
+ConsistencyError text.  A bijection with one entry copied onto another is not
+injective, which sends main_theorem_check's pairings stage down its per-pair
+path.
 """
 
 import functools
@@ -87,6 +89,10 @@ def test_checks_match_scans_with_a_transposed_bijection(data, name, forget):
     j = data.draw(st.integers(0, model.order - 1))
     permuted[i], permuted[j] = permuted[j], permuted[i]
     assert_checks_match_scans(model, doubled, tuple(permuted))
+    # one entry copied onto another: a bijection that is not injective
+    copied = list(bijection)
+    copied[i] = copied[j]
+    assert_checks_match_scans(model, doubled, tuple(copied))
 
 
 @settings(max_examples=60, deadline=None)
