@@ -153,8 +153,11 @@ class RationalPhase:
         match = _PHASE_PATTERN.match(text.strip())
         if match is None:
             raise InputError(f"cannot parse phase {text!r}; expected 'p/q'")
-        num = int(match.group(1))
-        den = int(match.group(2)) if match.group(2) is not None else 1
+        try:
+            num = int(match.group(1))
+            den = int(match.group(2)) if match.group(2) is not None else 1
+        except ValueError as exc:  # more digits than int() converts
+            raise InputError(f"cannot parse a phase of {len(text)} characters: {exc}") from exc
         if den <= 0:
             raise InputError(f"phase denominator must be positive in {text!r}")
         return cls(num, den)

@@ -6,16 +6,17 @@ generators and stored as index tables, which keeps every later computation a
 table lookup.  The closure runs on integer codes of the maps (perm and phases
 mod the generators' conductor packed into one tuple of ints), not on
 MonomialMap objects, and records left and right multiplication by each
-generator; the conjugacy classes are walked through per-generator conjugation
-tables built from those.
+generator.  Product rows are gathered from those on first use, and the
+conjugacy classes are walked through per-generator conjugation tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
-from operator import add, floordiv, itemgetter, mod
+from operator import add, itemgetter, mod
 from typing import Callable, Iterable, Optional, Sequence
 
 from .cyclotomic import DEFAULT_CONDUCTOR_CAP, CyclotomicNumber, RationalPhase
@@ -146,19 +147,20 @@ class GroupTable:
     """A finite group of monomial maps closed from generators.
 
     Elements are indexed in breadth-first discovery order (index 0 is the
-    identity).  Multiplication is a dense table for small groups and, for
-    large ones, a lookup of the composed codes (below); both are exact.
-
-    Each element is also held as its integer code: codes[i][j] = a*n + k when
-    element i sends e_j to zeta^a e_k, with zeta = e^(2*pi*i/conductor) and
-    0 <= a < conductor.  Read as a permutation of the n*conductor points
+    identity).  Each element is held as its integer code: codes[i][j] = a*n + k
+    when element i sends e_j to zeta^a e_k, with zeta = e^(2*pi*i/conductor)
+    and 0 <= a < conductor.  Read as a permutation of the n*conductor points
     a*n + k (the vectors zeta^a e_k), a monomial map is fixed by the images of
     the points 0*n + j, and those images are its code.  So composing two maps
     needs only integer arithmetic mod n*conductor.
+
+    Everything else is built on first read and then kept: the product rows
+    (one way at every order, see row), the decoded elements and their index,
+    the conjugation tables and the classes.
     """
 
-    # Above this order the dense |G|^2 multiplication table is not
-    # materialized; products are resolved through the index of the codes.
+    # Read by no code in orbring; kept only because perfbench/layers.py reads
+    # it for the traced counter monomial.lazy_tables.
     EAGER_TABLE_LIMIT = 2048
 
     def __init__(
@@ -167,39 +169,44 @@ class GroupTable:
         dimension: int,
         conductor: int,
         codes: list[tuple[int, ...]],
-        code_index: dict[tuple[int, ...], int],
         gens: tuple[int, ...],
         inverse_index: tuple[int, ...],
+        parent_gen: list[tuple[int, int]],
         right: tuple[Sequence[int], ...],
         left: tuple[Sequence[int], ...],
-        mult_rows: Optional[list[tuple[int, ...]]],
     ):
         self.dimension = dimension
         # The lcm of the generators' phase denominators.  Every element is a
         # product of the generators, so its phases lie in (1/conductor)Z/Z.
         self.conductor = conductor
         self.codes = codes
-        self._code_index = code_index
         # The closure is built from gens alone, so they generate the whole
         # group; verify_algebra's equivariance reduction relies on this.
         self.gens = gens
         self.inverse_index = inverse_index
+        # parent_gen[i] = (p, k): element i was found as p * gens[k]
+        self._parent_gen = parent_gen
         # right[k][x] and left[k][x]: indices of x*s and s*x for s = gens[k]
         self._right = right
         self._left = left
-        self._mult_rows = mult_rows
+        self._gathers = [_gatherer(lg) for lg in left]
+        self._rows: list[Optional[Sequence[int]]] = [None] * len(codes)
+        self._rows[0] = tuple(range(len(codes)))
         self._classes: Optional[ConjugacyPartition] = None
 
-        phase_of = [RationalPhase(a, conductor) for a in range(conductor)]
-        n = dimension
-        self.elements = [
-            MonomialMap(
-                tuple(map(mod, code, repeat(n))),
-                tuple(map(phase_of.__getitem__, map(floordiv, code, repeat(n)))),
-            )
-            for code in codes
+    @cached_property
+    def elements(self) -> list[MonomialMap]:
+        """The elements as MonomialMaps, decoded from the codes on first read."""
+        phase_of = [RationalPhase(a, self.conductor) for a in range(self.conductor)]
+        n = self.dimension
+        return [
+            MonomialMap(tuple(c % n for c in code), tuple(phase_of[c // n] for c in code))
+            for code in self.codes
         ]
-        self.index = {element: i for i, element in enumerate(self.elements)}
+
+    @cached_property
+    def index(self) -> dict[MonomialMap, int]:
+        return {element: i for i, element in enumerate(self.elements)}
 
     @classmethod
     def close(
@@ -264,7 +271,6 @@ class GroupTable:
                 right[gpos].append(j)
             i += 1
 
-        order = len(codes)
         inverse_index = tuple(code_index[_invert(code, n, conductor)] for code in codes)
         # s*x sends e_j to s's image of x's point codes[x][j]; tabulate s on
         # all n*conductor points once
@@ -273,59 +279,60 @@ class GroupTable:
             image = [(code[k] + a * n) % points for a in range(conductor) for k in range(n)]
             left.append([code_index[tuple(map(image.__getitem__, x))] for x in codes])
 
-        mult_rows: Optional[list[tuple[int, ...]]] = None
-        if order <= cls.EAGER_TABLE_LIMIT:
-            # row recurrence: e_i = e_p * g implies e_i e_j = e_p (g e_j), so a
-            # row is the parent's row gathered through g's left-multiplication.
-            gathers = [_gatherer(lg) for lg in left]
-            rows: list[tuple[int, ...]] = [tuple(range(order))]
-            for p, gpos in parent_gen[1:]:
-                rows.append(gathers[gpos](rows[p]))
-            mult_rows = rows
-
         return cls(
             dimension=dimension,
             conductor=conductor,
             codes=codes,
-            code_index=code_index,
             gens=tuple(code_index[code] for code in gen_codes),
             inverse_index=inverse_index,
+            parent_gen=parent_gen,
             right=tuple(right),
             left=tuple(left),
-            mult_rows=mult_rows,
         )
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def mult(self, i: int, j: int) -> int:
-        if self._mult_rows is not None:
-            return self._mult_rows[i][j]
-        return self._code_index[
-            _compose(self.codes[i], self.codes[j], self.dimension, self.conductor)
-        ]
+        return self.row(i)[j]
 
     def row(self, i: int) -> Sequence[int]:
         """Products i*j for j = 0..order-1, indexed by j; callers must not mutate it.
 
-        A dense table hands out its own row without copying; a lazy table
-        builds the row through mult.
+        Built on first use and kept.  If the breadth-first search found i as
+        p*s with s = gens[k], then for every j
+            i*j = (p*s)*j = p*(s*j) = p*left[k][j],
+        so row i is row p gathered through left[k], one C-level gather.  Row
+        0 is the identity permutation, and each parent precedes its child in
+        the search, so walking parents from i reaches a built row (at the
+        latest row 0); the gathers back down yield row i.  Only row i is
+        kept, so a caller reading rows in index order pays one gather each.
         """
-        if self._mult_rows is not None:
-            return self._mult_rows[i]
-        return tuple(self.mult(i, j) for j in range(self.order))
+        rows = self._rows
+        if rows[i] is None:
+            steps = []
+            x = i
+            while rows[x] is None:
+                x, k = self._parent_gen[x]
+                steps.append(k)
+            built = rows[x]
+            for k in reversed(steps):
+                built = self._gathers[k](built)
+            rows[i] = built
+        return rows[i]
 
     def element_order(self, i: int) -> int:
-        """Least m >= 1 with i^m = e.
+        """Least m >= 1 with i^m = e, walking x -> i*x through row i.
 
         In a group of order |G| that m divides |G|, so powers that have not
         reached e after |G| steps mean a broken table; that raises
         ConsistencyError instead of looping forever.
         """
+        row = self.row(i)
         m = 1
         x = i
         while x != 0:
@@ -333,7 +340,7 @@ class GroupTable:
                 raise ConsistencyError(
                     f"powers of element {i} do not reach the identity within {self.order} steps"
                 )
-            x = self.mult(x, i)
+            x = row[x]
             m += 1
         return m
 
@@ -344,7 +351,8 @@ class GroupTable:
     def conjugation_permutation(self, by: int) -> tuple[int, ...]:
         return tuple(self.conjugate(g, by) for g in range(self.order))
 
-    def _generator_conjugations(self) -> tuple[tuple[int, ...], ...]:
+    @cached_property
+    def generator_conjugations(self) -> tuple[tuple[int, ...], ...]:
         """For each generator s, the permutation x -> index of s^-1 x s.
 
         left_s (x -> s x) is a bijection of G whose inverse permutation is
@@ -368,10 +376,10 @@ class GroupTable:
         conjugation by every word in the generators.  Each inverse s^-1 is
         the power s^(ord(s)-1), so in a finite group every element is such a
         word, and the set is the whole class of g.  That costs about
-        |class| * |gens| lookups in the tables of _generator_conjugations.
+        |class| * |gens| lookups in the tables of generator_conjugations.
         """
         if self._classes is None:
-            conjugations = self._generator_conjugations()
+            conjugations = self.generator_conjugations
             order = self.order
             class_of = [-1] * order
             classes: list[tuple[int, ...]] = []
@@ -417,12 +425,6 @@ class GroupTable:
                     members.add(y)
                     queue.append(y)
         return tuple(sorted(members))
-
-
-def _compose(x: tuple[int, ...], y: tuple[int, ...], n: int, conductor: int) -> tuple[int, ...]:
-    """Code of x*y (apply y first): y's point a*n + k goes to x's code at k plus a*n."""
-    points = n * conductor
-    return tuple((x[v % n] + v - v % n) % points for v in y)
 
 
 def _invert(code: tuple[int, ...], n: int, conductor: int) -> tuple[int, ...]:

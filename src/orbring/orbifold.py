@@ -85,7 +85,8 @@ class OrbifoldSpec:
             raise InputError(f"cannot read spec file {path}: {exc}") from exc
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # ValueError covers JSONDecodeError and integers too long to convert
+        except (ValueError, RecursionError) as exc:
             raise InputError(f"spec file {path} is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
 

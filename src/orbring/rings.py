@@ -366,20 +366,13 @@ class InvariantRing:
             lines.append(f"{label:<{width}}  {size:<4}  {deg}")
         lines.append("")
         lines.append("products of class sums:")
+        terms: dict[tuple[int, int], list[str]] = {}
+        for (a, b, c), v in sorted(self.constants.items()):
+            term = f"y{self.labels[c]}" if v == 1 else f"{v}*y{self.labels[c]}"
+            terms.setdefault((a, b), []).append(term)
         for a in range(self.order):
             for b in range(self.order):
-                terms = [
-                    (c, v)
-                    for (xa, xb, c), v in sorted(self.constants.items())
-                    if xa == a and xb == b
-                ]
-                if terms:
-                    rhs = " + ".join(
-                        f"y{self.labels[c]}" if v == 1 else f"{v}*y{self.labels[c]}"
-                        for c, v in terms
-                    )
-                else:
-                    rhs = "0"
+                rhs = " + ".join(terms.get((a, b), ())) or "0"
                 lines.append(f"y{self.labels[a]:<{width}} * y{self.labels[b]:<{width}} = {rhs}")
         return "\n".join(lines) + "\n"
 
@@ -505,13 +498,12 @@ def _equivariance_by_generators(alg: SectorAlgebra) -> AxiomCheck:
     symmetries are closed under products, and in a finite group they form a
     subgroup.  The table was closed from table.gens, which therefore generate
     the group: if every generator is a symmetry, every k is.  The trivial
-    group has no generators and passes.  On failure the cube scan finds the
-    lex-first counterexample.
+    group has no generators and passes.  The conjugations are the table's
+    generator_conjugations.  On failure the cube scan finds the lex-first
+    counterexample.
     """
-    table = alg.table
     rows = alg.constants
-    for s in table.gens:
-        conj = table.conjugation_permutation(s)
+    for conj in alg.table.generator_conjugations:
         gather = _gatherer(conj)
         for g in range(alg.order):
             if gather(rows[conj[g]]) != rows[g]:

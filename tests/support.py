@@ -48,6 +48,11 @@ def corpus_model(name: str, forget: bool = False) -> OrbifoldModel:
     return _models[key]
 
 
+def built_rows(table) -> list[int]:
+    """Indices of the product rows the table has built so far."""
+    return [i for i, row in enumerate(table._rows) if row is not None]
+
+
 def gmpn_spec(m: int, p: int, n: int) -> OrbifoldSpec:
     """The imprimitive reflection group G(m, p, n) on C^n, n >= 2, p dividing m.
 

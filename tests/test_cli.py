@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from orbring import cli
-from support import CORPUS_NAMES, corpus_path
+from orbring import OrbifoldModel, cli
+from support import CORPUS_NAMES, built_rows, corpus_path, gmpn_spec
 
 
 def run(capsys, *argv):
@@ -82,6 +82,38 @@ def test_unparseable_phase_rejected(capsys, tmp_path):
     assert "generator 0" in err
 
 
+def test_deeply_nested_json_is_input_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000, encoding="utf-8")
+    code, _out, err = run(capsys, "inspect", str(path))
+    assert code == 2
+    assert "not valid JSON" in err
+
+
+def test_integer_with_too_many_digits_is_input_error(capsys, tmp_path):
+    # the generator's perm length disagrees with the dimension, so the spec is
+    # rejected even where int() has no digit limit
+    path = tmp_path / "digits.json"
+    path.write_text(
+        '{"name": "big", "dimension": ' + "1" * 5000
+        + ', "generators": [{"perm": [0], "phases": ["0"]}]}',
+        encoding="utf-8",
+    )
+    code, _out, err = run(capsys, "inspect", str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_phase_with_too_many_digits_is_input_error(capsys, tmp_path):
+    path = write_spec(
+        tmp_path,
+        {"name": "bad", "dimension": 1, "generators": [{"perm": [0], "phases": ["1" * 5000 + "/3"]}]},
+    )
+    code, _out, err = run(capsys, "inspect", path)
+    assert code == 2
+    assert "generator 0: cannot parse a phase of 5002 characters" in err
+
+
 def test_group_order_cap_exits_3(capsys, tmp_path):
     path = write_spec(
         tmp_path,
@@ -108,6 +140,15 @@ def test_conductor_cap_exits_3(capsys, tmp_path):
 
 
 # --- inspect ---
+
+@pytest.mark.parametrize("family", [(2, 1, 3), (3, 1, 3)], ids=lambda f: "G({},{},{})".format(*f))
+def test_inspect_builds_one_row_per_class_and_decodes_no_element(family):
+    model = OrbifoldModel(gmpn_spec(*family))
+    cli._inspect_text(model)
+    table = model.table
+    assert built_rows(table) == list(table.conjugacy_classes().representatives)
+    assert "elements" not in table.__dict__ and "index" not in table.__dict__
+
 
 def test_inspect_s3(capsys):
     code, out, _err = run(capsys, "inspect", str(corpus_path("s3-perm")))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from orbring import (
 )
 from support import (
     CORPUS_NAMES,
+    built_rows,
     closure_oracle,
     corpus_model,
     corpus_spec,
@@ -198,22 +200,30 @@ def test_identity_sits_at_index_zero():
 @pytest.mark.parametrize("name", ["s3-perm", "q8", "z4-13", "trivial-c2"])
 def test_mult_table_matches_composition(name):
     table = corpus_model(name).table
-    assert table._mult_rows is not None
     for i in range(table.order):
         assert list(table.row(i)) == [table.mult(i, j) for j in range(table.order)]
         for j in range(table.order):
             assert table.elements[table.mult(i, j)] == table.elements[i] * table.elements[j]
 
 
-def test_lazy_mult_path_matches_eager(monkeypatch):
-    eager = GroupTable.close(S3_GENS, 3)
-    monkeypatch.setattr(GroupTable, "EAGER_TABLE_LIMIT", 1)
-    lazy = GroupTable.close(S3_GENS, 3)
-    assert lazy._mult_rows is None
-    for i in range(6):
-        for j in range(6):
-            assert lazy.mult(i, j) == eager.mult(i, j)
-        assert list(lazy.row(i)) == [lazy.mult(i, j) for j in range(6)]
+# a row is gathered from the nearest built ancestor, so which rows exist when
+# it is asked for must not change it
+@pytest.mark.parametrize(
+    "spec", [corpus_spec(name) for name in CORPUS_NAMES] + [gmpn_spec(2, 1, 3)],
+    ids=lambda spec: spec.name,
+)
+def test_rows_in_any_request_order_match_index_order(spec):
+    in_order = spec.close()
+    expected = [tuple(in_order.row(i)) for i in range(in_order.order)]
+    reverse = list(range(in_order.order))[::-1]
+    shuffled = random.Random(spec.name).sample(reverse, len(reverse))
+    for requests in (reverse, shuffled):
+        table = spec.close()
+        assert built_rows(table) == [0]
+        for i in requests:
+            assert tuple(table.row(i)) == expected[i]
+            assert table.mult(i, requests[0]) == expected[i][requests[0]]
+        assert built_rows(table) == list(range(table.order))
 
 
 # verify_algebra checks equivariance under table.gens only, which is exact
@@ -299,10 +309,8 @@ def test_class_walk_matches_full_conjugation(spec):
     assert table.conjugacy_classes().classes == conjugation_partition(table)
 
 
-def test_class_walk_matches_full_conjugation_on_lazy_table(monkeypatch):
-    monkeypatch.setattr(GroupTable, "EAGER_TABLE_LIMIT", 1)
+def test_class_walk_matches_full_conjugation_on_lazy_table():
     table = gmpn_spec(3, 1, 2).close()
-    assert table._mult_rows is None
     assert table.conjugacy_classes().classes == conjugation_partition(table)
 
 
@@ -418,10 +426,8 @@ def test_coded_closure_matches_monomial_oracle_on_random_groups(generated):
         assert_table_matches_oracle(table, generators, dimension, 32)
 
 
-def test_lazy_table_matches_monomial_composition(monkeypatch):
-    monkeypatch.setattr(GroupTable, "EAGER_TABLE_LIMIT", 1)
+def test_lazy_table_matches_monomial_composition():
     table = gmpn_spec(2, 1, 3).close()
-    assert table._mult_rows is None
     elements, index = table.elements, table.index
     for i, x in enumerate(elements):
         assert [elements[table.mult(i, j)] for j in range(table.order)] == [
@@ -445,26 +451,29 @@ def test_lazy_table_matches_monomial_composition(monkeypatch):
             assert table.subgroup_closure((g, h)) == tuple(sorted(index[m] for m in members))
 
 
+# "dense": every product row is built before the conjugation tables are read;
+# "lazy": they are read first, and reading them builds no row
 @pytest.mark.parametrize("lazy", [False, True], ids=["dense", "lazy"])
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
-def test_generator_conjugation_tables(spec, lazy, monkeypatch):
-    if lazy:
-        monkeypatch.setattr(GroupTable, "EAGER_TABLE_LIMIT", 0)
+def test_generator_conjugation_tables(spec, lazy):
     table = spec.close()
-    assert (table._mult_rows is None) == lazy
-    assert table._generator_conjugations() == tuple(
-        table.conjugation_permutation(s) for s in table.gens
-    )
+    if not lazy:
+        for i in range(table.order):
+            table.row(i)
+    conjugations = table.generator_conjugations
+    assert built_rows(table) == ([0] if lazy else list(range(table.order)))
+    assert conjugations == tuple(table.conjugation_permutation(s) for s in table.gens)
+    assert table.generator_conjugations is conjugations
 
 
 def test_close_lazy_mult_and_classes_form_no_monomial_products(monkeypatch):
     def refuse(self, other):
         raise AssertionError("MonomialMap composition")
 
-    monkeypatch.setattr(GroupTable, "EAGER_TABLE_LIMIT", 1)
     monkeypatch.setattr(MonomialMap, "__mul__", refuse)
     table = gmpn_spec(2, 1, 3).close()
-    assert table._mult_rows is None
+    assert "elements" not in table.__dict__ and "index" not in table.__dict__
+    assert built_rows(table) == [0]
     assert table.mult(5, 7) == table.row(5)[7]
     assert len(table.conjugacy_classes()) == 10
 

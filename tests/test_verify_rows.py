@@ -173,7 +173,7 @@ def test_closure_sanity_matches_scan_with_two_row_entries_swapped(data, name):
     )
     row = list(table.row(i))
     row[j], row[k] = row[k], row[j]
-    table._mult_rows[i] = tuple(row)
+    table._rows[i] = tuple(row)
     expected = outcome(closure_sanity_scan, model)
     assert expected != ("report", None)
     assert outcome(closure_sanity_check, model) == expected
@@ -202,7 +202,7 @@ def test_closure_sanity_raises_on_powers_that_never_reach_the_identity():
     table = model.table
     row = list(table.row(1))
     row[0], row[1] = row[1], row[0]
-    table._mult_rows[1] = tuple(row)
+    table._rows[1] = tuple(row)
     assert table.mult(1, 1) == 1
     expected = ("error", "powers of element 1 do not reach the identity within 3 steps")
     assert outcome(closure_sanity_scan, model) == expected
