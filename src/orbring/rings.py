@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from operator import mul, sub
 from typing import Optional
 
@@ -260,7 +261,17 @@ class SectorAlgebra:
         )
 
     def invariant_ring(self) -> "InvariantRing":
-        """Expand products of class sums and regroup them by conjugacy class."""
+        """Products of class sums, regrouped by conjugacy class in one sweep of the rows.
+
+        For each class a, every nonzero c[g][h] with g in C_a adds into the
+        coefficient of x_gh in y_a * y_b, where b is the class of h; each g
+        adds at most once to a coefficient, in the order of C_a.  A class
+        that no product touches has coefficient 0 throughout, so it is
+        constant and contributes no constant; only the touched classes are
+        checked, in (a, b, c) order, which is the order the constants are
+        inserted in.  The work is |G|^2 plus the nonzero entries, holding
+        one class's sums at a time.
+        """
         part = self.table.conjugacy_classes()
         degrees = []
         for cls in part.classes:
@@ -270,19 +281,22 @@ class SectorAlgebra:
                     f"degree is not constant on class {cls}: {sorted(values)}"
                 )
             degrees.append(values.pop())
-        order = self.order
+        class_of = part.class_of
+        indices = range(self.order)
         constants: dict[tuple[int, int, int], int | Fraction] = {}
         for a, class_a in enumerate(part.classes):
-            rows_a = [(self.constants[g], self.table.row(g)) for g in class_a]
-            for b, class_b in enumerate(part.classes):
-                acc = [0] * order
-                for row, products in rows_a:
-                    for h in class_b:
-                        c = row[h]
-                        if c:
-                            acc[products[h]] += c
-                for cid, cls in enumerate(part.classes):
-                    values = {acc[k] for k in cls}
+            sums: dict[int, dict[int, int | Fraction]] = {}
+            for g in class_a:
+                row = self.constants[g]
+                products = self.table.row(g)
+                for h in compress(indices, row):
+                    acc = sums.setdefault(class_of[h], {})
+                    k = products[h]
+                    acc[k] = acc.get(k, 0) + row[h]
+            for b in sorted(sums):
+                acc = sums[b]
+                for cid in sorted({class_of[k] for k in acc}):
+                    values = {acc.get(k, 0) for k in part.classes[cid]}
                     if len(values) != 1:
                         raise ConsistencyError(
                             f"class sum product y[{a}]*y[{b}] is not class-constant "
@@ -410,13 +424,13 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     The three axioms stated over triples are decided in about |G|^2 work by
     exact reductions, each equivalent to the |G|^3 scan it replaces (proofs
     in _frobenius_reduced, _equivariance_by_generators and
-    _associativity_reduced).  The cube scans _check_associativity and
-    _check_equivariance run only after their reduced check has failed, to
-    report the same lex-first counterexample.  Grading is checked a row at a
-    time on ints, and nondegeneracy in O(|G|) on inverse_index
-    (_nondegeneracy_by_inverses).  The tests compare this report against
-    the scans: the four _check_* scans here, and the grading and
-    nondegeneracy scans of the tests' support module.
+    _associativity_reduced).  The associativity and Frobenius passes report
+    the scan's lex-first counterexample themselves; a failed equivariance
+    check hands over to _check_equivariance, which compares whole rows
+    under each conjugator.  Grading is checked a row at a time on ints, and
+    nondegeneracy in O(|G|) on inverse_index (_nondegeneracy_by_inverses).
+    The tests compare this report against the |G|^3 and per-pair scans of
+    the tests' support module.
     """
     equivariance = _equivariance_by_generators(alg)
     checks = (
@@ -441,13 +455,25 @@ def _associativity_reduced(alg: SectorAlgebra, equivariant: bool) -> AxiomCheck:
     equivariance g ranges over the whole group and this is the cube itself.
     For each (g, h) the k loop compares two rows at C level: row gh scaled by
     c[g][h], against row h times row g gathered through the products hk.
-    On failure the cube scan finds the lex-first counterexample.
+
+    The pass also reports the cube's lex-first counterexample.  The cube
+    meets triples in lex order, so its first counterexample has the least
+    defective g, then that g's least defective h, then the least k with a
+    defect at (g, h).  As h rises the pass records each g's first defective
+    h, and reports the least recorded g.  Without equivariance every g is
+    visited, so that is the cube's g.  With equivariance the defective g
+    form whole classes, since a defect at (g, h, k) is one at
+    (g^x, h^x, k^x); a class is a sorted tuple whose least member is its
+    representative, so the least defective g is the least defective
+    representative, and the pass visits it.  At the recorded (g, h) the k
+    loop is the cube's own.
     """
     table = alg.table
     rows = alg.constants
     order = alg.order
     firsts = table.conjugacy_classes().representatives if equivariant else range(order)
     zero = (0,) * order
+    first_defect: dict[int, int] = {}  # g -> its least h with a defect
     for h in range(order):
         row_h = rows[h]
         gather = _gatherer(table.row(h))
@@ -461,8 +487,15 @@ def _associativity_reduced(alg: SectorAlgebra, equivariant: bool) -> AxiomCheck:
             else:
                 lhs = zero
             if lhs != tuple(map(mul, row_h, gather(rows[g]))):
-                return _check_associativity(alg)
-    return AxiomCheck("associativity", True)
+                first_defect.setdefault(g, h)
+    if not first_defect:
+        return AxiomCheck("associativity", True)
+    g = min(first_defect)
+    h = first_defect[g]
+    c, row_g, row_gh = rows[g][h], rows[g], rows[table.mult(g, h)]
+    sides = ((c * x, y * row_g[hk]) for x, y, hk in zip(row_gh, rows[h], table.row(h)))
+    k, (lhs, rhs) = next((k, pair) for k, pair in enumerate(sides) if pair[0] != pair[1])
+    return AxiomCheck("associativity", False, _triple_payload(alg, g, h, k, lhs, rhs))
 
 
 def _frobenius_reduced(alg: SectorAlgebra) -> AxiomCheck:
@@ -499,8 +532,8 @@ def _equivariance_by_generators(alg: SectorAlgebra) -> AxiomCheck:
     subgroup.  The table was closed from table.gens, which therefore generate
     the group: if every generator is a symmetry, every k is.  The trivial
     group has no generators and passes.  The conjugations are the table's
-    generator_conjugations.  On failure the cube scan finds the lex-first
-    counterexample.
+    generator_conjugations.  On failure _check_equivariance finds the
+    lex-first counterexample.
     """
     rows = alg.constants
     for conj in alg.table.generator_conjugations:
@@ -517,25 +550,6 @@ def _triple_payload(alg: SectorAlgebra, g: int, h: int, k: int, lhs, rhs) -> dic
         "lhs": str(lhs),
         "rhs": str(rhs),
     }
-
-
-def _check_associativity(alg: SectorAlgebra) -> AxiomCheck:
-    """The |G|^3 associativity scan: lex-first counterexample and test reference."""
-    order = alg.order
-    mult = alg.table.mult
-    c = alg.constants
-    for g in range(order):
-        for h in range(order):
-            gh = mult(g, h)
-            c_gh = c[g][h]
-            for k in range(order):
-                lhs = c_gh * c[gh][k]
-                rhs = c[h][k] * c[g][mult(h, k)]
-                if lhs != rhs:
-                    return AxiomCheck(
-                        "associativity", False, _triple_payload(alg, g, h, k, lhs, rhs)
-                    )
-    return AxiomCheck("associativity", True)
 
 
 def _grading_by_rows(alg: SectorAlgebra) -> AxiomCheck:
@@ -580,27 +594,6 @@ def _check_unit(alg: SectorAlgebra) -> AxiomCheck:
     return AxiomCheck("unit", True)
 
 
-def _check_frobenius(alg: SectorAlgebra) -> AxiomCheck:
-    """Trace-form compatibility: <a*b, c> equals <a, b*c> for all basis triples.
-
-    The |G|^3 scan that _frobenius_reduced replaces; the tests' reference.
-    """
-    order = alg.order
-    mult = alg.table.mult
-    for g in range(order):
-        for h in range(order):
-            gh = mult(g, h)
-            c_gh = alg.constants[g][h]
-            for k in range(order):
-                lhs = c_gh * alg.trace_form(gh, k)
-                rhs = alg.trace_form(g, mult(h, k)) * alg.constants[h][k]
-                if lhs != rhs:
-                    return AxiomCheck(
-                        "frobenius", False, _triple_payload(alg, g, h, k, lhs, rhs)
-                    )
-    return AxiomCheck("frobenius", True)
-
-
 def _nondegeneracy_by_inverses(alg: SectorAlgebra) -> AxiomCheck:
     """Nondegeneracy of the sector pairing, decided on inverse_index alone.
 
@@ -609,48 +602,51 @@ def _nondegeneracy_by_inverses(alg: SectorAlgebra) -> AxiomCheck:
     1 exactly when h = inverse_index[g], so row g has the one partner
     inverse_index[g] when that is an index of the algebra and none
     otherwise, and the partners of column h are the g with
-    inverse_index[g] = h.  Every row and every column therefore has exactly
-    one partner exactly when inverse_index maps range(order) onto itself,
-    that is, when its order values are exactly the indices 0..order-1; that
-    is an O(|G|) set comparison with no pairing call.  Otherwise the first
-    failing row, and failing that the first failing column, is reported as
-    the row-then-column scan reports it.
+    inverse_index[g] = h.  One O(|G|) pass over inverse_index, with no
+    pairing call, therefore finds the first failing row, and failing that
+    collects every column's partners and finds the first failing column, as
+    the row-then-column scan reports them.
     """
     order = alg.order
-    inverse = alg.table.inverse_index
-    if len(inverse) == order and set(inverse) == set(range(order)):
-        return AxiomCheck("nondegeneracy", True)
     partners: list[list[int]] = [[] for _ in range(order)]
-    for g, h in enumerate(inverse):
+    for g, h in enumerate(alg.table.inverse_index):
         if not 0 <= h < order:
             return AxiomCheck("nondegeneracy", False, {"sector": alg.labels[g], "partners": []})
         partners[h].append(g)
-    h = next(h for h, found in enumerate(partners) if len(found) != 1)
-    return AxiomCheck(
-        "nondegeneracy",
-        False,
-        {"sector": alg.labels[h], "partners": [alg.labels[g] for g in partners[h]]},
-    )
+    for h, found in enumerate(partners):
+        if len(found) != 1:
+            return AxiomCheck(
+                "nondegeneracy",
+                False,
+                {"sector": alg.labels[h], "partners": [alg.labels[g] for g in found]},
+            )
+    return AxiomCheck("nondegeneracy", True)
 
 
 def _check_equivariance(alg: SectorAlgebra) -> AxiomCheck:
-    """The |G|^3 equivariance scan: lex-first counterexample and test reference."""
-    order = alg.order
-    for k in range(order):
+    """Equivariance under every conjugator k, reporting the cube's lex-first counterexample.
+
+    The cube meets (k, g, h) in lex order and compares c[k^-1 g k][k^-1 h k]
+    with c[g][h]; for each k in index order and each g, the whole row
+    rows[conj g] gathered through conj is compared with row g at C level,
+    and the first h where they differ is reported.
+    """
+    rows = alg.constants
+    for k in range(alg.order):
         conj = alg.table.conjugation_permutation(k)
-        for g in range(order):
-            row = alg.constants[g]
-            conj_row = alg.constants[conj[g]]
-            for h in range(order):
-                if conj_row[conj[h]] != row[h]:
-                    return AxiomCheck(
-                        "equivariance",
-                        False,
-                        {
-                            "pair": [alg.labels[g], alg.labels[h]],
-                            "conjugator": alg.labels[k],
-                            "original": str(row[h]),
-                            "conjugated": str(conj_row[conj[h]]),
-                        },
-                    )
+        gather = _gatherer(conj)
+        for g, row in enumerate(rows):
+            conjugated = gather(rows[conj[g]])
+            if conjugated != row:
+                h = next(h for h, (x, y) in enumerate(zip(row, conjugated)) if x != y)
+                return AxiomCheck(
+                    "equivariance",
+                    False,
+                    {
+                        "pair": [alg.labels[g], alg.labels[h]],
+                        "conjugator": alg.labels[k],
+                        "original": str(row[h]),
+                        "conjugated": str(conjugated[h]),
+                    },
+                )
     return AxiomCheck("equivariance", True)

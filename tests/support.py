@@ -13,6 +13,8 @@ from orbring import (
     CR,
     VIRT,
     AxiomCheck,
+    ConsistencyError,
+    InvariantRing,
     MonomialMap,
     OrbifoldModel,
     OrbifoldSpec,
@@ -226,14 +228,13 @@ def closure_sanity_scan(model):
                 "element_order": table.element_order(i),
                 "group_order": order,
             }
-    if order <= 64:
-        for i in range(order):
-            for j in range(order):
-                if table.elements[table.mult(i, j)] != table.elements[i] * table.elements[j]:
-                    return {
-                        "problem": "multiplication table disagrees with composition",
-                        "pair": [model.label(i), model.label(j)],
-                    }
+    for i in range(order):
+        for j in range(order):
+            if table.elements[table.mult(i, j)] != table.elements[i] * table.elements[j]:
+                return {
+                    "problem": "multiplication table disagrees with composition",
+                    "pair": [model.label(i), model.label(j)],
+                }
     return None
 
 
@@ -347,6 +348,113 @@ def main_theorem_scan(model, doubled, bijection):
                 "doubled_cr": str(inv_doubled.constants.get(key, 0)),
             }
     return None
+
+
+# --- the algebra axioms and the class-sum ring as plain scans ---
+#
+# The references for verify_algebra's checks and SectorAlgebra.invariant_ring:
+# the |G|^3 triple scans, the class-pair-by-class-pair regroup, and the
+# per-pair grading and nondegeneracy scans.  Each meets its counterexample,
+# or raises its ConsistencyError, in the order the package must reproduce.
+
+def _triple_failure(name, alg, g, h, k, lhs, rhs):
+    payload = {
+        "triple": [alg.labels[g], alg.labels[h], alg.labels[k]],
+        "lhs": str(lhs),
+        "rhs": str(rhs),
+    }
+    return AxiomCheck(name, False, payload)
+
+
+def associativity_scan(alg):
+    order = alg.order
+    mult = alg.table.mult
+    c = alg.constants
+    for g in range(order):
+        for h in range(order):
+            gh = mult(g, h)
+            c_gh = c[g][h]
+            for k in range(order):
+                lhs = c_gh * c[gh][k]
+                rhs = c[h][k] * c[g][mult(h, k)]
+                if lhs != rhs:
+                    return _triple_failure("associativity", alg, g, h, k, lhs, rhs)
+    return AxiomCheck("associativity", True)
+
+
+def frobenius_scan(alg):
+    """Trace-form compatibility: <a*b, c> equals <a, b*c> for all basis triples."""
+    order = alg.order
+    mult = alg.table.mult
+    for g in range(order):
+        for h in range(order):
+            gh = mult(g, h)
+            c_gh = alg.constants[g][h]
+            for k in range(order):
+                lhs = c_gh * alg.trace_form(gh, k)
+                rhs = alg.trace_form(g, mult(h, k)) * alg.constants[h][k]
+                if lhs != rhs:
+                    return _triple_failure("frobenius", alg, g, h, k, lhs, rhs)
+    return AxiomCheck("frobenius", True)
+
+
+def equivariance_scan(alg):
+    order = alg.order
+    for k in range(order):
+        conj = alg.table.conjugation_permutation(k)
+        for g in range(order):
+            row = alg.constants[g]
+            conj_row = alg.constants[conj[g]]
+            for h in range(order):
+                if conj_row[conj[h]] != row[h]:
+                    return AxiomCheck(
+                        "equivariance",
+                        False,
+                        {
+                            "pair": [alg.labels[g], alg.labels[h]],
+                            "conjugator": alg.labels[k],
+                            "original": str(row[h]),
+                            "conjugated": str(conj_row[conj[h]]),
+                        },
+                    )
+    return AxiomCheck("equivariance", True)
+
+
+def invariant_ring_scan(alg):
+    """Expand products of class sums class pair by class pair, and regroup them."""
+    part = alg.table.conjugacy_classes()
+    degrees = []
+    for cls in part.classes:
+        values = {alg.degrees[i] for i in cls}
+        if len(values) != 1:
+            raise ConsistencyError(f"degree is not constant on class {cls}: {sorted(values)}")
+        degrees.append(values.pop())
+    constants = {}
+    for a, class_a in enumerate(part.classes):
+        for b, class_b in enumerate(part.classes):
+            acc = [0] * alg.order
+            for g in class_a:
+                for h in class_b:
+                    c = alg.constants[g][h]
+                    if c:
+                        acc[alg.table.mult(g, h)] += c
+            for cid, cls in enumerate(part.classes):
+                values = {acc[k] for k in cls}
+                if len(values) != 1:
+                    raise ConsistencyError(
+                        f"class sum product y[{a}]*y[{b}] is not class-constant "
+                        f"on class {cid}: {sorted(values)}"
+                    )
+                value = values.pop()
+                if value:
+                    constants[(a, b, cid)] = value
+    return InvariantRing(
+        theory=alg.theory,
+        labels=tuple(f"[{alg.labels[r]}]" for r in part.representatives),
+        class_sizes=tuple(len(c) for c in part.classes),
+        degrees=tuple(degrees),
+        constants=constants,
+    )
 
 
 def grading_axiom_scan(alg):

@@ -18,21 +18,20 @@ from orbring import (
     OrbifoldSpec,
     verify_algebra,
 )
-from orbring.rings import (
-    _check_associativity,
-    _check_equivariance,
-    _check_frobenius,
-    _check_unit,
-)
+from orbring.rings import _check_unit
 from support import (
     CORPUS_NAMES,
     SMALL_NAMES,
+    associativity_scan,
     class_convolution_oracle,
     corpus_model,
     corpus_spec,
+    equivariance_scan,
+    frobenius_scan,
     gmpn_spec,
     grading_axiom_scan,
     invariant_expansion_oracle,
+    invariant_ring_scan,
     nondegeneracy_scan,
 )
 
@@ -277,12 +276,12 @@ def cube_report(alg):
     """The report of the six |G|^3 and |G|^2 scans, the verifier's reference."""
     return AlgebraReport(
         (
-            _check_associativity(alg),
+            associativity_scan(alg),
             grading_axiom_scan(alg),
             _check_unit(alg),
-            _check_frobenius(alg),
+            frobenius_scan(alg),
             nondegeneracy_scan(alg),
-            _check_equivariance(alg),
+            equivariance_scan(alg),
         )
     )
 
@@ -348,6 +347,19 @@ def test_associativity_failing_off_the_class_representatives():
     assert associativity.name == "associativity" and not associativity.passed
     g = model.labels.index(associativity.counterexample["triple"][0])
     assert g not in model.table.conjugacy_classes().representatives
+
+
+def test_associativity_reports_the_least_defective_g_not_the_first_met():
+    # In point mode on q8, g3 is central, so zeroing c[g3][e] keeps the
+    # constants equivariant and g runs over the class representatives.  Met
+    # in h order, the first defect is g3's (at h = e), but g1 has one too
+    # (at h = g1), and the cube's lex-first counterexample has g = g1.
+    alg = corpus_model("q8", forget=True).algebra(CR).with_constant(3, 0, 0)
+    report = verify_algebra(alg)
+    assert report == cube_report(alg)
+    associativity, equivariance = report.checks[0], report.checks[5]
+    assert equivariance.passed and not associativity.passed
+    assert associativity.counterexample["triple"] == ["g1", "g1", "e"]
 
 
 def test_constants_are_ints():
@@ -440,6 +452,75 @@ def test_invariant_ring_matches_expansion_oracle(name, theory):
     inv = alg.invariant_ring()
     assert inv.constants == invariant_expansion_oracle(alg)
     assert all(v > 0 and v.denominator == 1 for v in inv.constants.values())
+
+
+def assert_invariant_ring_matches_scan(alg):
+    """The one-sweep ring equals the class-pair scan, key order and value types included,
+    or raises the scan's ConsistencyError text; returns which of the two happened."""
+    try:
+        expected = invariant_ring_scan(alg)
+    except ConsistencyError as exc:
+        with pytest.raises(ConsistencyError) as raised:
+            alg.invariant_ring()
+        assert str(raised.value) == str(exc)
+        return "error"
+    inv = alg.invariant_ring()
+    typed = [(key, type(v), v) for key, v in inv.constants.items()]
+    assert typed == [(key, type(v), v) for key, v in expected.constants.items()]
+    assert (inv.theory, inv.labels, inv.class_sizes, inv.degrees) == (
+        expected.theory,
+        expected.labels,
+        expected.class_sizes,
+        expected.degrees,
+    )
+    return "ring"
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("forget", [False, True])
+def test_invariant_ring_matches_scan_on_corpus(name, theory, forget):
+    alg = corpus_model(name, forget=forget).algebra(theory)
+    assert assert_invariant_ring_matches_scan(alg) == "ring"
+
+
+@functools.cache
+def ring_model(group):
+    if group == "Z_60":
+        spec = OrbifoldSpec.from_dict(
+            {"name": group, "dimension": 1, "generators": [{"perm": [0], "phases": ["1/60"]}]}
+        )
+    else:
+        spec = gmpn_spec(*group)
+    return OrbifoldModel(spec)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [(4, 1, 2), (6, 2, 2), (2, 1, 3), (5, 1, 2), (12, 1, 2), "Z_60"],
+    ids=lambda group: group if group == "Z_60" else "G(%d,%d,%d)" % group,
+)
+@pytest.mark.parametrize("theory", THEORIES)
+def test_invariant_ring_matches_scan_on_larger_groups(group, theory):
+    assert assert_invariant_ring_matches_scan(ring_model(group).algebra(theory)) == "ring"
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(CORPUS_NAMES),
+    theory=st.sampled_from(THEORIES),
+    forget=st.booleans(),
+)
+def test_invariant_ring_matches_scan_on_corrupted_corpus(data, name, theory, forget):
+    alg = data.draw(corrupted(corpus_model(name, forget=forget).algebra(theory)))
+    assert_invariant_ring_matches_scan(alg)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), theory=st.sampled_from(THEORIES))
+def test_invariant_ring_matches_scan_on_corrupted_g412_point_mode(data, theory):
+    assert_invariant_ring_matches_scan(data.draw(corrupted(g412_point_model().algebra(theory))))
 
 
 def test_s3_cr_class_table():

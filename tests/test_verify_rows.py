@@ -207,3 +207,15 @@ def test_closure_sanity_raises_on_powers_that_never_reach_the_identity():
     expected = ("error", "powers of element 1 do not reach the identity within 3 steps")
     assert outcome(closure_sanity_scan, model) == expected
     assert outcome(closure_sanity_check, model) == expected
+
+
+def test_closure_sanity_compares_products_with_composition_beyond_order_64():
+    # G(3,1,3) has order 162; swapping two decoded elements leaves the
+    # product table a group table, so only the composition test can see it
+    model = OrbifoldModel(gmpn_spec(3, 1, 3))
+    elements = model.table.elements
+    assert len(elements) == 162 and closure_sanity_check(model) is None
+    elements[5], elements[100] = elements[100], elements[5]
+    expected = outcome(closure_sanity_scan, model)
+    assert expected[1]["problem"] == "multiplication table disagrees with composition"
+    assert outcome(closure_sanity_check, model) == expected
