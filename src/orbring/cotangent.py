@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import add, sub
 from typing import Callable, Optional
 
 from .errors import ConsistencyError
-from .monomial import GroupTable, _gatherer
+from .monomial import GroupTable, _double, _gatherer
 from .orbifold import OrbifoldSpec
 from .rings import CR, VIRT, OrbifoldModel, verify_algebra
 
@@ -77,16 +78,24 @@ class VerificationReport:
 
 
 def sector_bijection(original: GroupTable, doubled: GroupTable) -> tuple[int, ...]:
-    """Index map of g -> g (+) conjugate(g) from the original into the doubled table."""
+    """Index map of g -> g (+) conjugate(g), by looking up each doubled code in the doubled table.
+
+    Doubling keeps the phase denominators, so the conductors agree; if they
+    differ, codes are not comparable and every element counts as missing.
+    """
     if doubled.order != original.order:
         raise ConsistencyError(
             f"doubled group has order {doubled.order}, original {original.order}"
         )
+    same_conductor = doubled.conductor == original.conductor
+    by_code = {code: i for i, code in enumerate(doubled.codes)} if same_conductor else {}
     mapping = []
-    for element in original.elements:
-        target = doubled.index.get(element.double())
+    for i, code in enumerate(original.codes):
+        target = by_code.get(_double(code, original.dimension, original.conductor))
         if target is None:
-            raise ConsistencyError(f"doubled element of {element} missing from closure")
+            raise ConsistencyError(
+                f"doubled element of {original.elements[i]} missing from closure"
+            )
         mapping.append(target)
     if len(set(mapping)) != original.order:
         raise ConsistencyError("doubling map is not injective on sector indices")
@@ -189,11 +198,10 @@ def age_duality_check(model: OrbifoldModel) -> Optional[dict]:
     if lhs == rhs:
         return None
     g = next(g for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-    sector = model.sector(g)
     return {
         "element": model.label(g),
-        "age_sum": str(sector.age + model.sector(model.table.inverse_index[g]).age),
-        "codimension": str(model.n - sector.fixed_dim),
+        "age_sum": str(Fraction(lhs[g], scale)),
+        "codimension": str(model.n - geometry.fixed[g]),
     }
 
 
@@ -202,9 +210,10 @@ def rank_oracle_check(model: OrbifoldModel) -> Optional[dict]:
 
     Row by row on ints scaled by the age denominator: the direct form
     age g + age h - age gh - dim V^gh + dim(V^g meet V^h) against the dual
-    form age g + age h + age (gh)^-1 - (n - dim(V^g meet V^h)).  At each
-    entry where they differ, or the direct form is not a nonnegative
-    integer, the two rank methods give the report or raise.
+    form age g + age h + age (gh)^-1 - (n - dim(V^g meet V^h)).  At the
+    first entry where they differ, or the direct form is not a nonnegative
+    integer, either form that is not a nonnegative integer raises (the
+    direct form first); otherwise the two differ and are reported.
     """
     geometry = model.geometry
     table = model.table
@@ -223,14 +232,13 @@ def rank_oracle_check(model: OrbifoldModel) -> Optional[dict]:
             continue
         for h, (d, u) in enumerate(zip(direct, dual)):
             if d != u or d < 0 or d % scale:
-                rank = model.obstruction_rank(g, h)
-                dual_form = model.obstruction_rank_dual_form(g, h)
-                if rank != dual_form:
-                    return {
-                        "pair": [model.label(g), model.label(h)],
-                        "rank": rank,
-                        "dual_form": dual_form,
-                    }
+                model.checked_rank("obstruction", g, h, d, scale)
+                model.checked_rank("obstruction (dual form)", g, h, u, scale)
+                return {
+                    "pair": [model.label(g), model.label(h)],
+                    "rank": d // scale,
+                    "dual_form": u // scale,
+                }
     return None
 
 
@@ -253,15 +261,16 @@ def grading_check(
     Compared on ints: 2 age over the doubled scale against 2 (n - dim V^g).
     """
     scale = doubled.geometry.scale
+    codimensions = [model.n - f for f in model.geometry.fixed]
     lhs = _gatherer(bijection)(doubled.geometry.ages)
-    rhs = tuple(scale * (model.n - f) for f in model.geometry.fixed)
+    rhs = tuple(map(scale.__mul__, codimensions))
     if lhs == rhs:
         return None
     g = next(g for g, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
     return {
         "element": model.label(g),
-        "doubled_cr_shift": str(doubled.sector(bijection[g]).cr_shift),
-        "virtual_shift": str(model.sector(g).virtual_shift),
+        "doubled_cr_shift": str(Fraction(2 * lhs[g], scale)),
+        "virtual_shift": str(2 * codimensions[g]),
     }
 
 
@@ -272,9 +281,10 @@ def decomposition_check(
 
     Row by row on ints scaled by the doubled age denominator: the doubled
     row of bijection[g] (products and pair dimensions) is gathered through
-    the bijection into the order of the original row.  At each entry where
-    the sides differ, the doubled rank is negative or the excess rank is,
-    the rank methods give the report or raise.
+    the bijection into the order of the original row.  At the first entry
+    where the sides differ, the doubled rank is not a nonnegative integer or
+    the excess rank is negative, a bad doubled rank raises, then a negative
+    excess; otherwise the two sides differ and are reported.
     """
     geometry, doubled_geometry = model.geometry, doubled.geometry
     scale = doubled_geometry.scale
@@ -300,14 +310,13 @@ def decomposition_check(
             continue
         for h, (left, right, e) in enumerate(zip(lhs, rhs, excess)):
             if left != right or left < 0 or e < 0:
-                doubled_rank = doubled.obstruction_rank(b, bijection[h])
-                excess_plus_k = model.excess_rank(g, h) + k_rank(model, g, h)
-                if doubled_rank != excess_plus_k:
-                    return {
-                        "pair": [model.label(g), model.label(h)],
-                        "doubled_obstruction_rank": doubled_rank,
-                        "excess_plus_k": excess_plus_k,
-                    }
+                doubled.checked_rank("obstruction", b, bijection[h], left, scale)
+                model.checked_rank("excess", g, h, e)
+                return {
+                    "pair": [model.label(g), model.label(h)],
+                    "doubled_obstruction_rank": left // scale,
+                    "excess_plus_k": right // scale,
+                }
     return None
 
 

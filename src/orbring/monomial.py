@@ -325,24 +325,37 @@ class GroupTable:
             rows[i] = built
         return rows[i]
 
-    def element_order(self, i: int) -> int:
-        """Least m >= 1 with i^m = e, walking x -> i*x through row i.
+    def cycles(self, i: int) -> list[tuple[int, int]]:
+        """(L, s) per permutation cycle of element i: its length and its phase sum s/N mod 1.
 
-        In a group of order |G| that m divides |G|, so powers that have not
-        reached e after |G| steps mean a broken table; that raises
-        ConsistencyError instead of looping forever.
+        N is the conductor and 0 <= s < N; the L-th power of the element is
+        the scalar zeta^s on the cycle's coordinates.
         """
-        row = self.row(i)
-        m = 1
-        x = i
-        while x != 0:
-            if m >= self.order:
-                raise ConsistencyError(
-                    f"powers of element {i} do not reach the identity within {self.order} steps"
-                )
-            x = row[x]
-            m += 1
-        return m
+        n = self.dimension
+        code = self.codes[i]
+        seen = [False] * n
+        out = []
+        for start in range(n):
+            s = length = 0
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                a, j = divmod(code[j], n)  # code a*n + k: e_j -> zeta^a e_k
+                s += a
+                length += 1
+            if length:
+                out.append((length, s % self.conductor))
+        return out
+
+    def element_order(self, i: int) -> int:
+        """Least m >= 1 with i^m = e: the lcm over cycles (L, s) of L*N/gcd(s, N).
+
+        i^m moves a cycle's coordinates unless L divides m, and i^(tL) is
+        zeta^(st) there, which is 1 exactly when N/gcd(s, N) divides t.
+        """
+        cycles = self.cycles(i)
+        modulus = self.conductor
+        return math.lcm(*(length * modulus // math.gcd(s, modulus) for length, s in cycles))
 
     def conjugate(self, g: int, by: int) -> int:
         """Index of by^-1 * g * by."""
@@ -434,3 +447,10 @@ def _invert(code: tuple[int, ...], n: int, conductor: int) -> tuple[int, ...]:
         a, k = divmod(c, n)
         inverse[k] = (-a % conductor) * n + j
     return tuple(inverse)
+
+
+def _double(code: tuple[int, ...], n: int, conductor: int) -> tuple[int, ...]:
+    """Code of the block sum with the dual: e_j -> zeta^a e_k adds e_(n+j) -> zeta^-a e_(n+k)."""
+    pairs = [divmod(c, n) for c in code]
+    low = [a * 2 * n + k for a, k in pairs]
+    return tuple(low + [-a % conductor * 2 * n + n + k for a, k in pairs])

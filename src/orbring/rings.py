@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from operator import mul, sub
 from typing import Optional
@@ -57,7 +58,6 @@ class OrbifoldModel:
         self.forget_geometry = forget_geometry
         self.table = spec.close()
         self.geometry = SectorGeometry(self.table, spec.dimension, forget=forget_geometry)
-        self._labels: Optional[tuple[str, ...]] = None
         self._algebras: dict[str, SectorAlgebra] = {}
         self._cotangent: Optional["OrbifoldModel"] = None
 
@@ -69,13 +69,9 @@ class OrbifoldModel:
     def n(self) -> int:
         return self.geometry.n
 
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
-        if self._labels is None:
-            self._labels = tuple(
-                "e" if i == 0 else f"g{i}" for i in range(self.order)
-            )
-        return self._labels
+        return tuple("e" if i == 0 else f"g{i}" for i in range(self.order))
 
     def label(self, i: int) -> str:
         return self.labels[i]
@@ -86,14 +82,14 @@ class OrbifoldModel:
     def fixed_dim_pair(self, g: int, h: int) -> int:
         return self.geometry.pair_row(g)[h]
 
-    def _as_bundle_rank(self, value: int | Fraction, kind: str, g: int, h: int) -> int:
-        value = Fraction(value)
-        if value.denominator != 1 or value < 0:
+    def checked_rank(self, kind: str, g: int, h: int, scaled: int, scale: int = 1) -> int:
+        """The bundle rank scaled/scale at (g, h); raises unless it is a nonnegative integer."""
+        if scaled < 0 or scaled % scale:
             raise ConsistencyError(
-                f"{kind} rank at ({self.label(g)}, {self.label(h)}) is {value}, "
-                "expected a nonnegative integer"
+                f"{kind} rank at ({self.label(g)}, {self.label(h)}) is "
+                f"{Fraction(scaled, scale)}, expected a nonnegative integer"
             )
-        return int(value)
+        return scaled // scale
 
     def obstruction_rank(self, g: int, h: int) -> int:
         """Rank of the correction bundle gating the cr product at (g, h)."""
@@ -105,7 +101,7 @@ class OrbifoldModel:
             - product.fixed_dim
             + self.fixed_dim_pair(g, h)
         )
-        return self._as_bundle_rank(value, "obstruction", g, h)
+        return self.checked_rank("obstruction", g, h, value.numerator, value.denominator)
 
     def obstruction_rank_dual_form(self, g: int, h: int) -> int:
         """Triple-age form of the same rank; an independent cross-check."""
@@ -116,7 +112,9 @@ class OrbifoldModel:
             + self.sector(gh_inv).age
             - (self.n - self.fixed_dim_pair(g, h))
         )
-        return self._as_bundle_rank(value, "obstruction (dual form)", g, h)
+        return self.checked_rank(
+            "obstruction (dual form)", g, h, value.numerator, value.denominator
+        )
 
     def excess_rank(self, g: int, h: int) -> int:
         """Rank of the excess bundle of V^g and V^h inside the ambient space.
@@ -129,7 +127,7 @@ class OrbifoldModel:
             - self.sector(h).fixed_dim
             + self.fixed_dim_pair(g, h)
         )
-        return self._as_bundle_rank(value, "excess", g, h)
+        return self.checked_rank("excess", g, h, value)
 
     def structure_constant(self, theory: str, g: int, h: int) -> int:
         """Coefficient of x_{gh} in x_g * x_h: 1 iff both gates pass, else 0.
@@ -148,11 +146,11 @@ class OrbifoldModel:
         _check_theory(theory)
         alg = self._algebras.get(theory)
         if alg is None:
-            order = self.order
+            geometry = self.geometry
             if theory == CR:
-                degrees = tuple(self.sector(i).cr_shift for i in range(order))
+                degrees = tuple(Fraction(2 * a, geometry.scale) for a in geometry.ages)
             else:
-                degrees = tuple(Fraction(self.sector(i).virtual_shift) for i in range(order))
+                degrees = tuple(Fraction(2 * (self.n - f)) for f in geometry.fixed)
             alg = SectorAlgebra(
                 theory=theory,
                 table=self.table,
@@ -169,19 +167,14 @@ class OrbifoldModel:
         The same two gates, with each rank scaled to an integer: the cr
         obstruction rank times geometry.scale (the ages' common denominator),
         or the excess rank itself.  An entry whose rank is not a nonnegative
-        integer is handed to the per-entry rank method, which raises its error.
+        integer raises the rank's ConsistencyError through checked_rank.
         """
         geometry = self.geometry
         fixed = geometry.fixed
         n = self.n
+        ages = geometry.ages
         cr = theory == CR
-        if cr:
-            ages = geometry.ages
-            scale = geometry.scale
-            rank_of = self.obstruction_rank
-        else:
-            scale = 1
-            rank_of = self.excess_rank
+        scale, kind = (geometry.scale, "obstruction") if cr else (1, "excess")
         rows = []
         for g in range(self.order):
             row = []
@@ -191,7 +184,7 @@ class OrbifoldModel:
                 else:
                     scaled = n - fixed[g] - fixed[h] + p
                 if scaled < 0 or scaled % scale:
-                    rank_of(g, h)  # raises the entry's ConsistencyError
+                    self.checked_rank(kind, g, h, scaled, scale)
                 row.append(1 if scaled == 0 and p == fixed[gh] else 0)
             rows.append(tuple(row))
         return tuple(rows)

@@ -1,7 +1,7 @@
 """Exact sector geometry of a linear orbifold.
 
 Per group element: the age, the fixed-subspace dimension and the two degree
-shifts, read from the element's integer code in one pass over the group
+shifts, read from the cycles of the element's integer code (GroupTable.cycles)
 (ages as ints over 2N, N the generators' conductor).  The multiset of
 rotation numbers (eigen_phases) computes the same ages and dimensions from a
 MonomialMap and is kept as their independent oracle.  Per pair: the
@@ -86,7 +86,6 @@ class SectorGeometry:
         self.n = 0 if forget else dimension
         # every age is an int over 2N (see _element_arrays); zero over 1 in forget mode
         self.scale = 1 if forget else 2 * table.conductor
-        self._sectors: dict[int, SectorData] = {}
         self._traces: dict[int, CyclotomicNumber] = {}
         self._pair_rows: list[Optional[array]] = [None] * table.order
 
@@ -100,42 +99,23 @@ class SectorGeometry:
 
     @cached_property
     def _element_arrays(self) -> tuple[list[int], list[int]]:
-        """Every age (times scale) and fixed dimension, in one pass over the codes.
+        """Every age (times scale) and fixed dimension, from the cycles of each code.
 
         A permutation cycle of length L whose phases sum to s/N (0 <= s < N)
         has the eigen-phases (s/N + t)/L, t = 0..L-1 (see eigen_phases).
         They sum to s/N + (L-1)/2, which is (2s + (L-1)N) over 2N, and one of
         them is zero exactly when s = 0.
         """
-        order = self.table.order
+        table = self.table
         if self.forget:
-            return [0] * order, [0] * order
-        n = self.n
-        modulus = self.table.conductor
+            return [0] * table.order, [0] * table.order
+        modulus = table.conductor
         ages = []
         fixed = []
-        for code in self.table.codes:
-            seen = [False] * n
-            age = 0
-            dim = 0
-            for start in range(n):
-                if seen[start]:
-                    continue
-                s = 0
-                length = 0
-                j = start
-                while not seen[j]:
-                    seen[j] = True
-                    # code a*n + k: e_j -> zeta^a e_k
-                    a, j = divmod(code[j], n)
-                    s += a
-                    length += 1
-                s %= modulus
-                age += 2 * s + (length - 1) * modulus
-                if not s:
-                    dim += 1
-            ages.append(age)
-            fixed.append(dim)
+        for i in range(table.order):
+            cycles = table.cycles(i)
+            ages.append(sum(2 * s + (length - 1) * modulus for length, s in cycles))
+            fixed.append(sum(1 for _, s in cycles if not s))
         return ages, fixed
 
     def sector(self, i: int) -> SectorData:
@@ -144,13 +124,9 @@ class SectorGeometry:
         The virtual shift is twice the codimension and the cr shift twice
         the age.
         """
-        data = self._sectors.get(i)
-        if data is None:
-            age = Fraction(self.ages[i], self.scale)
-            dim = self.fixed[i]
-            data = SectorData(age, dim, 2 * (self.n - dim), 2 * age)
-            self._sectors[i] = data
-        return data
+        age = Fraction(self.ages[i], self.scale)
+        dim = self.fixed[i]
+        return SectorData(age, dim, 2 * (self.n - dim), 2 * age)
 
     def trace(self, i: int) -> CyclotomicNumber:
         value = self._traces.get(i)

@@ -129,6 +129,45 @@ def closure_oracle(generators, dimension, cap):
     }
 
 
+# --- element orders and the sector bijection through products and MonomialMaps ---
+
+def element_order_scan(table, i):
+    """Least m >= 1 with i^m = e, walking x -> i*x through row i.
+
+    In a group of order |G| that m divides |G|, so powers that have not
+    reached e after |G| steps mean a broken table; that raises
+    ConsistencyError instead of looping forever.
+    """
+    row = table.row(i)
+    m = 1
+    x = i
+    while x != 0:
+        if m >= table.order:
+            raise ConsistencyError(
+                f"powers of element {i} do not reach the identity within {table.order} steps"
+            )
+        x = row[x]
+        m += 1
+    return m
+
+
+def sector_bijection_scan(original, doubled):
+    """g -> g (+) conjugate(g) by looking up each MonomialMap.double() in doubled.index."""
+    if doubled.order != original.order:
+        raise ConsistencyError(
+            f"doubled group has order {doubled.order}, original {original.order}"
+        )
+    mapping = []
+    for element in original.elements:
+        target = doubled.index.get(element.double())
+        if target is None:
+            raise ConsistencyError(f"doubled element of {element} missing from closure")
+        mapping.append(target)
+    if len(set(mapping)) != original.order:
+        raise ConsistencyError("doubling map is not injective on sector indices")
+    return tuple(mapping)
+
+
 # --- independent polynomial oracle (rational arithmetic, no package code) ---
 
 def poly_mul(a, b):

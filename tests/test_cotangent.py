@@ -2,11 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+
 from orbring import (
     CR,
     VIRT,
+    ConsistencyError,
+    GroupTable,
     OrbifoldModel,
     OrbifoldSpec,
+    ResourceCapError,
     cotangent_double,
     decomposition_check,
     grading_check,
@@ -15,7 +20,14 @@ from orbring import (
     run_full_verification,
     sector_bijection,
 )
-from support import CORPUS_NAMES, corpus_model, corpus_spec
+from support import (
+    CORPUS_NAMES,
+    corpus_model,
+    corpus_spec,
+    gmpn_spec,
+    monomial_generator_sets,
+    sector_bijection_scan,
+)
 
 
 def doubled_and_bijection(name, forget=False):
@@ -46,6 +58,68 @@ def test_sector_bijection_is_total():
     assert sorted(bij) == list(range(model.order))
     for i in range(model.order):
         assert doubled.table.elements[bij[i]] == model.table.elements[i].double()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [corpus_spec(name) for name in CORPUS_NAMES]
+    + [gmpn_spec(4, 1, 2), gmpn_spec(6, 2, 2), gmpn_spec(2, 1, 3), gmpn_spec(5, 1, 2)],
+    ids=lambda spec: spec.name,
+)
+def test_sector_bijection_from_codes_matches_monomial_lookup(spec):
+    original = spec.close()
+    doubled = cotangent_double(spec).close()
+    bijection = sector_bijection(original, doubled)
+    assert "elements" not in vars(original) and "elements" not in vars(doubled)
+    assert bijection == sector_bijection_scan(original, doubled)
+
+
+@given(monomial_generator_sets())
+@settings(max_examples=60, deadline=None)
+def test_sector_bijection_from_codes_matches_monomial_lookup_on_random_groups(generated):
+    n, gens = generated
+    try:
+        original = GroupTable.close(gens, n, cap=64)
+    except ResourceCapError:
+        return
+    doubled = GroupTable.close([g.double() for g in gens], 2 * n)
+    assert sector_bijection(original, doubled) == sector_bijection_scan(original, doubled)
+
+
+def bijection_outcomes(original, doubled):
+    outcomes = []
+    for bijection in (sector_bijection, sector_bijection_scan):
+        with pytest.raises(ConsistencyError) as caught:
+            bijection(original, doubled)
+        outcomes.append(str(caught.value))
+    return outcomes
+
+
+def test_sector_bijection_reports_a_missing_element_as_the_scan_does():
+    # z3-12 doubled has order 3 too, but not the double of z3-11's g1
+    spec, other = corpus_spec("z3-11"), corpus_spec("z3-12")
+    code, scan = bijection_outcomes(spec.close(), cotangent_double(other).close())
+    assert code == scan and "missing from closure" in code
+
+
+def test_sector_bijection_reports_a_different_order_as_the_scan_does():
+    original = corpus_spec("z3-11").close()
+    doubled = cotangent_double(corpus_spec("s3-perm")).close()
+    code, scan = bijection_outcomes(original, doubled)
+    assert code == scan == "doubled group has order 6, original 3"
+
+
+def test_sector_bijection_reports_a_non_injective_map_as_the_scan_does():
+    # one code copied onto another: two indices double to the same element
+    spec = corpus_spec("s3-perm")
+    outcomes = []
+    for bijection in (sector_bijection, sector_bijection_scan):
+        original = spec.close()
+        original.codes[2] = original.codes[1]
+        with pytest.raises(ConsistencyError) as caught:
+            bijection(original, cotangent_double(spec).close())
+        outcomes.append(str(caught.value))
+    assert outcomes == ["doubling map is not injective on sector indices"] * 2
 
 
 # --- grading lemma ---

@@ -20,6 +20,7 @@ from support import (
     closure_oracle,
     corpus_model,
     corpus_spec,
+    element_order_scan,
     gmpn_spec,
     monomial_generator_sets,
     monomial_maps,
@@ -252,6 +253,38 @@ def test_lagrange(name):
     table = corpus_model(name).table
     for i in range(table.order):
         assert table.order % table.element_order(i) == 0
+
+
+ORDER_SPECS = [corpus_spec(name) for name in CORPUS_NAMES] + [
+    gmpn_spec(4, 1, 2),
+    gmpn_spec(6, 2, 2),
+    gmpn_spec(2, 1, 3),
+    gmpn_spec(3, 1, 3),
+]
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("doubled", [False, True], ids=["original", "doubled"])
+def test_element_order_from_cycles_matches_row_walk(spec, doubled):
+    gens = [g.double() for g in spec.generators] if doubled else list(spec.generators)
+    dimension = 2 * spec.dimension if doubled else spec.dimension
+    table = GroupTable.close(gens, dimension, cap=spec.max_group_order)
+    orders = [table.element_order(i) for i in range(table.order)]
+    assert built_rows(table) == [0]
+    assert orders == [element_order_scan(table, i) for i in range(table.order)]
+
+
+@given(monomial_generator_sets())
+@settings(max_examples=60, deadline=None)
+def test_element_order_from_cycles_matches_row_walk_on_random_groups(generated):
+    n, gens = generated
+    for generators, dimension in ((gens, n), ([g.double() for g in gens], 2 * n)):
+        try:
+            table = GroupTable.close(generators, dimension, cap=64)
+        except ResourceCapError:
+            continue
+        for i in range(table.order):
+            assert table.element_order(i) == element_order_scan(table, i)
 
 
 # --- conjugacy classes ---

@@ -6,15 +6,20 @@ by a transposition, and on models with one array entry bumped before any
 sector is read, it must give the same payload as its scan, or raise the same
 ConsistencyError text.  A bijection with one entry copied onto another is not
 injective, which sends main_theorem_check's pairings stage down its per-pair
-path.
+path.  With sector(), the rank methods, structure_constant and k_rank patched
+to raise, verify, ring and every check must still give the scans' outcomes:
+they decide and report from their own integers.
 """
 
+import contextlib
 import functools
+import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbring import ConsistencyError, OrbifoldModel
+from orbring import ConsistencyError, OrbifoldModel, SectorGeometry, cli, cotangent
 from orbring.cotangent import (
     age_duality_check,
     closure_sanity_check,
@@ -22,12 +27,14 @@ from orbring.cotangent import (
     grading_check,
     main_theorem_check,
     rank_oracle_check,
+    run_full_verification,
     sector_bijection,
 )
 from support import (
     CORPUS_NAMES,
     age_duality_scan,
     closure_sanity_scan,
+    corpus_path,
     corpus_spec,
     decomposition_scan,
     gmpn_spec,
@@ -70,6 +77,30 @@ def outcome(fn, *args):
         return "error", str(exc)
 
 
+def draw_bump(data, target, kind):
+    """Draw one array entry of target's geometry to bump, as (g, h, step)."""
+    g = data.draw(st.integers(0, target.order - 1))
+    if kind != "pair":
+        # a step of 1 makes the age fractional, a step of scale shifts it by 1
+        scale = target.geometry.scale
+        return g, None, data.draw(st.sampled_from([1, -1, scale, -scale]))
+    h = data.draw(st.integers(0, target.order - 1))
+    up = target.geometry.pair_row(g)[h] == 0 or data.draw(st.booleans())
+    return g, h, 1 if up else -1
+
+
+def apply_bump(target, kind, g, h, step):
+    geometry = target.geometry
+    if kind != "pair":
+        geometry.ages[g] += step
+        if kind == "inverse ages":
+            # the opposite step at g^-1 keeps age duality, so the two rank
+            # forms still agree wherever a rank turns fractional
+            geometry.ages[target.table.inverse_index[g]] -= step
+    else:
+        geometry.pair_row(g)[h] += step
+
+
 def assert_checks_match_scans(model, doubled, bijection):
     for check, scan, cross in CHECKS:
         args = (model, doubled, bijection) if cross else (model,)
@@ -106,20 +137,7 @@ def test_checks_match_scans_with_a_transposed_bijection(data, name, forget):
 def test_checks_match_scans_with_a_bumped_array_entry(data, name, forget, side, kind):
     model, doubled, bijection = fresh(name, forget)
     target = model if side == "original" else doubled
-    geometry = target.geometry
-    g = data.draw(st.integers(0, target.order - 1))
-    if kind != "pair":
-        # a step of 1 makes the age fractional, a step of scale shifts it by 1
-        step = data.draw(st.sampled_from([1, -1, geometry.scale, -geometry.scale]))
-        geometry.ages[g] += step
-        if kind == "inverse ages":
-            # the opposite step at g^-1 keeps age duality, so the two rank
-            # forms still agree wherever a rank turns fractional
-            geometry.ages[target.table.inverse_index[g]] -= step
-    else:
-        row = geometry.pair_row(g)
-        h = data.draw(st.integers(0, target.order - 1))
-        row[h] = row[h] + 1 if row[h] == 0 or data.draw(st.booleans()) else row[h] - 1
+    apply_bump(target, kind, *draw_bump(data, target, kind))
     assert_checks_match_scans(model, doubled, bijection)
 
 
@@ -197,14 +215,18 @@ def test_closure_sanity_matches_scan_with_two_elements_swapped(data, name):
 
 def test_closure_sanity_raises_on_powers_that_never_reach_the_identity():
     # swapping g*e and g*g in the row of g makes g*g = g, so the powers of g
-    # stay at g; element_order must give up after |G| steps
+    # walked through the table stay at g; element_order reads the codes, not
+    # the row, so the check reports the row against composition instead
     model = OrbifoldModel(corpus_spec("z3-11"))
     table = model.table
     row = list(table.row(1))
     row[0], row[1] = row[1], row[0]
     table._rows[1] = tuple(row)
     assert table.mult(1, 1) == 1
-    expected = ("error", "powers of element 1 do not reach the identity within 3 steps")
+    expected = (
+        "report",
+        {"problem": "multiplication table disagrees with composition", "pair": ["g1", "e"]},
+    )
     assert outcome(closure_sanity_scan, model) == expected
     assert outcome(closure_sanity_check, model) == expected
 
@@ -219,3 +241,115 @@ def test_closure_sanity_compares_products_with_composition_beyond_order_64():
     expected = outcome(closure_sanity_scan, model)
     assert expected[1]["problem"] == "multiplication table disagrees with composition"
     assert outcome(closure_sanity_check, model) == expected
+
+
+# --- verify and ring decide from the arrays, never through the per-entry path ---
+
+PER_ENTRY = [
+    (SectorGeometry, "sector"),
+    (OrbifoldModel, "obstruction_rank"),
+    (OrbifoldModel, "obstruction_rank_dual_form"),
+    (OrbifoldModel, "excess_rank"),
+    (OrbifoldModel, "structure_constant"),
+    (cotangent, "k_rank"),
+]
+
+
+def reached(*args, **kwargs):
+    raise AssertionError("a per-entry method was called")
+
+
+@contextlib.contextmanager
+def per_entry_paths_raise():
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in PER_ENTRY:
+            patch.setattr(owner, name, reached)
+        yield patch
+
+
+def assert_checks_match_scans_without_per_entry_paths(build):
+    """Scans on one copy of build(), the checks on another with every per-entry method patched."""
+    scanned = build()
+    expected = [
+        outcome(scan, *(scanned if cross else scanned[:1])) for _, scan, cross in CHECKS
+    ]
+    checked = build()
+    with per_entry_paths_raise():
+        got = [
+            outcome(check, *(checked if cross else checked[:1])) for check, _, cross in CHECKS
+        ]
+    assert got == expected
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+@pytest.mark.parametrize("name", NAMES)
+def test_verify_reaches_no_per_entry_path(name, forget):
+    tables = []
+    real_bijection = cotangent.sector_bijection
+
+    def recording_bijection(original, doubled):
+        tables.extend((original, doubled))
+        return real_bijection(original, doubled)
+
+    with per_entry_paths_raise() as patch:
+        patch.setattr(cotangent, "sector_bijection", recording_bijection)
+        report = run_full_verification(spec_of(name), forget_geometry=forget)
+    assert report.all_passed
+    assert len(tables) == 2
+    for table in tables:
+        assert "index" not in vars(table)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_ring_reaches_no_per_entry_path(name, capsys):
+    runs = [
+        ["ring", str(corpus_path(name)), "--theory", theory, "--basis", basis, "--format", "json"]
+        for theory in ("cr", "virt")
+        for basis in ("sector", "class")
+    ]
+    expected = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        expected.append(json.loads(capsys.readouterr().out))
+    with per_entry_paths_raise():
+        for argv, want in zip(runs, expected):
+            assert cli.main(argv) == 0
+            assert json.loads(capsys.readouterr().out) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(NAMES),
+    forget=st.booleans(),
+    side=st.sampled_from(["original", "doubled"]),
+    kind=st.sampled_from(["age", "inverse ages", "pair"]),
+)
+def test_checks_reach_no_per_entry_path_with_a_bumped_array_entry(
+    data, name, forget, side, kind
+):
+    probe = cached(name, forget)
+    bump = draw_bump(data, probe[0] if side == "original" else probe[1], kind)
+
+    def build():
+        model, doubled, bijection = fresh(name, forget)
+        apply_bump(model if side == "original" else doubled, kind, *bump)
+        return model, doubled, bijection
+
+    assert_checks_match_scans_without_per_entry_paths(build)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), name=st.sampled_from(NAMES), forget=st.booleans())
+def test_checks_reach_no_per_entry_path_with_a_transposed_bijection(data, name, forget):
+    order = cached(name, forget)[0].order
+    i = data.draw(st.integers(0, order - 1))
+    j = data.draw(st.integers(0, order - 1))
+
+    def build():
+        model, doubled, bijection = fresh(name, forget)
+        permuted = list(bijection)
+        permuted[i], permuted[j] = permuted[j], permuted[i]
+        return model, doubled, tuple(permuted)
+
+    assert_checks_match_scans_without_per_entry_paths(build)
