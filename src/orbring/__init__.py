@@ -14,7 +14,9 @@ from .cyclotomic import (
     euler_phi,
 )
 from .errors import ConsistencyError, InputError, OrbringError, ResourceCapError
-from .monomial import DEFAULT_GROUP_ORDER_CAP, ConjugacyPartition, GroupTable, MonomialMap
+from .monomial import (
+    DEFAULT_GROUP_ORDER_CAP, DIMENSION_CAP, ConjugacyPartition, GroupTable, MonomialMap
+)
 from .orbifold import OrbifoldSpec, cotangent_double
 from .sectors import SectorData, SectorGeometry, eigen_phases
 from .rings import (
@@ -47,6 +49,7 @@ __all__ = [
     "VIRT",
     "DEFAULT_CONDUCTOR_CAP",
     "DEFAULT_GROUP_ORDER_CAP",
+    "DIMENSION_CAP",
     "AlgebraReport",
     "AxiomCheck",
     "CheckResult",

@@ -327,14 +327,12 @@ def main_theorem_check(
 
     Constants are compared a row at a time: the doubled row of bijection[g]
     gathered through the bijection against the virtual row g.  Pairings are
-    compared in O(|G|) when the bijection is injective: the doubled pairing
-    at (bijection[g], bijection[h]) is 1 exactly when bijection[h] is the
+    compared in one O(|G|) pass, for any bijection: the doubled pairing at
+    (bijection[g], bijection[h]) is 1 exactly when h is a preimage of the
     doubled inverse of bijection[g], and the virtual one exactly when h is
-    the inverse of g.  For injective bijection the first holds for at most
-    one h, so row g agrees everywhere exactly when that h is g^-1, that is
-    when the doubled inverse of bijection[g] is bijection[g^-1].  A row that
-    fails that test, or every row when the bijection is not injective, is
-    scanned pair by pair.
+    g^-1.  So row g agrees exactly when those preimages are [g^-1], and
+    otherwise the pair scan's first differing h is the least element of
+    their symmetric difference.
     """
     mismatch = grading_check(model, doubled, bijection)
     if mismatch is not None:
@@ -356,13 +354,14 @@ def main_theorem_check(
             }
     inverse = virt.table.inverse_index
     doubled_inverse = cr_doubled.table.inverse_index
-    injective = len(set(bijection)) == len(bijection)
+    preimages: list[list[int]] = [[] for _ in range(doubled.order)]
+    for h, b in enumerate(bijection):
+        preimages[b].append(h)
     for g in range(model.order):
-        if injective and doubled_inverse[bijection[g]] == bijection[inverse[g]]:
-            continue
-        for h in range(model.order):
-            if cr_doubled.pairing(bijection[g], bijection[h]) != virt.pairing(g, h):
-                return {"stage": "pairings", "pair": [model.label(g), model.label(h)]}
+        partners = preimages[doubled_inverse[bijection[g]]]
+        if partners != [inverse[g]]:
+            h = min(set(partners).symmetric_difference((inverse[g],)))
+            return {"stage": "pairings", "pair": [model.label(g), model.label(h)]}
 
     virt_classes = model.table.conjugacy_classes()
     doubled_classes = doubled.table.conjugacy_classes()

@@ -24,12 +24,14 @@ from .errors import ConsistencyError, InputError, ResourceCapError
 
 __all__ = [
     "DEFAULT_GROUP_ORDER_CAP",
+    "DIMENSION_CAP",
     "ConjugacyPartition",
     "GroupTable",
     "MonomialMap",
 ]
 
 DEFAULT_GROUP_ORDER_CAP = 10000
+DIMENSION_CAP = 256  # verify also closes the doubled dimension 2n
 
 
 @dataclass(frozen=True)
@@ -216,6 +218,8 @@ class GroupTable:
         cap: int = DEFAULT_GROUP_ORDER_CAP,
     ) -> "GroupTable":
         """Breadth-first closure of the generators, run on their integer codes."""
+        if dimension > DIMENSION_CAP:
+            raise ResourceCapError(f"dimension {dimension} exceeds the cap {DIMENSION_CAP}")
         if type(cap) is not int or cap < 1:
             raise InputError(f"group order cap must be a positive integer, got {cap!r}")
         gens = sorted(set(generators), key=MonomialMap.sort_key)

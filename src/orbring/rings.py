@@ -57,7 +57,7 @@ class OrbifoldModel:
         self.spec = spec
         self.forget_geometry = forget_geometry
         self.table = spec.close()
-        self.geometry = SectorGeometry(self.table, spec.dimension, forget=forget_geometry)
+        self.geometry = SectorGeometry(self.table, forget=forget_geometry)
         self._algebras: dict[str, SectorAlgebra] = {}
         self._cotangent: Optional["OrbifoldModel"] = None
 
@@ -417,10 +417,8 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     The three axioms stated over triples are decided in about |G|^2 work by
     exact reductions, each equivalent to the |G|^3 scan it replaces (proofs
     in _frobenius_reduced, _equivariance_by_generators and
-    _associativity_reduced).  The associativity and Frobenius passes report
-    the scan's lex-first counterexample themselves; a failed equivariance
-    check hands over to _check_equivariance, which compares whole rows
-    under each conjugator.  Grading is checked a row at a time on ints, and
+    _associativity_reduced), and each pass reports the scan's lex-first
+    counterexample itself.  Grading is checked a row at a time on ints, and
     nondegeneracy in O(|G|) on inverse_index (_nondegeneracy_by_inverses).
     The tests compare this report against the |G|^3 and per-pair scans of
     the tests' support module.
@@ -525,15 +523,35 @@ def _equivariance_by_generators(alg: SectorAlgebra) -> AxiomCheck:
     subgroup.  The table was closed from table.gens, which therefore generate
     the group: if every generator is a symmetry, every k is.  The trivial
     group has no generators and passes.  The conjugations are the table's
-    generator_conjugations.  On failure _check_equivariance finds the
-    lex-first counterexample.
+    generator_conjugations.
+
+    The pass also reports the cube's lex-first counterexample.  The cube
+    meets (k, g, h) in lex order, so its first counterexample has the least
+    non-symmetric k.  The closure's first breadth-first step is from e, so
+    the non-identity generators are the elements 1..m, and table.gens lists
+    them in index order, apart from a possible identity generator, whose
+    conjugation is trivial.  Every element below the least non-symmetric
+    generator is therefore e or a symmetric generator, and that generator is
+    the cube's k.  For it the rows are compared in g order as the cube does,
+    and the first h where they differ is reported.
     """
     rows = alg.constants
-    for conj in alg.table.generator_conjugations:
+    for k, conj in zip(alg.table.gens, alg.table.generator_conjugations):
         gather = _gatherer(conj)
-        for g in range(alg.order):
-            if gather(rows[conj[g]]) != rows[g]:
-                return _check_equivariance(alg)
+        for g, row in enumerate(rows):
+            conjugated = gather(rows[conj[g]])
+            if conjugated != row:
+                h = next(h for h, (x, y) in enumerate(zip(row, conjugated)) if x != y)
+                return AxiomCheck(
+                    "equivariance",
+                    False,
+                    {
+                        "pair": [alg.labels[g], alg.labels[h]],
+                        "conjugator": alg.labels[k],
+                        "original": str(row[h]),
+                        "conjugated": str(conjugated[h]),
+                    },
+                )
     return AxiomCheck("equivariance", True)
 
 
@@ -614,32 +632,3 @@ def _nondegeneracy_by_inverses(alg: SectorAlgebra) -> AxiomCheck:
                 {"sector": alg.labels[h], "partners": [alg.labels[g] for g in found]},
             )
     return AxiomCheck("nondegeneracy", True)
-
-
-def _check_equivariance(alg: SectorAlgebra) -> AxiomCheck:
-    """Equivariance under every conjugator k, reporting the cube's lex-first counterexample.
-
-    The cube meets (k, g, h) in lex order and compares c[k^-1 g k][k^-1 h k]
-    with c[g][h]; for each k in index order and each g, the whole row
-    rows[conj g] gathered through conj is compared with row g at C level,
-    and the first h where they differ is reported.
-    """
-    rows = alg.constants
-    for k in range(alg.order):
-        conj = alg.table.conjugation_permutation(k)
-        gather = _gatherer(conj)
-        for g, row in enumerate(rows):
-            conjugated = gather(rows[conj[g]])
-            if conjugated != row:
-                h = next(h for h, (x, y) in enumerate(zip(row, conjugated)) if x != y)
-                return AxiomCheck(
-                    "equivariance",
-                    False,
-                    {
-                        "pair": [alg.labels[g], alg.labels[h]],
-                        "conjugator": alg.labels[k],
-                        "original": str(row[h]),
-                        "conjugated": str(conjugated[h]),
-                    },
-                )
-    return AxiomCheck("equivariance", True)

@@ -5,12 +5,12 @@ shifts, read from the cycles of the element's integer code (GroupTable.cycles)
 (ages as ints over 2N, N the generators' conductor).  The multiset of
 rotation numbers (eigen_phases) computes the same ages and dimensions from a
 MonomialMap and is kept as their independent oracle.  Per pair: the
-dimension of the common fixed subspace, counted by a union-find over the
-coordinates with potentials in Z/N, so it needs neither a subgroup closure nor
-cyclotomic arithmetic; it is stored as one int row per element.  The
-averaging projector of the generated subgroup (fixed_dim_of_subgroup)
-computes the same number exactly in Q(zeta_N) and is kept as its independent
-oracle.
+dimension of the common fixed subspace, counted by a walk over the orbits of
+the pair on the coordinates with potentials in Z/N, so it needs neither a
+subgroup closure nor cyclotomic arithmetic; it is stored as one int row per
+element.  The averaging projector of the generated subgroup
+(fixed_dim_of_subgroup) computes the same number exactly in Q(zeta_N) and is
+kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -80,10 +80,10 @@ class SectorGeometry:
     and rows are built on first use and must not be mutated by callers.
     """
 
-    def __init__(self, table: GroupTable, dimension: int, forget: bool = False):
+    def __init__(self, table: GroupTable, forget: bool = False):
         self.table = table
         self.forget = forget
-        self.n = 0 if forget else dimension
+        self.n = 0 if forget else table.dimension
         # every age is an int over 2N (see _element_arrays); zero over 1 in forget mode
         self.scale = 1 if forget else 2 * table.conductor
         self._traces: dict[int, CyclotomicNumber] = {}
@@ -157,18 +157,10 @@ class SectorGeometry:
         return int(value)
 
     def pair_row(self, g: int) -> array:
-        """dim of V^g intersect V^h for h = 0..order-1, by a union-find per pair.
+        """dim of V^g intersect V^h for h = 0..order-1, by an orbit walk per pair.
 
-        v is fixed by a monomial map exactly when v_{perm[j]} = zeta^phase[j] v_j
-        for every j.  Each such equation, for g and for h, is an edge
-        j -> perm[j] of weight phase[j] mod N.  Within a connected component
-        every coordinate is then a fixed root of unity times the component's
-        root coordinate (its potential), so the component carries exactly one
-        free parameter if every edge closes consistently and none otherwise.
-        The answer is the number of consistent components.  The projector of
-        fixed_dim_of_subgroup is the oracle for this count.  The count is
-        symmetric in g and h, so an entry whose row h is already built is
-        read from there.
+        The count is symmetric, so an entry whose row h is built is read from
+        there; without that read-back every pair would be walked.
         """
         rows = self._pair_rows
         row = rows[g]
@@ -178,35 +170,46 @@ class SectorGeometry:
             if not self.forget:
                 for h in range(order):
                     other = rows[h]
-                    row[h] = other[g] if other is not None else self._common_fixed_dim((g, h))
+                    row[h] = other[g] if other is not None else self._common_fixed_dim(g, h)
             rows[g] = row
         return row
 
-    def _common_fixed_dim(self, elements: tuple[int, ...]) -> int:
+    def _common_fixed_dim(self, g: int, h: int) -> int:
+        """The number of consistent orbits of <g, h> on the coordinates.
+
+        v is fixed by a monomial map exactly when v_k = zeta^a v_j for each of
+        its code entries j -> k of weight a (mod N).  Each unlabelled
+        coordinate starts an orbit with potential 0, and an edge j -> k of g
+        or h gives a new coordinate k the potential (p_j + a) mod N, so
+        v_k = zeta^p_k times v at the start.  An edge that reaches a labelled
+        k with another potential marks the orbit inconsistent: v vanishes
+        there.  A consistent orbit carries one free parameter.  Each element
+        permutes the coordinates, so its inverse is one of its powers, and
+        following images alone covers the orbit of <g, h>.  The projector of
+        fixed_dim_of_subgroup is the oracle for this count.
+        """
         n = self.n
         modulus = self.table.conductor
-        parent = list(range(n))
-        # v_x = zeta^potential[x] * v_parent[x]
-        potential = [0] * n
-        consistent = [True] * n
-        for i in elements:
-            # the table's code of element i: e_j -> zeta^a e_k is a*n + k
-            for j, code in enumerate(self.table.codes[i]):
-                a, k = divmod(code, n)
-                # the edge says v_k = zeta^a * v_j; find both roots
-                rj, pj = j, 0
-                while parent[rj] != rj:
-                    pj += potential[rj]
-                    rj = parent[rj]
-                rk, pk = k, 0
-                while parent[rk] != rk:
-                    pk += potential[rk]
-                    rk = parent[rk]
-                if rj == rk:
-                    if (pj + a - pk) % modulus:
-                        consistent[rj] = False
-                else:
-                    parent[rk] = rj
-                    potential[rk] = (pj + a - pk) % modulus
-                    consistent[rj] = consistent[rj] and consistent[rk]
-        return sum(1 for x in range(n) if parent[x] == x and consistent[x])
+        codes = (self.table.codes[g], self.table.codes[h])
+        potential = [-1] * n
+        count = 0
+        for start in range(n):
+            if potential[start] >= 0:
+                continue
+            potential[start] = 0
+            orbit = [start]  # grows while it is walked
+            consistent = True
+            for j in orbit:
+                pj = potential[j]
+                for code in codes:
+                    # the table's code of an element: e_j -> zeta^a e_k is a*n + k
+                    a, k = divmod(code[j], n)
+                    p = (pj + a) % modulus
+                    pk = potential[k]
+                    if pk < 0:
+                        potential[k] = p
+                        orbit.append(k)
+                    elif pk != p:
+                        consistent = False
+            count += consistent
+        return count

@@ -139,6 +139,25 @@ def test_conductor_cap_exits_3(capsys, tmp_path):
     assert "conductor" in err
 
 
+@pytest.mark.parametrize(
+    "command, dimension, expected",
+    [
+        ("inspect", 256, 0),
+        ("inspect", 257, 3),
+        ("verify", 128, 0),
+        ("verify", 129, 3),  # the doubled dimension 258 is over the cap
+        ("inspect", 2000000, 3),
+        ("ring", 2000000, 3),
+        ("verify", 2000000, 3),
+    ],
+)
+def test_dimension_cap_exits_3(capsys, tmp_path, command, dimension, expected):
+    path = write_spec(tmp_path, {"name": "wide", "dimension": dimension, "generators": []})
+    code, _out, err = run(capsys, command, path)
+    assert code == expected
+    assert ("exceeds the cap 256" in err) == (expected == 3)
+
+
 # --- inspect ---
 
 @pytest.mark.parametrize("family", [(2, 1, 3), (3, 1, 3)], ids=lambda f: "G({},{},{})".format(*f))

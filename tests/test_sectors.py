@@ -29,7 +29,7 @@ from test_monomial import QUAT_J, S3_GENS, Z3_GEN, zp
 def sector_of(m):
     """Sector data of m, read from the geometry of the cyclic group m generates."""
     table = GroupTable.close([m], m.dimension)
-    return SectorGeometry(table, m.dimension).sector(table.index[m])
+    return SectorGeometry(table).sector(table.index[m])
 
 
 # --- eigen phases ---

@@ -5,10 +5,10 @@ the sector geometry.  On intact models, on models whose bijection is permuted
 by a transposition, and on models with one array entry bumped before any
 sector is read, it must give the same payload as its scan, or raise the same
 ConsistencyError text.  A bijection with one entry copied onto another is not
-injective, which sends main_theorem_check's pairings stage down its per-pair
-path.  With sector(), the rank methods, structure_constant and k_rank patched
-to raise, verify, ring and every check must still give the scans' outcomes:
-they decide and report from their own integers.
+injective, which gives main_theorem_check's pairings stage two preimages,
+or none, of some sector.  With sector(), the rank methods, structure_constant
+and k_rank patched to raise, verify, ring and every check must still give the
+scans' outcomes: they decide and report from their own integers.
 """
 
 import contextlib
