@@ -1,16 +1,19 @@
 """Exact sector geometry of a linear orbifold.
 
-Per group element: the age, the fixed-subspace dimension and the two degree
-shifts, read from the cycles of the element's integer code (GroupTable.cycles)
-(ages as ints over 2N, N the generators' conductor).  The multiset of
-rotation numbers (eigen_phases) computes the same ages and dimensions from a
-MonomialMap and is kept as their independent oracle.  Per pair: the
-dimension of the common fixed subspace, counted by a walk over the orbits of
-the pair on the coordinates with potentials in Z/N, so it needs neither a
-subgroup closure nor cyclotomic arithmetic; it is stored as one int row per
-element.  The averaging projector of the generated subgroup
-(fixed_dim_of_subgroup) computes the same number exactly in Q(zeta_N) and is
-kept as its independent oracle.
+Per group element: the age, the fixed-subspace dimension, the two degree
+shifts and the id of the fixed subspace V^g, all read in one walk over the
+cycles of the element's integer code (ages as ints over 2N, N the
+generators' conductor).  The multiset of rotation numbers (eigen_phases)
+computes the same ages and dimensions from a MonomialMap and is kept as
+their independent oracle.  Per pair: the dimension of V^g meet V^h depends
+only on the two subspaces, so it is counted once per pair of distinct
+subspaces, by a walk over the orbits of the pair of representatives on the
+coordinates with potentials in Z/N (no subgroup closure, no cyclotomic
+arithmetic).  Each subspace's row over all elements is gathered from those
+counts through the ids, and each element gets its own copy of its
+subspace's row.  The averaging projector of the generated subgroup
+(fixed_dim_of_subgroup) computes the same number exactly in Q(zeta_N) and
+is kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -75,9 +78,14 @@ class SectorGeometry:
     point-orbifold (group-ring) limit for an arbitrary finite group without
     needing a zero-dimensional faithful representation.
 
-    ages[i] is the age of element i times scale, and fixed[i] its fixed
-    dimension; pair_row(g)[h] is the dimension of V^g meet V^h.  The lists
-    and rows are built on first use and must not be mutated by callers.
+    ages[i] is the age of element i times scale, fixed[i] its fixed
+    dimension and subspace_ids[i] the id of its fixed subspace: two elements
+    share an id exactly when they fix the same subspace, and ids count up
+    from 0 in order of first appearance.  pair_row(g)[h] is the dimension
+    of V^g meet V^h.  The rows are gathered from one row per distinct
+    subspace, and every element gets its own copy, so changing one entry of
+    pair_row(g) changes no other row.  The lists and rows are built on
+    first use and must not be mutated by callers.
     """
 
     def __init__(self, table: GroupTable, forget: bool = False):
@@ -88,6 +96,7 @@ class SectorGeometry:
         self.scale = 1 if forget else 2 * table.conductor
         self._traces: dict[int, CyclotomicNumber] = {}
         self._pair_rows: list[Optional[array]] = [None] * table.order
+        self._subspace_rows: dict[int, array] = {}
 
     @property
     def ages(self) -> list[int]:
@@ -97,26 +106,79 @@ class SectorGeometry:
     def fixed(self) -> list[int]:
         return self._element_arrays[1]
 
-    @cached_property
-    def _element_arrays(self) -> tuple[list[int], list[int]]:
-        """Every age (times scale) and fixed dimension, from the cycles of each code.
+    @property
+    def subspace_ids(self) -> list[int]:
+        return self._element_arrays[2]
 
-        A permutation cycle of length L whose phases sum to s/N (0 <= s < N)
-        has the eigen-phases (s/N + t)/L, t = 0..L-1 (see eigen_phases).
-        They sum to s/N + (L-1)/2, which is (2s + (L-1)N) over 2N, and one of
-        them is zero exactly when s = 0.
+    @cached_property
+    def _element_arrays(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Ages (times scale), fixed dimensions, subspace ids and their representatives.
+
+        One walk over the permutation cycles of each code gives all four.
+        A cycle of length L whose phases sum to s/N (0 <= s < N) has the
+        eigen-phases (s/N + t)/L, t = 0..L-1 (see eigen_phases).  They sum
+        to s/N + (L-1)/2, which is (2s + (L-1)N) over 2N, and one of them
+        is zero exactly when s = 0.
+
+        The id comes from a key with one entry per coordinate.  A fixed v
+        satisfies v_k = zeta^a v_j along each code edge j -> k of weight a,
+        so on a cycle with least coordinate m, v_j = zeta^p_j v_m, where
+        the potential p_j is the weight sum from m to j, mod N.  Round the
+        cycle this forces v_m = zeta^s v_m, so v vanishes on the cycle
+        unless s = 0.  The key holds (m, p_j) for each coordinate j on a
+        cycle with s = 0, and one killed marker for every other coordinate.
+        Thus V^g is the direct sum over the cycles with s = 0 of the lines
+        spanned by sum_j zeta^p_j e_j, with disjoint supports, and the key
+        determines V^g.  Conversely V^g determines the key: the killed
+        coordinates are those where every vector of V^g vanishes; two
+        other coordinates j, k lie on one cycle exactly when v_j and v_k
+        are proportional over V^g (on different cycles the line of j's
+        cycle has v_j = 1 and v_k = 0); and v_j / v_m = zeta^p_j fixes p_j
+        mod N, zeta being a primitive N-th root.  So equal keys mean equal
+        fixed subspaces, and the ids number the distinct keys.  The
+        representative of an id is its least element.
         """
         table = self.table
+        order = table.order
         if self.forget:
-            return [0] * table.order, [0] * table.order
+            return [0] * order, [0] * order, [0] * order, [0]
+        n = self.n
         modulus = table.conductor
+        killed = n * modulus  # no entry m * N + p, with m < n and p < N, equals it
         ages = []
         fixed = []
-        for i in range(table.order):
-            cycles = table.cycles(i)
-            ages.append(sum(2 * s + (length - 1) * modulus for length, s in cycles))
-            fixed.append(sum(1 for _, s in cycles if not s))
-        return ages, fixed
+        ids = []
+        representatives = []
+        id_of_key: dict[tuple[int, ...], int] = {}
+        for i, code in enumerate(table.codes):
+            key = [-1] * n  # -1 until the walk reaches the coordinate
+            age = dim = 0
+            for start in range(n):
+                if key[start] >= 0:
+                    continue
+                base = start * modulus
+                s = 0
+                cycle = []
+                j = start
+                while key[j] < 0:
+                    key[j] = base + s % modulus
+                    cycle.append(j)
+                    a, j = divmod(code[j], n)  # code a*n + k: e_j -> zeta^a e_k
+                    s += a
+                s %= modulus
+                age += 2 * s + (len(cycle) - 1) * modulus
+                if s:
+                    for j in cycle:
+                        key[j] = killed
+                else:
+                    dim += 1
+            ages.append(age)
+            fixed.append(dim)
+            sid = id_of_key.setdefault(tuple(key), len(representatives))
+            if sid == len(representatives):
+                representatives.append(i)
+            ids.append(sid)
+        return ages, fixed, ids, representatives
 
     def sector(self, i: int) -> SectorData:
         """Age, fixed dimension and degree shifts of element i, from the arrays.
@@ -157,21 +219,33 @@ class SectorGeometry:
         return int(value)
 
     def pair_row(self, g: int) -> array:
-        """dim of V^g intersect V^h for h = 0..order-1, by an orbit walk per pair.
-
-        The count is symmetric, so an entry whose row h is built is read from
-        there; without that read-back every pair would be walked.
-        """
+        """dim of V^g intersect V^h for h = 0..order-1: a copy of the row of g's subspace."""
         rows = self._pair_rows
         row = rows[g]
         if row is None:
-            order = self.table.order
-            row = array("I", [0]) * order
-            if not self.forget:
-                for h in range(order):
-                    other = rows[h]
-                    row[h] = other[g] if other is not None else self._common_fixed_dim(g, h)
-            rows[g] = row
+            row = rows[g] = self._subspace_row(self.subspace_ids[g])[:]
+        return row
+
+    def _subspace_row(self, sid: int) -> array:
+        """dim of V meet V^h for h = 0..order-1, V the subspace with id sid.
+
+        The dimension depends on the two subspaces alone, so one walk per
+        pair of representatives fills a row of one entry per subspace, and
+        the row over all elements is gathered from it through the ids.  The
+        count is symmetric, so an entry whose subspace row is built is read
+        from there; with that read-back, all rows take S(S+1)/2 walks for S
+        distinct subspaces.
+        """
+        rows = self._subspace_rows
+        row = rows.get(sid)
+        if row is None:
+            ids, representatives = self._element_arrays[2:]
+            g = representatives[sid]
+            small = [
+                rows[other][g] if other in rows else self._common_fixed_dim(g, h)
+                for other, h in enumerate(representatives)
+            ]
+            row = rows[sid] = array("I", map(small.__getitem__, ids))
         return row
 
     def _common_fixed_dim(self, g: int, h: int) -> int:

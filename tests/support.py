@@ -3,6 +3,7 @@ independent oracles."""
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -275,6 +276,15 @@ def closure_sanity_scan(model):
                     "pair": [model.label(i), model.label(j)],
                 }
     return None
+
+
+def pair_row_scan(geometry, g):
+    """Row g of pair fixed dimensions by one orbit walk per pair (g, h).
+
+    The keyed rows of SectorGeometry.pair_row walk only pairs of distinct
+    fixed subspaces; this walks every pair and is their oracle.
+    """
+    return array("I", [geometry._common_fixed_dim(g, h) for h in range(geometry.table.order)])
 
 
 def age_duality_scan(model):
