@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 from .cotangent import run_full_verification
 from .errors import InputError, ResourceCapError
@@ -122,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from operator import add, sub
-from typing import Callable, Optional
 
+from ._record import Record
 from .errors import ConsistencyError
 from .monomial import GroupTable, _double, _gatherer
 from .orbifold import OrbifoldSpec
@@ -32,18 +32,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    counterexample: Optional[dict]
-    millis: float
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "counterexample", "millis")
+
+    def __init__(self, name: str, passed: bool, counterexample: dict | None, millis: float):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "millis", millis)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    spec_name: str
-    checks: tuple[CheckResult, ...]
+class VerificationReport(Record):
+    __slots__ = ("spec_name", "checks")
+
+    def __init__(self, spec_name: str, checks: tuple[CheckResult, ...]):
+        object.__setattr__(self, "spec_name", spec_name)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def all_passed(self) -> bool:
@@ -108,7 +112,7 @@ def k_rank(model: OrbifoldModel, g: int, h: int) -> int:
     return model.fixed_dim_pair(g, h) - model.sector(gh).fixed_dim
 
 
-def closure_sanity_check(model: OrbifoldModel) -> Optional[dict]:
+def closure_sanity_check(model: OrbifoldModel) -> dict | None:
     """Identity, inverses, element orders, and products against composition.
 
     The composition test first tries _composition_by_generators, about
@@ -189,7 +193,7 @@ def _composition_by_generators(table: GroupTable) -> bool:
     return len(reached) == order
 
 
-def age_duality_check(model: OrbifoldModel) -> Optional[dict]:
+def age_duality_check(model: OrbifoldModel) -> dict | None:
     """age(g) + age(g^-1) = n - dim V^g for every g, on the scaled ages."""
     geometry = model.geometry
     ages, scale = geometry.ages, geometry.scale
@@ -205,7 +209,7 @@ def age_duality_check(model: OrbifoldModel) -> Optional[dict]:
     }
 
 
-def rank_oracle_check(model: OrbifoldModel) -> Optional[dict]:
+def rank_oracle_check(model: OrbifoldModel) -> dict | None:
     """The cr obstruction rank in its direct and its dual (triple-age) form, per pair.
 
     Row by row on ints scaled by the age denominator: the direct form
@@ -242,7 +246,7 @@ def rank_oracle_check(model: OrbifoldModel) -> Optional[dict]:
     return None
 
 
-def algebra_axioms_check(model: OrbifoldModel, theory: str) -> Optional[dict]:
+def algebra_axioms_check(model: OrbifoldModel, theory: str) -> dict | None:
     report = verify_algebra(model.algebra(theory))
     failure = report.first_failure()
     if failure is None:
@@ -255,7 +259,7 @@ def algebra_axioms_check(model: OrbifoldModel, theory: str) -> Optional[dict]:
 
 def grading_check(
     model: OrbifoldModel, doubled: OrbifoldModel, bijection: tuple[int, ...]
-) -> Optional[dict]:
+) -> dict | None:
     """Doubled cr shift equals original virtual shift, element by element.
 
     Compared on ints: 2 age over the doubled scale against 2 (n - dim V^g).
@@ -276,7 +280,7 @@ def grading_check(
 
 def decomposition_check(
     model: OrbifoldModel, doubled: OrbifoldModel, bijection: tuple[int, ...]
-) -> Optional[dict]:
+) -> dict | None:
     """Doubled obstruction rank = excess rank + difference-bundle rank, per pair.
 
     Row by row on ints scaled by the doubled age denominator: the doubled
@@ -322,7 +326,7 @@ def decomposition_check(
 
 def main_theorem_check(
     model: OrbifoldModel, doubled: OrbifoldModel, bijection: tuple[int, ...]
-) -> Optional[dict]:
+) -> dict | None:
     """Full ring comparison: degrees, constants, pairings, and class tables.
 
     Constants are compared a row at a time: the doubled row of bijection[g]
@@ -405,7 +409,7 @@ def main_theorem_check(
     return None
 
 
-def _timed(name: str, fn: Callable[[], Optional[dict]]) -> CheckResult:
+def _timed(name: str, fn: Callable[[], dict | None]) -> CheckResult:
     start = time.perf_counter()
     counterexample = fn()
     millis = (time.perf_counter() - start) * 1000.0

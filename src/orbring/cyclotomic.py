@@ -12,10 +12,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional, Union
 
+from ._record import Record
 from .errors import ConsistencyError, InputError, ResourceCapError
 
 __all__ = [
@@ -123,27 +123,26 @@ _PHASE_PATTERN = re.compile(r"\A([+-]?\d+)(?:/([+-]?\d+))?\Z")
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class RationalPhase:
+class RationalPhase(Record):
     """The exponent p/q of the root of unity e^(2*pi*i*p/q).
 
     Always stored reduced and normalized to [0, 1); two equal phases are
     componentwise identical.
     """
 
-    numerator: int
-    denominator: int = 1
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self) -> None:
-        num, den = self.numerator, self.denominator
-        if type(num) is not int or type(den) is not int:
-            raise InputError(f"phase components must be integers, got {num!r}/{den!r}")
-        if den <= 0:
-            raise InputError(f"phase denominator must be positive, got {den}")
-        num %= den
-        g = math.gcd(num, den)
+    def __init__(self, numerator: int, denominator: int = 1):
+        if type(numerator) is not int or type(denominator) is not int:
+            raise InputError(
+                f"phase components must be integers, got {numerator!r}/{denominator!r}"
+            )
+        if denominator <= 0:
+            raise InputError(f"phase denominator must be positive, got {denominator}")
+        num = numerator % denominator
+        g = math.gcd(num, denominator)
         object.__setattr__(self, "numerator", num // g)
-        object.__setattr__(self, "denominator", den // g)
+        object.__setattr__(self, "denominator", denominator // g)
 
     @classmethod
     def parse(cls, text: str) -> "RationalPhase":
@@ -163,7 +162,7 @@ class RationalPhase:
         return cls(num, den)
 
     @classmethod
-    def from_fraction(cls, value: Union[Fraction, int]) -> "RationalPhase":
+    def from_fraction(cls, value: Fraction | int) -> "RationalPhase":
         f = Fraction(value)
         return cls(f.numerator, f.denominator)
 
@@ -206,7 +205,7 @@ def _reduce_mod(vec: list[Fraction], mod: tuple[int, ...], phi: int) -> list[Fra
     return vec[:phi]
 
 
-class CyclotomicNumber:
+class CyclotomicNumber(Record):
     """An element of Q(zeta_N), stored reduced modulo Phi_N.
 
     The constructor always reduces, so the coefficient vector is canonical.
@@ -217,7 +216,7 @@ class CyclotomicNumber:
     __slots__ = ("conductor", "coeffs")
     __hash__ = None  # equality crosses conductors, so hashing is unsafe
 
-    def __init__(self, conductor: int, coeffs: Iterable[Union[Fraction, int]]):
+    def __init__(self, conductor: int, coeffs: Iterable[Fraction | int]):
         if type(conductor) is not int or conductor < 1:
             raise InputError(f"conductor must be a positive integer, got {conductor!r}")
         _check_conductor(conductor)
@@ -226,9 +225,6 @@ class CyclotomicNumber:
         vec = _reduce_mod(vec, cyclotomic_polynomial(conductor), phi)
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", tuple(vec))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("CyclotomicNumber is immutable")
 
     @staticmethod
     def zero() -> "CyclotomicNumber":
@@ -239,7 +235,7 @@ class CyclotomicNumber:
         return CyclotomicNumber(1, (1,))
 
     @staticmethod
-    def from_rational(value: Union[Fraction, int]) -> "CyclotomicNumber":
+    def from_rational(value: Fraction | int) -> "CyclotomicNumber":
         return CyclotomicNumber(1, (Fraction(value),))
 
     @staticmethod
@@ -264,7 +260,7 @@ class CyclotomicNumber:
         return m, self._embedded(m), other._embedded(m)
 
     @staticmethod
-    def _coerce(value) -> Optional["CyclotomicNumber"]:
+    def _coerce(value) -> CyclotomicNumber | None:
         if isinstance(value, CyclotomicNumber):
             return value
         if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
@@ -326,7 +322,7 @@ class CyclotomicNumber:
         mod = cyclotomic_polynomial(m)
         return _reduce_mod(a, mod, phi) == _reduce_mod(b, mod, phi)
 
-    def as_rational(self) -> Optional[Fraction]:
+    def as_rational(self) -> Fraction | None:
         """The rational value if the element lies in Q, else None."""
         if any(self.coeffs[1:]):
             return None

@@ -13,12 +13,12 @@ conjugacy classes are walked through per-generator conjugation tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from itertools import repeat
 from operator import add, itemgetter, mod
-from typing import Callable, Iterable, Optional, Sequence
 
+from ._record import Record
 from .cyclotomic import DEFAULT_CONDUCTOR_CAP, CyclotomicNumber, RationalPhase
 from .errors import ConsistencyError, InputError, ResourceCapError
 
@@ -34,16 +34,14 @@ DEFAULT_GROUP_ORDER_CAP = 10000
 DIMENSION_CAP = 256  # verify also closes the doubled dimension 2n
 
 
-@dataclass(frozen=True)
-class MonomialMap:
+class MonomialMap(Record):
     """A linear map sending e_j to e^(2*pi*i*phases[j]) * e_{perm[j]}."""
 
-    perm: tuple[int, ...]
-    phases: tuple[RationalPhase, ...]
+    __slots__ = ("perm", "phases")
 
-    def __post_init__(self) -> None:
-        perm = tuple(self.perm)
-        phases = tuple(self.phases)
+    def __init__(self, perm: Iterable[int], phases: Iterable[RationalPhase]):
+        perm = tuple(perm)
+        phases = tuple(phases)
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "phases", phases)
         n = len(perm)
@@ -122,13 +120,20 @@ class MonomialMap:
         return f"[{entries}]"
 
 
-@dataclass(frozen=True)
-class ConjugacyPartition:
+class ConjugacyPartition(Record):
     """Conjugacy classes as sorted index tuples, in order of least member."""
 
-    classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-    class_of: tuple[int, ...]
+    __slots__ = ("classes", "representatives", "class_of")
+
+    def __init__(
+        self,
+        classes: tuple[tuple[int, ...], ...],
+        representatives: tuple[int, ...],
+        class_of: tuple[int, ...],
+    ):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "representatives", representatives)
+        object.__setattr__(self, "class_of", class_of)
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -192,9 +197,9 @@ class GroupTable:
         self._right = right
         self._left = left
         self._gathers = [_gatherer(lg) for lg in left]
-        self._rows: list[Optional[Sequence[int]]] = [None] * len(codes)
+        self._rows: list[Sequence[int] | None] = [None] * len(codes)
         self._rows[0] = tuple(range(len(codes)))
-        self._classes: Optional[ConjugacyPartition] = None
+        self._classes: ConjugacyPartition | None = None
 
     @cached_property
     def elements(self) -> list[MonomialMap]:

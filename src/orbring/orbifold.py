@@ -8,10 +8,10 @@ through files.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Union
+import os
+from collections.abc import Iterable
 
+from ._record import Record
 from .cyclotomic import RationalPhase
 from .errors import InputError
 from .monomial import DEFAULT_GROUP_ORDER_CAP, GroupTable, MonomialMap
@@ -22,32 +22,38 @@ _SPEC_KEYS = {"name", "dimension", "generators", "max_group_order"}
 _GENERATOR_KEYS = {"perm", "phases"}
 
 
-@dataclass(frozen=True)
-class OrbifoldSpec:
+class OrbifoldSpec(Record):
     """A linear quotient orbifold: C^dimension modulo the group the generators close to."""
 
-    name: str
-    dimension: int
-    generators: tuple[MonomialMap, ...]
-    max_group_order: int = DEFAULT_GROUP_ORDER_CAP
+    __slots__ = ("name", "dimension", "generators", "max_group_order")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "generators", tuple(self.generators))
-        if not isinstance(self.name, str) or not self.name:
-            raise InputError(f"spec name must be a nonempty string, got {self.name!r}")
-        if type(self.dimension) is not int or self.dimension < 0:
-            raise InputError(f"dimension must be a nonnegative integer, got {self.dimension!r}")
-        if type(self.max_group_order) is not int or self.max_group_order < 1:
+    def __init__(
+        self,
+        name: str,
+        dimension: int,
+        generators: Iterable[MonomialMap],
+        max_group_order: int = DEFAULT_GROUP_ORDER_CAP,
+    ):
+        generators = tuple(generators)
+        if not isinstance(name, str) or not name:
+            raise InputError(f"spec name must be a nonempty string, got {name!r}")
+        if type(dimension) is not int or dimension < 0:
+            raise InputError(f"dimension must be a nonnegative integer, got {dimension!r}")
+        if type(max_group_order) is not int or max_group_order < 1:
             raise InputError(
-                f"max_group_order must be a positive integer, got {self.max_group_order!r}"
+                f"max_group_order must be a positive integer, got {max_group_order!r}"
             )
-        for i, gen in enumerate(self.generators):
+        for i, gen in enumerate(generators):
             if not isinstance(gen, MonomialMap):
                 raise InputError(f"generator {i} is not a monomial map")
-            if gen.dimension != self.dimension:
+            if gen.dimension != dimension:
                 raise InputError(
-                    f"generator {i} has dimension {gen.dimension}, spec says {self.dimension}"
+                    f"generator {i} has dimension {gen.dimension}, spec says {dimension}"
                 )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "max_group_order", max_group_order)
 
     @classmethod
     def from_dict(cls, data: object) -> "OrbifoldSpec":
@@ -77,10 +83,11 @@ class OrbifoldSpec:
         return cls(name=name, dimension=dimension, generators=tuple(generators), **kwargs)
 
     @classmethod
-    def load(cls, path: Union[str, Path]) -> "OrbifoldSpec":
-        path = Path(path)
+    def load(cls, path: str | os.PathLike) -> "OrbifoldSpec":
+        path = os.fspath(path)
         try:
-            text = path.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read spec file {path}: {exc}") from exc
         try:
@@ -104,10 +111,11 @@ class OrbifoldSpec:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
-    def save(self, path: Union[str, Path]) -> None:
-        path = Path(path)
+    def save(self, path: str | os.PathLike) -> None:
+        path = os.fspath(path)
         try:
-            path.write_text(self.to_json(), encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(self.to_json())
         except OSError as exc:
             raise InputError(f"cannot write spec file {path}: {exc}") from exc
 
@@ -143,9 +151,9 @@ def _parse_generator(entry: object, position: int, dimension: int) -> MonomialMa
 
 def cotangent_double(spec: OrbifoldSpec) -> OrbifoldSpec:
     """The orbifold on C^n + conjugate(C^n) with each generator block-doubled."""
-    return replace(
-        spec,
-        name=spec.name + "-cotangent",
-        dimension=2 * spec.dimension,
-        generators=tuple(g.double() for g in spec.generators),
+    return OrbifoldSpec(
+        spec.name + "-cotangent",
+        2 * spec.dimension,
+        tuple(g.double() for g in spec.generators),
+        spec.max_group_order,
     )

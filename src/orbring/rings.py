@@ -12,13 +12,12 @@ constants of the conjugation-invariant subring are nonnegative ints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from operator import mul, sub
-from typing import Optional
 
+from ._record import Record
 from .errors import ConsistencyError, InputError
 from .monomial import GroupTable, _gatherer
 from .orbifold import OrbifoldSpec, cotangent_double
@@ -59,7 +58,7 @@ class OrbifoldModel:
         self.table = spec.close()
         self.geometry = SectorGeometry(self.table, forget=forget_geometry)
         self._algebras: dict[str, SectorAlgebra] = {}
-        self._cotangent: Optional["OrbifoldModel"] = None
+        self._cotangent: OrbifoldModel | None = None
 
     @property
     def order(self) -> int:
@@ -198,8 +197,7 @@ class OrbifoldModel:
         return self._cotangent
 
 
-@dataclass(frozen=True, eq=False)
-class SectorAlgebra:
+class SectorAlgebra(Record, repr_omit=("table",)):
     """Group-graded algebra on one generator x_g per sector.
 
     Carries the degree map, the 0/1 structure constants, the normalized sector
@@ -214,11 +212,23 @@ class SectorAlgebra:
     form whose compatibility with the product is checked by verify_algebra.
     """
 
-    theory: str
-    table: GroupTable = field(repr=False)
-    degrees: tuple[Fraction, ...]
-    constants: tuple[tuple[int | Fraction, ...], ...]
-    labels: tuple[str, ...]
+    __slots__ = ("theory", "table", "degrees", "constants", "labels")
+    __eq__ = object.__eq__  # compared by identity
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        theory: str,
+        table: GroupTable,
+        degrees: tuple[Fraction, ...],
+        constants: tuple[tuple[int | Fraction, ...], ...],
+        labels: tuple[str, ...],
+    ):
+        object.__setattr__(self, "theory", theory)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def order(self) -> int:
@@ -337,15 +347,26 @@ class SectorAlgebra:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True, eq=False)
-class InvariantRing:
+class InvariantRing(Record):
     """The conjugation-invariant subring on the class-sum basis."""
 
-    theory: str
-    labels: tuple[str, ...]
-    class_sizes: tuple[int, ...]
-    degrees: tuple[Fraction, ...]
-    constants: dict[tuple[int, int, int], int | Fraction]
+    __slots__ = ("theory", "labels", "class_sizes", "degrees", "constants")
+    __eq__ = object.__eq__  # compared by identity
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        theory: str,
+        labels: tuple[str, ...],
+        class_sizes: tuple[int, ...],
+        degrees: tuple[Fraction, ...],
+        constants: dict[tuple[int, int, int], int | Fraction],
+    ):
+        object.__setattr__(self, "theory", theory)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "class_sizes", class_sizes)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "constants", constants)
 
     @property
     def order(self) -> int:
@@ -384,22 +405,26 @@ class InvariantRing:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    name: str
-    passed: bool
-    counterexample: Optional[dict] = None
+class AxiomCheck(Record):
+    __slots__ = ("name", "passed", "counterexample")
+
+    def __init__(self, name: str, passed: bool, counterexample: dict | None = None):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "counterexample", counterexample)
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
-    checks: tuple[AxiomCheck, ...]
+class AlgebraReport(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[AxiomCheck, ...]):
+        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def first_failure(self) -> Optional[AxiomCheck]:
+    def first_failure(self) -> AxiomCheck | None:
         for c in self.checks:
             if not c.passed:
                 return c

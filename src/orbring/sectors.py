@@ -19,11 +19,11 @@ is kept as its independent oracle.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
 
+from ._record import Record
 from .cyclotomic import CyclotomicNumber, RationalPhase
 from .errors import ConsistencyError
 from .monomial import GroupTable, MonomialMap
@@ -60,14 +60,16 @@ def eigen_phases(m: MonomialMap) -> tuple[RationalPhase, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SectorData:
+class SectorData(Record):
     """Geometric data of one sector (one group element)."""
 
-    age: Fraction
-    fixed_dim: int
-    virtual_shift: int
-    cr_shift: Fraction
+    __slots__ = ("age", "fixed_dim", "virtual_shift", "cr_shift")
+
+    def __init__(self, age: Fraction, fixed_dim: int, virtual_shift: int, cr_shift: Fraction):
+        object.__setattr__(self, "age", age)
+        object.__setattr__(self, "fixed_dim", fixed_dim)
+        object.__setattr__(self, "virtual_shift", virtual_shift)
+        object.__setattr__(self, "cr_shift", cr_shift)
 
 
 class SectorGeometry:
@@ -95,7 +97,7 @@ class SectorGeometry:
         # every age is an int over 2N (see _element_arrays); zero over 1 in forget mode
         self.scale = 1 if forget else 2 * table.conductor
         self._traces: dict[int, CyclotomicNumber] = {}
-        self._pair_rows: list[Optional[array]] = [None] * table.order
+        self._pair_rows: list[array | None] = [None] * table.order
         self._subspace_rows: dict[int, array] = {}
 
     @property
