@@ -1,12 +1,14 @@
 """Command-line front end: inspect groups, print rings, double specs, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap,
+141 (128 + SIGPIPE) when the reader of standard output closed it first.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
+import os
 import sys
 
 from .cotangent import run_full_verification
@@ -18,6 +20,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _load(args: argparse.Namespace) -> OrbifoldSpec:
@@ -63,7 +66,7 @@ def cmd_ring(args: argparse.Namespace) -> int:
     algebra = model.algebra(args.theory)
     ring = algebra.invariant_ring() if args.basis == "class" else algebra
     if args.format == "json":
-        sys.stdout.write(json.dumps(ring.to_json_dict(), indent=2) + "\n")
+        sys.stdout.write(ring.to_json())
     else:
         sys.stdout.write(ring.to_text())
     return EXIT_OK
@@ -87,7 +90,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process, built on the first call.
+
+    Built from constants and never changed afterwards: parse_args only reads
+    it and returns a fresh namespace, so callers and threads can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="orbring",
         description="Exact stringy cohomology rings of linear quotient orbifolds.",
@@ -122,10 +131,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python flushes standard streams on exit; point stdout at devnull so
+        # that the flush cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -15,6 +15,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
+from json.encoder import encode_basestring_ascii as _quote
 from operator import mul, sub
 
 from ._record import Record
@@ -316,19 +317,25 @@ class SectorAlgebra(Record, repr_omit=("table",)):
             constants=constants,
         )
 
+    def _nonzero_entries(self):
+        """(g, h, gh, c) for every nonzero constant c = c[g][h], row by row."""
+        indices = range(self.order)
+        for g, row in enumerate(self.constants):
+            products = self.table.row(g)
+            for h in compress(indices, row):
+                yield g, h, products[h], row[h]
+
     def to_json_dict(self) -> dict:
-        entries = []
-        for g in range(self.order):
-            for h in range(self.order):
-                c = self.constants[g][h]
-                if c:
-                    entries.append([g, h, self.table.mult(g, h), str(c)])
         return {
             "theory": self.theory,
             "basis": list(self.labels),
             "degrees": [str(d) for d in self.degrees],
-            "constants": entries,
+            "constants": [[g, h, gh, str(c)] for g, h, gh, c in self._nonzero_entries()],
         }
+
+    def to_json(self) -> str:
+        """json.dumps(self.to_json_dict(), indent=2) plus a newline, written directly."""
+        return _ring_json(self.theory, self.labels, self.degrees, self._nonzero_entries())
 
     def to_text(self) -> str:
         width = max(max(len(s) for s in self.labels), len("sector"))
@@ -375,16 +382,21 @@ class InvariantRing(Record):
     def constant(self, a: int, b: int, c: int) -> int | Fraction:
         return self.constants.get((a, b, c), 0)
 
+    def _nonzero_entries(self):
+        """(a, b, c, v) for every stored coefficient v of y_c in y_a * y_b, in key order."""
+        return ((a, b, c, v) for (a, b, c), v in sorted(self.constants.items()))
+
     def to_json_dict(self) -> dict:
-        entries = [
-            [a, b, c, str(v)] for (a, b, c), v in sorted(self.constants.items())
-        ]
         return {
             "theory": self.theory,
             "basis": list(self.labels),
             "degrees": [str(d) for d in self.degrees],
-            "constants": entries,
+            "constants": [[a, b, c, str(v)] for a, b, c, v in self._nonzero_entries()],
         }
+
+    def to_json(self) -> str:
+        """json.dumps(self.to_json_dict(), indent=2) plus a newline, written directly."""
+        return _ring_json(self.theory, self.labels, self.degrees, self._nonzero_entries())
 
     def to_text(self) -> str:
         width = max(max(len(s) for s in self.labels), len("class"))
@@ -403,6 +415,34 @@ class InvariantRing(Record):
                 rhs = " + ".join(terms.get((a, b), ())) or "0"
                 lines.append(f"y{self.labels[a]:<{width}} * y{self.labels[b]:<{width}} = {rhs}")
         return "\n".join(lines) + "\n"
+
+
+_RING_JSON = '{\n  "theory": %s,\n  "basis": %s,\n  "degrees": %s,\n  "constants": %s\n}\n'
+_ENTRY_JSON = "\n    [\n      %d,\n      %d,\n      %d,\n      %s\n    ]"
+
+
+def _ring_json(theory: str, basis, degrees, entries) -> str:
+    """The text json.dumps gives a ring's to_json_dict with indent=2, plus a newline.
+
+    CPython's C encoder runs only when indent is None, so json.dumps with an
+    indent renders every entry in pure Python; here each entry
+    (row, column, product, value) is one % format instead.  Strings are
+    escaped by the encoder's own ensure_ascii function.
+    """
+
+    def strings(items) -> str:
+        body = ",\n    ".join(map(_quote, items))
+        return "[\n    " + body + "\n  ]" if body else "[]"
+
+    constants = ",".join(
+        _ENTRY_JSON % (a, b, c, _quote(str(v))) for a, b, c, v in entries
+    )
+    return _RING_JSON % (
+        _quote(theory),
+        strings(basis),
+        strings(map(str, degrees)),
+        "[" + constants + "\n  ]" if constants else "[]",
+    )
 
 
 class AxiomCheck(Record):

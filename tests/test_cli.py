@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -327,3 +332,121 @@ def test_negative_dimension_rejected(capsys, tmp_path):
     code, _out, err = run(capsys, "inspect", path)
     assert code == 2
     assert "dimension" in err
+
+
+# --- one parser per process ---
+
+SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def run_alone(argv):
+    """One CLI call in a fresh interpreter: (exit code, stdout, stderr)."""
+    done = subprocess.run(
+        [sys.executable, "-m", "orbring.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_import_builds_no_parser():
+    script = "import orbring.cli; print(orbring.cli._build_parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0\n"
+
+
+def test_in_process_calls_in_a_row_print_what_each_prints_alone(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
+    spec = str(corpus_path("s3-perm"))
+    sequence = [
+        ["ring", spec, "--dw", "--format", "json"],
+        ["ring", spec, "--theory", "virt"],
+        ["ring", spec, "--basis", "class", "--format", "json"],
+        ["inspect", spec, "--dw"],
+        ["ring", spec],
+        ["ring", spec, "--theory", "bogus"],
+        ["ring", spec, "--basis", "class", "--theory", "virt", "--dw"],
+        ["inspect", spec],
+        ["cotangent", spec],
+        ["ring", spec, "--format", "json"],
+    ]
+    for argv in sequence:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the bogus theory
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == run_alone(argv), argv
+
+
+def test_threads_share_the_parser():
+    specs = [str(corpus_path(name)) for name in CORPUS_NAMES]
+    argvs = [
+        ["ring", specs[0], "--theory", "virt", "--format", "json"],
+        ["ring", specs[1], "--basis", "class", "--dw"],
+        ["verify", specs[2], "--format", "json"],
+        ["verify", specs[3], "--dw"],
+        ["inspect", specs[4]],
+        ["inspect", specs[5], "--dw"],
+        ["cotangent", specs[6], "-o", "out.json"],
+        ["ring", specs[7]],
+    ]
+    parser = cli._build_parser()
+    expected = [vars(parser.parse_args(argv)) for argv in argvs]
+    assert len({json.dumps(e, default=str, sort_keys=True) for e in expected}) == len(argvs)
+    results = [[] for _ in argvs]
+    barrier = threading.Barrier(len(argvs))
+
+    def parse(i):
+        barrier.wait(timeout=30)
+        for _ in range(200):
+            results[i].append(vars(cli._build_parser().parse_args(argvs[i])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse, args=(i,)) for i in range(len(argvs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i, got in enumerate(results):
+        assert got == [expected[i]] * 200, argvs[i]
+
+
+# --- a closed standard output ---
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader is gone before the command writes anything, so the write or
+    # the flush inside main meets the closed pipe however small the output is
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbring.cli", "ring", str(corpus_path("z3-11")), "--format", "json"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        proc.stderr.close()
+    assert (code, err) == (141, b"")

@@ -1,5 +1,6 @@
 import copy
 import functools
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from orbring import (
     AlgebraReport,
     AxiomCheck,
     ConsistencyError,
+    InvariantRing,
     OrbifoldModel,
     OrbifoldSpec,
     SectorAlgebra,
@@ -576,6 +578,54 @@ def test_invariant_ring_json_shape():
     assert set(data) == {"theory", "basis", "degrees", "constants"}
     assert data["basis"][0] == "[e]"
     assert all(isinstance(v, str) for *_ignored, v in data["constants"])
+
+
+RENDER_GROUPS = [*CORPUS_NAMES, (4, 1, 2), (6, 2, 2), (2, 1, 3), (5, 1, 2), (3, 1, 3)]
+
+
+def dumped(ring):
+    """The reference text of a ring: its dict through json.dumps with indent=2."""
+    return json.dumps(ring.to_json_dict(), indent=2) + "\n"
+
+
+@functools.cache
+def render_model(group, forget):
+    if isinstance(group, str):
+        return corpus_model(group, forget=forget)
+    return OrbifoldModel(gmpn_spec(*group), forget_geometry=forget)
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometric", "dw"])
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize(
+    "group", RENDER_GROUPS, ids=lambda g: g if isinstance(g, str) else "G({},{},{})".format(*g)
+)
+def test_to_json_equals_json_dumps_of_to_json_dict(group, theory, forget):
+    alg = render_model(group, forget).algebra(theory)
+    assert alg.to_json() == dumped(alg)
+    inv = alg.invariant_ring()
+    assert inv.to_json() == dumped(inv)
+
+
+def test_to_json_renders_fraction_and_negative_constants():
+    alg = corpus_model("s3-perm").algebra(CR).with_constant(1, 2, Fraction(1, 2))
+    alg = alg.with_constant(2, 1, -1)
+    assert {alg.constant(1, 2), alg.constant(2, 1)} == {Fraction(1, 2), -1}
+    assert [1, 2, alg.table.mult(1, 2), "1/2"] in alg.to_json_dict()["constants"]
+    assert alg.to_json() == dumped(alg)
+
+
+def test_to_json_of_invariant_ring_without_constants():
+    # the label needs escaping and an escape to ASCII, as json.dumps does by default
+    inv = InvariantRing(
+        theory=VIRT,
+        labels=("[e]", '["\u00e9"]'),
+        class_sizes=(1, 1),
+        degrees=(Fraction(0), Fraction(-3, 2)),
+        constants={},
+    )
+    assert inv.to_json_dict()["constants"] == []
+    assert inv.to_json() == dumped(inv)
 
 
 def test_theory_tag_validated():
