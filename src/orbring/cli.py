@@ -23,6 +23,24 @@ EXIT_RESOURCE = 3
 EXIT_BROKEN_PIPE = 141
 
 
+def _emit(text: str) -> None:
+    """Write text to standard output, handing every byte to its byte layer.
+
+    Under PYTHONUNBUFFERED=1 that layer is a raw file that may take only part
+    of a write, and the text layer would drop the rest; writing it again makes
+    a pipe closed mid-write raise BrokenPipeError.
+    """
+    stdout = sys.stdout
+    if not hasattr(stdout, "buffer"):  # a text-only stream such as io.StringIO
+        stdout.write(text)
+        return
+    stdout.flush()
+    data = memoryview(text.encode(stdout.encoding, stdout.errors))
+    while data:
+        taken = stdout.buffer.write(data)
+        data = data[taken:]
+
+
 def _load(args: argparse.Namespace) -> OrbifoldSpec:
     return OrbifoldSpec.load(args.spec)
 
@@ -57,7 +75,7 @@ def _inspect_text(model: OrbifoldModel) -> str:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     model = OrbifoldModel(_load(args), forget_geometry=args.dw)
-    sys.stdout.write(_inspect_text(model))
+    _emit(_inspect_text(model))
     return EXIT_OK
 
 
@@ -65,17 +83,14 @@ def cmd_ring(args: argparse.Namespace) -> int:
     model = OrbifoldModel(_load(args), forget_geometry=args.dw)
     algebra = model.algebra(args.theory)
     ring = algebra.invariant_ring() if args.basis == "class" else algebra
-    if args.format == "json":
-        sys.stdout.write(ring.to_json())
-    else:
-        sys.stdout.write(ring.to_text())
+    _emit(ring.to_json() if args.format == "json" else ring.to_text())
     return EXIT_OK
 
 
 def cmd_cotangent(args: argparse.Namespace) -> int:
     doubled = cotangent_double(_load(args))
     if args.output is None:
-        sys.stdout.write(doubled.to_json())
+        _emit(doubled.to_json())
     else:
         doubled.save(args.output)
     return EXIT_OK
@@ -83,10 +98,7 @@ def cmd_cotangent(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_full_verification(_load(args), forget_geometry=args.dw)
-    if args.format == "json":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_text())
+    _emit(report.to_json() if args.format == "json" else report.to_text())
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
-from operator import mul, sub
+from operator import mul
 
 from ._record import Record
 from .errors import ConsistencyError, InputError
@@ -483,7 +483,7 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     exact reductions, each equivalent to the |G|^3 scan it replaces (proofs
     in _frobenius_reduced, _equivariance_by_generators and
     _associativity_reduced), and each pass reports the scan's lex-first
-    counterexample itself.  Grading is checked a row at a time on ints, and
+    counterexample itself.  Grading is checked in one pass on ints, and
     nondegeneracy in O(|G|) on inverse_index (_nondegeneracy_by_inverses).
     The tests compare this report against the |G|^3 and per-pair scans of
     the tests' support module.
@@ -629,29 +629,25 @@ def _triple_payload(alg: SectorAlgebra, g: int, h: int, k: int, lhs, rhs) -> dic
 
 
 def _grading_by_rows(alg: SectorAlgebra) -> AxiomCheck:
-    """Grading: deg g + deg h = deg gh wherever c[g][h] is nonzero, a row at a time.
+    """Grading: deg g + deg h = deg gh wherever c[g][h] is nonzero, in one pass.
 
-    The degrees are scaled to ints over their common denominator.  For row
-    g, the differences deg gh - deg g - deg h are formed at C level and
-    multiplied by the row's constants, so a nonzero product marks exactly a
-    failing pair; the first one is reported.
+    The degrees are scaled to ints over their common denominator, and the
+    pairs are visited in row order, so the first failing pair is reported.
     """
     scale = math.lcm(*(d.denominator for d in alg.degrees))
     degrees = [d.numerator * (scale // d.denominator) for d in alg.degrees]
     for g, row in enumerate(alg.constants):
-        products = alg.table.row(g)
-        gaps = tuple(map(sub, _gatherer(products)(degrees), map(degrees[g].__add__, degrees)))
-        if any(map(mul, row, gaps)):
-            h = next(h for h, (c, gap) in enumerate(zip(row, gaps)) if c and gap)
-            return AxiomCheck(
-                "grading",
-                False,
-                {
-                    "pair": [alg.labels[g], alg.labels[h]],
-                    "degree_sum": str(alg.degrees[g] + alg.degrees[h]),
-                    "product_degree": str(alg.degrees[products[h]]),
-                },
-            )
+        for h, (c, gh) in enumerate(zip(row, alg.table.row(g))):
+            if c and degrees[gh] != degrees[g] + degrees[h]:
+                return AxiomCheck(
+                    "grading",
+                    False,
+                    {
+                        "pair": [alg.labels[g], alg.labels[h]],
+                        "degree_sum": str(alg.degrees[g] + alg.degrees[h]),
+                        "product_degree": str(alg.degrees[gh]),
+                    },
+                )
     return AxiomCheck("grading", True)
 
 

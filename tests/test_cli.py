@@ -432,18 +432,35 @@ def test_threads_share_the_parser():
 
 # --- a closed standard output ---
 
-def test_closed_stdout_exits_141_without_a_traceback():
-    # the reader is gone before the command writes anything, so the write or
-    # the flush inside main meets the closed pipe however small the output is
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("mid_write", [False, True], ids=["closed-first", "mid-write"])
+def test_closed_stdout_exits_141_without_a_traceback(mid_write, unbuffered, tmp_path):
+    # closed first: the reader is gone before the command writes anything, so
+    # the write or the flush inside main meets the closed pipe however small
+    # the output is.  Mid-write: the G(3,1,3) sector ring is about 180 KiB of
+    # JSON, more than a pipe holds, so the write is still under way when the
+    # reader closes the pipe after one byte; unbuffered, the raw file takes
+    # only part of that write.
+    if mid_write:
+        spec = tmp_path / "g313.json"
+        gmpn_spec(3, 1, 3).save(spec)
+    else:
+        spec = corpus_path("z3-11")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     proc = subprocess.Popen(
-        [sys.executable, "-m", "orbring.cli", "ring", str(corpus_path("z3-11")), "--format", "json"],
+        [sys.executable, "-m", "orbring.cli", "ring", str(spec), "--format", "json"],
         env=env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
-    proc.stdout.close()
+    try:
+        if mid_write:
+            assert len(proc.stdout.read(1)) == 1
+    finally:
+        proc.stdout.close()
     try:
         err = proc.stderr.read()
         code = proc.wait(timeout=60)

@@ -1,0 +1,118 @@
+"""Class rings against closed forms from the literature, computed without orbring.
+
+The paper's theorem says the virtual ring of [C^n/G] is the Chen-Ruan ring
+of its cotangent double.  For symmetric and wreath-product groups both sides
+have closed forms in the literature, which read only cycle types and
+partitions.  Each oracle here is computed from those alone, so a fault shared
+by the fast paths and the per-pair scans of support cannot hide from it.
+"""
+
+import itertools
+from collections import Counter
+
+import pytest
+
+from orbring import CR, VIRT, OrbifoldModel, OrbifoldSpec
+from support import gmpn_spec
+
+
+def symmetric_spec(n):
+    """S_n permuting the coordinates of C^n, generated by adjacent transpositions."""
+    gens = []
+    for i in range(n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        gens.append({"perm": perm, "phases": ["0"] * n})
+    return OrbifoldSpec.from_dict({"name": f"S{n}", "dimension": n, "generators": gens})
+
+
+def cycle_type(perm):
+    """Cycle lengths of a permutation of 0..len(perm)-1, longest first."""
+    seen = set()
+    lengths = []
+    for start in range(len(perm)):
+        length = 0
+        i = start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def lehn_sorger(n):
+    """The graded class algebra of Lehn and Sorger (Duke 2001) for S_n.
+
+    With l(s) = n - #cycles(s) and one representative z_c per class c,
+      N_abc = #{s in C_a : t = s^-1 z_c in C_b, l(s) + l(t) = l(z_c)},
+    and the class of cycle type L has degree 2 l = 2 (n - len(L)).  Returns
+    (degrees, constants), keyed by cycle types.
+    """
+    perms = list(itertools.permutations(range(n)))
+    types = {p: cycle_type(p) for p in perms}
+    representatives = {}
+    for p in perms:
+        representatives.setdefault(types[p], p)
+    constants = Counter()
+    for type_c, z in representatives.items():
+        for s in perms:
+            inverse = [0] * n
+            for i, j in enumerate(s):
+                inverse[j] = i
+            t = tuple(inverse[z[i]] for i in range(n))
+            if len(types[s]) + len(types[t]) == n + len(type_c):
+                constants[types[s], types[t], type_c] += 1
+    degrees = {lam: 2 * (n - len(lam)) for lam in representatives}
+    return degrees, dict(constants)
+
+
+def keyed_by_cycle_type(model, ring, n):
+    """(degrees, constants) of a class ring, each class keyed by its cycle type on C^n."""
+    part = model.table.conjugacy_classes()
+    key = [cycle_type(model.table.elements[rep].perm[:n]) for rep in part.representatives]
+    degrees = dict(zip(key, ring.degrees))
+    constants = {(key[a], key[b], key[c]): v for (a, b, c), v in ring.constants.items()}
+    return degrees, constants
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_symmetric_class_rings_are_the_lehn_sorger_algebra(n):
+    model = OrbifoldModel(symmetric_spec(n))
+    doubled = model.cotangent_model()
+    expected = lehn_sorger(n)
+    virt = model.algebra(VIRT).invariant_ring()
+    cr_doubled = doubled.algebra(CR).invariant_ring()
+    assert keyed_by_cycle_type(model, virt, n) == expected
+    assert keyed_by_cycle_type(doubled, cr_doubled, n) == expected
+
+
+def goettsche_degrees(m, n):
+    """Degrees of the q^n coefficient of Goettsche's product, with multiplicity.
+
+    The product is prod_k 1 / ((1 - t^(2k-2) q^k) (1 - t^(2k) q^k)^(m-1)),
+    the Poincare series of the Hilbert schemes of points on the resolved
+    C^2/Z_m (Goettsche 1990; Fantechi and Goettsche, Duke 2003).  The series
+    is held as one Counter of t powers per power of q up to q^n.
+    """
+    series = [Counter() for _ in range(n + 1)]
+    series[0][0] = 1
+    for k in range(1, n + 1):
+        for t_power, times in ((2 * k - 2, 1), (2 * k, m - 1)):
+            for _ in range(times):
+                # dividing by 1 - t^a q^k: in ascending powers of q, each
+                # coefficient takes t^a times the already-divided one k below
+                for q in range(k, n + 1):
+                    for power, count in series[q - k].items():
+                        series[q][power + t_power] += count
+    return series[n]
+
+
+@pytest.mark.parametrize(
+    "m, n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (2, 4), (5, 3)]
+)
+def test_wreath_class_degrees_follow_goettsche(m, n):
+    doubled = OrbifoldModel(gmpn_spec(m, 1, n)).cotangent_model()
+    ring = doubled.algebra(CR).invariant_ring()
+    assert Counter(ring.degrees) == goettsche_degrees(m, n)
