@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, itemgetter, mod
 
 from ._record import Record
@@ -222,7 +222,21 @@ class GroupTable:
         dimension: int,
         cap: int = DEFAULT_GROUP_ORDER_CAP,
     ) -> "GroupTable":
-        """Breadth-first closure of the generators, run on their integer codes."""
+        """Breadth-first closure of the generators, run on their integer codes.
+
+        Right products share one gather per element.  x*s applies s first:
+        e_j goes to the point c = a*n + k of s's code, and x sends that point
+        to its image x[k] + a*n mod n*conductor (x turns zeta^a e_k into
+        zeta^a times its image of e_k).  So every x*s is a gather from x's
+        images of the sorted union of the points the generators' codes hit,
+        computed once per element.  The union has at most n points per
+        generator, so this is never more work than n images per generator.
+
+        Left products come from the search's parents.  If x was found as p*t,
+        t = gens[k], then s*x = s*(p*t) = (s*p)*t, so left_s[x] =
+        right_k[left_s[p]].  Each parent precedes its child, so left_s fills
+        in index order from left_s[0] = s, one list lookup per entry.
+        """
         if dimension > DIMENSION_CAP:
             raise ResourceCapError(f"dimension {dimension} exceeds the cap {DIMENSION_CAP}")
         if type(cap) is not int or cap < 1:
@@ -250,11 +264,12 @@ class GroupTable:
                   for k, p in zip(g.perm, g.phases))
             for g in gens
         ]
-        # x*s applies s first: e_j -> zeta^a e_k (code a*n + k) -> x's image of
-        # e_k turned by zeta^a, that is x's code at k plus a*n, mod n*conductor.
-        picks = [_gatherer(tuple(c % n for c in code)) for code in gen_codes]
-        shifts = [tuple(c - c % n for c in code) for code in gen_codes]
+        hit = sorted(set().union(*gen_codes))
+        pick = _gatherer(tuple(c % n for c in hit))
+        shift = tuple(c - c % n for c in hit)
         moduli = repeat(points)
+        position = {c: q for q, c in enumerate(hit)}
+        gathers = [_gatherer(tuple(map(position.__getitem__, code))) for code in gen_codes]
 
         identity = tuple(range(n))
         codes: list[tuple[int, ...]] = [identity]
@@ -264,9 +279,9 @@ class GroupTable:
         # the queue of the breadth-first search is codes[i:], in index order
         i = 0
         while i < len(codes):
-            x = codes[i]
-            for gpos, (pick, shift) in enumerate(zip(picks, shifts)):
-                y = tuple(map(mod, map(add, pick(x), shift), moduli))
+            images = tuple(map(mod, map(add, pick(codes[i]), shift), moduli))
+            for gpos, gather in enumerate(gathers):
+                y = gather(images)
                 j = code_index.get(y)
                 if j is None:
                     if len(codes) >= cap:
@@ -281,12 +296,12 @@ class GroupTable:
             i += 1
 
         inverse_index = tuple(code_index[_invert(code, n, conductor)] for code in codes)
-        # s*x sends e_j to s's image of x's point codes[x][j]; tabulate s on
-        # all n*conductor points once
         left = []
         for code in gen_codes:
-            image = [(code[k] + a * n) % points for a in range(conductor) for k in range(n)]
-            left.append([code_index[tuple(map(image.__getitem__, x))] for x in codes])
+            products = [code_index[code]]
+            for p, k in islice(parent_gen, 1, None):
+                products.append(right[k][products[p]])
+            left.append(products)
 
         return cls(
             dimension=dimension,
@@ -377,16 +392,16 @@ class GroupTable:
     def generator_conjugations(self) -> tuple[tuple[int, ...], ...]:
         """For each generator s, the permutation x -> index of s^-1 x s.
 
-        left_s (x -> s x) is a bijection of G whose inverse permutation is
-        left multiplication by s^-1.  So right_s[left_s^-1[x]] = (s^-1 x) s,
-        and each table is two lookups per element, with no products formed.
+        If x = s*y, then s^-1 x s = y*s.  As y runs over G, x = left_s[y]
+        runs over G too, so conj[left_s[y]] = right_s[y] fills each table in
+        one scatter, with no products formed and no inverse permutation.
         """
         tables = []
         for right, left in zip(self._right, self._left):
-            left_inverse = [0] * self.order
-            for x, y in enumerate(left):
-                left_inverse[y] = x
-            tables.append(tuple(map(right.__getitem__, left_inverse)))
+            conj = [0] * self.order
+            for x, y_s in zip(left, right):
+                conj[x] = y_s
+            tables.append(tuple(conj))
         return tuple(tables)
 
     def conjugacy_classes(self) -> ConjugacyPartition:

@@ -183,13 +183,25 @@ class SectorGeometry:
         return ages, fixed, ids, representatives
 
     def sector(self, i: int) -> SectorData:
-        """Age, fixed dimension and degree shifts of element i, from the arrays.
+        """Age, fixed dimension and degree shifts of element i.
 
-        The virtual shift is twice the codimension and the cr shift twice
-        the age.
+        Read from the arrays once they exist, so a change to ages or fixed
+        shows here.  Before that, one walk of table.cycles(i) gives the same
+        numbers by the sums of _element_arrays, and builds no array: inspect
+        reads only the class representatives.  The virtual shift is twice
+        the codimension and the cr shift twice the age.
         """
-        age = Fraction(self.ages[i], self.scale)
-        dim = self.fixed[i]
+        arrays = self.__dict__.get("_element_arrays")
+        if arrays is not None:
+            age, dim = arrays[0][i], arrays[1][i]
+        elif self.forget:
+            age = dim = 0
+        else:
+            modulus = self.table.conductor
+            cycles = self.table.cycles(i)
+            age = sum(2 * s + (length - 1) * modulus for length, s in cycles)
+            dim = sum(not s for _length, s in cycles)
+        age = Fraction(age, self.scale)
         return SectorData(age, dim, 2 * (self.n - dim), 2 * age)
 
     def trace(self, i: int) -> CyclotomicNumber:

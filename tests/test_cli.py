@@ -174,6 +174,16 @@ def test_inspect_builds_one_row_per_class_and_decodes_no_element(family):
     assert "elements" not in table.__dict__ and "index" not in table.__dict__
 
 
+@pytest.mark.parametrize("dw", [False, True], ids=["geometric", "dw"])
+@pytest.mark.parametrize("family", [(3, 1, 3), (2, 1, 4)], ids=lambda f: "G({},{},{})".format(*f))
+def test_inspect_walks_only_class_representatives(family, dw):
+    # the per-element age, fixed-dimension and subspace-id arrays stay unbuilt
+    model = OrbifoldModel(gmpn_spec(*family), forget_geometry=dw)
+    cli._inspect_text(model)
+    assert "_element_arrays" not in model.geometry.__dict__
+    assert built_rows(model.table) == [0]
+
+
 def test_inspect_s3(capsys):
     code, out, _err = run(capsys, "inspect", str(corpus_path("s3-perm")))
     assert code == 0

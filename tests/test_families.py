@@ -39,6 +39,23 @@ def test_order_and_solomon_polynomial(family):
     assert counts == solomon_polynomial(m, p, n)
 
 
+@pytest.mark.parametrize("family", [(2, 1, 5), (4, 1, 4)], ids=lambda f: "G({},{},{})".format(*f))
+def test_inspect_table_sums_to_order_and_solomon_polynomial(family):
+    # read back from the printed per-class rows: class size and fixed_dim
+    m, p, n = family
+    text = cli._inspect_text(OrbifoldModel(gmpn_spec(m, p, n)))
+    lines = text.splitlines()
+    assert lines[2] == f"group order: {m**n * math.factorial(n) // p}"
+    header = lines[4].split()
+    size, fixed_dim = header.index("size"), header.index("fixed_dim")
+    counts = [0] * (n + 1)
+    for line in lines[5:]:
+        cells = line.split()
+        counts[int(cells[fixed_dim])] += int(cells[size])
+    assert len(lines[5:]) == int(lines[3].removeprefix("conjugacy classes: "))
+    assert counts == solomon_polynomial(m, p, n)
+
+
 def test_g313_full_verification_passes():
     report = run_full_verification(gmpn_spec(3, 1, 3))
     assert report.all_passed, [c for c in report.checks if not c.passed]

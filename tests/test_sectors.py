@@ -133,12 +133,12 @@ def assert_arrays_match_eigen_phases(model):
         assert geometry.fixed[i] == sum(1 for p in eigen if p == zp(0)), i
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [corpus_spec(name) for name in CORPUS_NAMES]
-    + [gmpn_spec(4, 1, 2), gmpn_spec(6, 2, 2), gmpn_spec(2, 1, 3), gmpn_spec(3, 1, 3)],
-    ids=lambda spec: spec.name,
-)
+SECTOR_SPECS = [corpus_spec(name) for name in CORPUS_NAMES] + [
+    gmpn_spec(4, 1, 2), gmpn_spec(6, 2, 2), gmpn_spec(2, 1, 3), gmpn_spec(5, 1, 2), gmpn_spec(3, 1, 3)
+]
+
+
+@pytest.mark.parametrize("spec", SECTOR_SPECS, ids=lambda spec: spec.name)
 def test_sector_arrays_match_eigen_phases(spec):
     model = OrbifoldModel(spec)
     assert_arrays_match_eigen_phases(model)
@@ -156,6 +156,32 @@ def test_sector_arrays_match_eigen_phases_on_random_groups(generated):
         assume(False)
     assert_arrays_match_eigen_phases(model)
     assert_arrays_match_eigen_phases(model.cotangent_model())
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometric", "dw"])
+@pytest.mark.parametrize("spec", SECTOR_SPECS, ids=lambda spec: spec.name)
+def test_sector_from_cycles_equals_sector_from_arrays(spec, forget):
+    # before the arrays exist, sector(i) walks the cycles of element i alone
+    original = OrbifoldModel(spec, forget_geometry=forget)
+    for model in (original, original.cotangent_model()):
+        geometry = model.geometry
+        walked = [geometry.sector(i) for i in range(model.order)]
+        assert "_element_arrays" not in geometry.__dict__
+        geometry.ages  # builds the arrays
+        assert walked == [geometry.sector(i) for i in range(model.order)]
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometric", "dw"])
+def test_sector_reads_a_bumped_age_once_the_arrays_exist(forget):
+    geometry = OrbifoldModel(gmpn_spec(2, 1, 3), forget_geometry=forget).geometry
+    g = 5
+    before = geometry.sector(g)
+    geometry.ages[g] += 1
+    geometry.fixed[g] += 1
+    after = geometry.sector(g)
+    assert after.age == before.age + Fraction(1, geometry.scale)
+    assert after.fixed_dim == before.fixed_dim + 1
+    assert after.virtual_shift == before.virtual_shift - 2
 
 
 def test_forget_geometry_arrays_are_zero_over_one():
