@@ -1,11 +1,14 @@
 """The shared base of the package's immutable value records.
 
-Each record lists its fields in __slots__ and writes its own __init__, which
-takes them in that order, validates, normalises and stores through
-object.__setattr__; assignment and deletion afterwards raise AttributeError.
-Equality, hashing, repr, copying and pickling are derived here from the
-fields in __slots__ order, so the package needs no class decorator that
-generates code at import time.
+Each record lists its fields in __slots__, and Record.__init__ stores them
+in that order, given by position or by name; assignment and deletion
+afterwards raise AttributeError.  Records that only store take that __init__
+(AxiomCheck passes its counterexample=None default on to it).  RationalPhase,
+MonomialMap, OrbifoldSpec and CyclotomicNumber validate and normalise in
+their own __init__, which takes the fields in the same order and stores
+through object.__setattr__.  Equality, hashing, repr, copying and pickling
+are derived here from the fields in __slots__ order, so the package needs no
+class decorator that generates code at import time.
 """
 
 from __future__ import annotations
@@ -32,6 +35,19 @@ class Record:
         # and hashes field-wise; __reduce__ wraps it in a tuple
         cls._fields = attrgetter(*names)
         cls._repr_names = tuple(name for name in names if name not in repr_omit)
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named and named.keys() == set(names[len(values):]):
+            # popping every name empties named, which marks them all taken
+            values += tuple(map(named.pop, names[len(values):]))
+        if len(values) != len(names) or named:
+            raise TypeError(
+                f"{type(self).__name__} takes the fields {', '.join(names)} once each, "
+                "by position or by name"
+            )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -34,19 +34,9 @@ __all__ = [
 class CheckResult(Record):
     __slots__ = ("name", "passed", "counterexample", "millis")
 
-    def __init__(self, name: str, passed: bool, counterexample: dict | None, millis: float):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "counterexample", counterexample)
-        object.__setattr__(self, "millis", millis)
-
 
 class VerificationReport(Record):
     __slots__ = ("spec_name", "checks")
-
-    def __init__(self, spec_name: str, checks: tuple[CheckResult, ...]):
-        object.__setattr__(self, "spec_name", spec_name)
-        object.__setattr__(self, "checks", checks)
 
     @property
     def all_passed(self) -> bool:

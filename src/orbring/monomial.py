@@ -125,28 +125,22 @@ class ConjugacyPartition(Record):
 
     __slots__ = ("classes", "representatives", "class_of")
 
-    def __init__(
-        self,
-        classes: tuple[tuple[int, ...], ...],
-        representatives: tuple[int, ...],
-        class_of: tuple[int, ...],
-    ):
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "representatives", representatives)
-        object.__setattr__(self, "class_of", class_of)
-
     def __len__(self) -> int:
         return len(self.classes)
 
 
-def _gatherer(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """C-level gather: seq -> tuple(seq[i] for i in indices)."""
+def _gatherer(indices: Sequence[int]) -> Callable[[tuple], tuple]:
+    """C-level gather: seq -> tuple(seq[i] for i in indices), for a tuple seq.
+
+    itemgetter of one index returns the bare item, so one index or none
+    becomes a slice, which gives a tuple from a tuple and, unlike a lambda,
+    pickles with the table that keeps it.
+    """
     if len(indices) == 1:
-        # itemgetter with a single index returns the bare item, not a 1-tuple
         (i,) = indices
-        return lambda seq: (seq[i],)
+        return itemgetter(slice(i, i + 1))
     if not indices:
-        return lambda seq: ()
+        return itemgetter(slice(0, 0))
     return itemgetter(*indices)
 
 

@@ -20,7 +20,7 @@ from operator import mul
 
 from ._record import Record
 from .errors import ConsistencyError, InputError
-from .monomial import GroupTable, _gatherer
+from .monomial import _gatherer
 from .orbifold import OrbifoldSpec, cotangent_double
 from .sectors import SectorData, SectorGeometry
 
@@ -198,7 +198,58 @@ class OrbifoldModel:
         return self._cotangent
 
 
-class SectorAlgebra(Record, repr_omit=("table",)):
+_RING_JSON = '{\n  "theory": %s,\n  "basis": %s,\n  "degrees": %s,\n  "constants": %s\n}\n'
+_ENTRY_JSON = "\n    [\n      %d,\n      %d,\n      %d,\n      %s\n    ]"
+
+
+class _Ring:
+    """The members the two rings share: identity comparison, order and JSON.
+
+    A ring lists one basis label and one degree per basis element, and yields
+    its nonzero constants as (a, b, c, value) from _nonzero_entries.
+    """
+
+    __slots__ = ()
+    __eq__ = object.__eq__  # compared by identity
+    __hash__ = object.__hash__
+
+    @property
+    def order(self) -> int:
+        return len(self.labels)
+
+    def to_json_dict(self) -> dict:
+        return {
+            "theory": self.theory,
+            "basis": list(self.labels),
+            "degrees": [str(d) for d in self.degrees],
+            "constants": [[a, b, c, str(v)] for a, b, c, v in self._nonzero_entries()],
+        }
+
+    def to_json(self) -> str:
+        """json.dumps(self.to_json_dict(), indent=2) plus a newline, written directly.
+
+        CPython's C encoder runs only when indent is None, so json.dumps with
+        an indent renders every entry in pure Python; here each entry
+        (a, b, c, value) is one % format instead.  Strings are escaped by the
+        encoder's own ensure_ascii function.
+        """
+
+        def strings(items) -> str:
+            body = ",\n    ".join(map(_quote, items))
+            return "[\n    " + body + "\n  ]" if body else "[]"
+
+        constants = ",".join(
+            _ENTRY_JSON % (a, b, c, _quote(str(v))) for a, b, c, v in self._nonzero_entries()
+        )
+        return _RING_JSON % (
+            _quote(self.theory),
+            strings(self.labels),
+            strings(map(str, self.degrees)),
+            "[" + constants + "\n  ]" if constants else "[]",
+        )
+
+
+class SectorAlgebra(_Ring, Record, repr_omit=("table",)):
     """Group-graded algebra on one generator x_g per sector.
 
     Carries the degree map, the 0/1 structure constants, the normalized sector
@@ -214,26 +265,6 @@ class SectorAlgebra(Record, repr_omit=("table",)):
     """
 
     __slots__ = ("theory", "table", "degrees", "constants", "labels")
-    __eq__ = object.__eq__  # compared by identity
-    __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        theory: str,
-        table: GroupTable,
-        degrees: tuple[Fraction, ...],
-        constants: tuple[tuple[int | Fraction, ...], ...],
-        labels: tuple[str, ...],
-    ):
-        object.__setattr__(self, "theory", theory)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def order(self) -> int:
-        return len(self.degrees)
 
     def constant(self, g: int, h: int) -> int | Fraction:
         return self.constants[g][h]
@@ -325,18 +356,6 @@ class SectorAlgebra(Record, repr_omit=("table",)):
             for h in compress(indices, row):
                 yield g, h, products[h], row[h]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "theory": self.theory,
-            "basis": list(self.labels),
-            "degrees": [str(d) for d in self.degrees],
-            "constants": [[g, h, gh, str(c)] for g, h, gh, c in self._nonzero_entries()],
-        }
-
-    def to_json(self) -> str:
-        """json.dumps(self.to_json_dict(), indent=2) plus a newline, written directly."""
-        return _ring_json(self.theory, self.labels, self.degrees, self._nonzero_entries())
-
     def to_text(self) -> str:
         width = max(max(len(s) for s in self.labels), len("sector"))
         cell = max(len(s) for s in self.labels)
@@ -354,30 +373,10 @@ class SectorAlgebra(Record, repr_omit=("table",)):
         return "\n".join(lines) + "\n"
 
 
-class InvariantRing(Record):
+class InvariantRing(_Ring, Record):
     """The conjugation-invariant subring on the class-sum basis."""
 
     __slots__ = ("theory", "labels", "class_sizes", "degrees", "constants")
-    __eq__ = object.__eq__  # compared by identity
-    __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        theory: str,
-        labels: tuple[str, ...],
-        class_sizes: tuple[int, ...],
-        degrees: tuple[Fraction, ...],
-        constants: dict[tuple[int, int, int], int | Fraction],
-    ):
-        object.__setattr__(self, "theory", theory)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "class_sizes", class_sizes)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "constants", constants)
-
-    @property
-    def order(self) -> int:
-        return len(self.labels)
 
     def constant(self, a: int, b: int, c: int) -> int | Fraction:
         return self.constants.get((a, b, c), 0)
@@ -385,18 +384,6 @@ class InvariantRing(Record):
     def _nonzero_entries(self):
         """(a, b, c, v) for every stored coefficient v of y_c in y_a * y_b, in key order."""
         return ((a, b, c, v) for (a, b, c), v in sorted(self.constants.items()))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theory": self.theory,
-            "basis": list(self.labels),
-            "degrees": [str(d) for d in self.degrees],
-            "constants": [[a, b, c, str(v)] for a, b, c, v in self._nonzero_entries()],
-        }
-
-    def to_json(self) -> str:
-        """json.dumps(self.to_json_dict(), indent=2) plus a newline, written directly."""
-        return _ring_json(self.theory, self.labels, self.degrees, self._nonzero_entries())
 
     def to_text(self) -> str:
         width = max(max(len(s) for s in self.labels), len("class"))
@@ -417,48 +404,15 @@ class InvariantRing(Record):
         return "\n".join(lines) + "\n"
 
 
-_RING_JSON = '{\n  "theory": %s,\n  "basis": %s,\n  "degrees": %s,\n  "constants": %s\n}\n'
-_ENTRY_JSON = "\n    [\n      %d,\n      %d,\n      %d,\n      %s\n    ]"
-
-
-def _ring_json(theory: str, basis, degrees, entries) -> str:
-    """The text json.dumps gives a ring's to_json_dict with indent=2, plus a newline.
-
-    CPython's C encoder runs only when indent is None, so json.dumps with an
-    indent renders every entry in pure Python; here each entry
-    (row, column, product, value) is one % format instead.  Strings are
-    escaped by the encoder's own ensure_ascii function.
-    """
-
-    def strings(items) -> str:
-        body = ",\n    ".join(map(_quote, items))
-        return "[\n    " + body + "\n  ]" if body else "[]"
-
-    constants = ",".join(
-        _ENTRY_JSON % (a, b, c, _quote(str(v))) for a, b, c, v in entries
-    )
-    return _RING_JSON % (
-        _quote(theory),
-        strings(basis),
-        strings(map(str, degrees)),
-        "[" + constants + "\n  ]" if constants else "[]",
-    )
-
-
 class AxiomCheck(Record):
     __slots__ = ("name", "passed", "counterexample")
 
     def __init__(self, name: str, passed: bool, counterexample: dict | None = None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "counterexample", counterexample)
+        super().__init__(name, passed, counterexample)
 
 
 class AlgebraReport(Record):
     __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[AxiomCheck, ...]):
-        object.__setattr__(self, "checks", checks)
 
     @property
     def passed(self) -> bool:

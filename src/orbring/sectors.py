@@ -65,12 +65,6 @@ class SectorData(Record):
 
     __slots__ = ("age", "fixed_dim", "virtual_shift", "cr_shift")
 
-    def __init__(self, age: Fraction, fixed_dim: int, virtual_shift: int, cr_shift: Fraction):
-        object.__setattr__(self, "age", age)
-        object.__setattr__(self, "fixed_dim", fixed_dim)
-        object.__setattr__(self, "virtual_shift", virtual_shift)
-        object.__setattr__(self, "cr_shift", cr_shift)
-
 
 class SectorGeometry:
     """Cached per-element and per-pair geometry over a closed group.

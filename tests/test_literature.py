@@ -3,16 +3,21 @@
 The paper's theorem says the virtual ring of [C^n/G] is the Chen-Ruan ring
 of its cotangent double.  For symmetric and wreath-product groups both sides
 have closed forms in the literature, which read only cycle types and
-partitions.  Each oracle here is computed from those alone, so a fault shared
-by the fast paths and the per-pair scans of support cannot hide from it.
+partitions; for diagonal groups they read only each element's phases.  Each
+oracle here is computed from those alone, so a fault shared by the fast paths
+and the per-pair scans of support cannot hide from it.
 """
 
 import itertools
+import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbring import CR, VIRT, OrbifoldModel, OrbifoldSpec
+from orbring import CR, VIRT, OrbifoldModel, OrbifoldSpec, sector_bijection
 from support import gmpn_spec
 
 
@@ -116,3 +121,81 @@ def test_wreath_class_degrees_follow_goettsche(m, n):
     doubled = OrbifoldModel(gmpn_spec(m, 1, n)).cotangent_model()
     ring = doubled.algebra(CR).invariant_ring()
     assert Counter(ring.degrees) == goettsche_degrees(m, n)
+
+
+def diagonal_spec(generators):
+    """The group of diagonal maps on C^n generated by the given phase vectors (Fractions)."""
+    n = len(generators[0])
+    gens = [{"perm": list(range(n)), "phases": [str(a) for a in phases]} for phases in generators]
+    return OrbifoldSpec.from_dict({"name": "diagonal", "dimension": n, "generators": gens})
+
+
+def diagonal_closure(generators):
+    """Every phase vector a(g) in [0, 1)^n of the group, from the generators' powers alone."""
+    orders = [math.lcm(*(a.denominator for a in phases)) for phases in generators]
+    n = len(generators[0])
+    return {
+        tuple(sum((e * phases[i] for e, phases in zip(powers, generators)), Fraction(0)) % 1
+              for i in range(n))
+        for powers in itertools.product(*map(range, orders))
+    }
+
+
+def phase_vector(element):
+    return tuple(Fraction(p.numerator, p.denominator) for p in element.phases)
+
+
+def cr_rule(a, b):
+    """Borisov-Chen-Smith for one cone with the divisor classes set to zero: no coordinate wraps."""
+    return int(all(x + y < 1 for x, y in zip(a, b)))
+
+
+def virt_rule(a, b):
+    """No coordinate moved by both factors."""
+    return int(not any(x and y for x, y in zip(a, b)))
+
+
+def assert_toric_rules(generators):
+    """Both sector rings, and the doubled cr ring, against the phase rules of each pair."""
+    model = OrbifoldModel(diagonal_spec(generators))
+    doubled = model.cotangent_model()
+    vectors = [phase_vector(element) for element in model.table.elements]
+    assert set(vectors) == diagonal_closure(generators)
+    doubled_index = {phase_vector(e): i for i, e in enumerate(doubled.table.elements)}
+    image = [doubled_index[a + tuple(-x % 1 for x in a)] for a in vectors]
+    assert tuple(image) == sector_bijection(model.table, doubled.table)
+    cr, virt = model.algebra(CR).constants, model.algebra(VIRT).constants
+    cr_doubled = doubled.algebra(CR).constants
+    for g, a in enumerate(vectors):
+        for h, b in enumerate(vectors):
+            assert cr[g][h] == cr_rule(a, b), (a, b)
+            assert virt[g][h] == virt_rule(a, b), (a, b)
+            assert cr_doubled[image[g]][image[h]] == virt_rule(a, b), (a, b)
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_cyclic_groups_on_the_line_follow_the_toric_rules(N):
+    assert_toric_rules([(Fraction(1, N),)])
+
+
+def test_z2_times_z4_follows_the_toric_rules():
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    assert_toric_rules([(half, half, Fraction(0)), (quarter, Fraction(0), 3 * quarter)])
+
+
+@st.composite
+def diagonal_generators(draw):
+    """At most 2 generators on C^n, n <= 4, each with phases k/N for one N <= 12."""
+    n = draw(st.integers(1, 4))
+    generators = []
+    for _ in range(draw(st.integers(1, 2))):
+        N = draw(st.integers(1, 12))
+        numerators = draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
+        generators.append(tuple(Fraction(k, N) for k in numerators))
+    return generators
+
+
+@given(diagonal_generators())
+@settings(max_examples=40, deadline=None)
+def test_diagonal_groups_follow_the_toric_rules(generators):
+    assert_toric_rules(generators)

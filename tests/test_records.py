@@ -4,6 +4,7 @@ repr, copying and pickling."""
 import copy
 import pickle
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -17,6 +18,7 @@ from orbring import (
     CyclotomicNumber,
     InvariantRing,
     MonomialMap,
+    OrbifoldModel,
     OrbifoldSpec,
     RationalPhase,
     SectorAlgebra,
@@ -41,6 +43,8 @@ FIELDS = {
 BY_IDENTITY = (SectorAlgebra, InvariantRing)  # compared like any object, by identity
 UNHASHABLE = (CheckResult, VerificationReport)  # a counterexample is a dict
 BY_VALUE = [cls for cls in FIELDS if cls not in BY_IDENTITY]
+VALIDATING = (RationalPhase, MonomialMap, OrbifoldSpec)  # each writes its own __init__
+BASE_INIT = [cls for cls in FIELDS if cls not in VALIDATING]
 
 HALF = RationalPhase(1, 2)
 SWAP = MonomialMap((1, 0), (RationalPhase(0), HALF))
@@ -63,6 +67,12 @@ def make(cls):
         CheckResult: lambda: check,
         VerificationReport: lambda: VerificationReport(spec_name="swap", checks=(check,)),
     }[cls]()
+
+
+def order_one_algebra():
+    """The cr algebra of a spec that lists only the identity: its table's gathers take one index."""
+    spec = {"name": "t", "dimension": 2, "generators": [{"perm": [0, 1], "phases": ["0", "0"]}]}
+    return OrbifoldModel(OrbifoldSpec.from_dict(spec)).algebra(CR)
 
 
 def fields_of(record):
@@ -91,6 +101,22 @@ def test_positional_and_keyword_constructors_agree(cls):
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(FIELDS[cls], values)))
     assert fields_of(by_position) == fields_of(by_keyword) == values
+
+
+@pytest.mark.parametrize("cls", BASE_INIT, ids=name_of)
+def test_base_constructor_names_the_class_on_misfit_arguments(cls):
+    values = fields_of(make(cls))
+    by_name = dict(zip(FIELDS[cls], values))
+    missing = {name: by_name[name] for name in FIELDS[cls][1:]}
+    calls = [
+        lambda: cls(**missing),
+        lambda: cls(*values, unknown=None),
+        lambda: cls(values[0], **by_name),
+        lambda: cls(*values, None),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match=cls.__name__):
+            call()
 
 
 @pytest.mark.parametrize("cls", BY_VALUE, ids=name_of)
@@ -150,9 +176,13 @@ def test_repr_lists_fields_and_leaves_out_the_table():
     assert f"labels={alg.labels!r})" in text
 
 
-@pytest.mark.parametrize("cls", FIELDS, ids=name_of)
-def test_copy_and_pickle_give_equal_records(cls):
-    record = make(cls)
+@pytest.mark.parametrize(
+    "cls, build",
+    [pytest.param(cls, partial(make, cls), id=cls.__name__) for cls in FIELDS]
+    + [pytest.param(SectorAlgebra, order_one_algebra, id="SectorAlgebra-order-1")],
+)
+def test_copy_and_pickle_give_equal_records(cls, build):
+    record = build()
     shallow = copy.copy(record)
     assert type(shallow) is cls
     assert all(x is y for x, y in zip(fields_of(shallow), fields_of(record)))
