@@ -1,7 +1,8 @@
 """Command-line front end: inspect groups, print rings, double specs, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap,
-141 (128 + SIGPIPE) when the reader of standard output closed it first.
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource cap
+exceeded or memory exhausted, 141 (128 + SIGPIPE) when the reader of standard
+output closed it first.
 """
 
 from __future__ import annotations
@@ -160,6 +161,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except ResourceCapError as exc:
         print(f"resource cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource cap exceeded: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
 
 

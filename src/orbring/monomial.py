@@ -30,7 +30,7 @@ __all__ = [
     "MonomialMap",
 ]
 
-DEFAULT_GROUP_ORDER_CAP = 10000
+DEFAULT_GROUP_ORDER_CAP = 10000  # also the largest cap a spec may set
 DIMENSION_CAP = 256  # verify also closes the doubled dimension 2n
 
 
@@ -235,6 +235,10 @@ class GroupTable:
             raise ResourceCapError(f"dimension {dimension} exceeds the cap {DIMENSION_CAP}")
         if type(cap) is not int or cap < 1:
             raise InputError(f"group order cap must be a positive integer, got {cap!r}")
+        if cap > DEFAULT_GROUP_ORDER_CAP:
+            raise ResourceCapError(
+                f"group order cap {cap} exceeds the cap {DEFAULT_GROUP_ORDER_CAP}"
+            )
         gens = sorted(set(generators), key=MonomialMap.sort_key)
         for g in gens:
             if g.dimension != dimension:

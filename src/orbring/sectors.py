@@ -10,8 +10,8 @@ only on the two subspaces, so it is counted once per pair of distinct
 subspaces, by a walk over the orbits of the pair of representatives on the
 coordinates with potentials in Z/N (no subgroup closure, no cyclotomic
 arithmetic).  Each subspace's row over all elements is gathered from those
-counts through the ids, and each element gets its own copy of its
-subspace's row.  The averaging projector of the generated subgroup
+counts through the ids, once, and every element that fixes the subspace
+reads that one row.  The averaging projector of the generated subgroup
 (fixed_dim_of_subgroup) computes the same number exactly in Q(zeta_N) and
 is kept as its independent oracle.
 """
@@ -78,21 +78,17 @@ class SectorGeometry:
     dimension and subspace_ids[i] the id of its fixed subspace: two elements
     share an id exactly when they fix the same subspace, and ids count up
     from 0 in order of first appearance.  pair_row(g)[h] is the dimension
-    of V^g meet V^h.  The rows are gathered from one row per distinct
-    subspace, and every element gets its own copy, so changing one entry of
-    pair_row(g) changes no other row.  The lists and rows are built on
-    first use and must not be mutated by callers.
+    of V^g meet V^h.  There is one row per distinct subspace, and every
+    element that fixes that subspace gets the same row object.  The lists
+    and rows are built on first use and must not be mutated by callers.
     """
 
     def __init__(self, table: GroupTable, forget: bool = False):
         self.table = table
         self.forget = forget
         self.n = 0 if forget else table.dimension
-        # every age is an int over 2N (see _element_arrays); zero over 1 in forget mode
+        # every age is an int over 2N (see _walk); zero over 1 in forget mode
         self.scale = 1 if forget else 2 * table.conductor
-        self._traces: dict[int, CyclotomicNumber] = {}
-        self._pair_rows: list[array | None] = [None] * table.order
-        self._subspace_rows: dict[int, array] = {}
 
     @property
     def ages(self) -> list[int]:
@@ -106,20 +102,19 @@ class SectorGeometry:
     def subspace_ids(self) -> list[int]:
         return self._element_arrays[2]
 
-    @cached_property
-    def _element_arrays(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """Ages (times scale), fixed dimensions, subspace ids and their representatives.
+    def _walk(self, code: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
+        """Age (times scale), fixed dimension and subspace key of one code.
 
-        One walk over the permutation cycles of each code gives all four.
+        One walk over the permutation cycles of the code gives all three.
         A cycle of length L whose phases sum to s/N (0 <= s < N) has the
         eigen-phases (s/N + t)/L, t = 0..L-1 (see eigen_phases).  They sum
         to s/N + (L-1)/2, which is (2s + (L-1)N) over 2N, and one of them
         is zero exactly when s = 0.
 
-        The id comes from a key with one entry per coordinate.  A fixed v
-        satisfies v_k = zeta^a v_j along each code edge j -> k of weight a,
-        so on a cycle with least coordinate m, v_j = zeta^p_j v_m, where
-        the potential p_j is the weight sum from m to j, mod N.  Round the
+        The key has one entry per coordinate.  A fixed v satisfies
+        v_k = zeta^a v_j along each code edge j -> k of weight a, so on a
+        cycle with least coordinate m, v_j = zeta^p_j v_m, where the
+        potential p_j is the weight sum from m to j, mod N.  Round the
         cycle this forces v_m = zeta^s v_m, so v vanishes on the cycle
         unless s = 0.  The key holds (m, p_j) for each coordinate j on a
         cycle with s = 0, and one killed marker for every other coordinate.
@@ -131,46 +126,53 @@ class SectorGeometry:
         are proportional over V^g (on different cycles the line of j's
         cycle has v_j = 1 and v_k = 0); and v_j / v_m = zeta^p_j fixes p_j
         mod N, zeta being a primitive N-th root.  So equal keys mean equal
-        fixed subspaces, and the ids number the distinct keys.  The
-        representative of an id is its least element.
+        fixed subspaces.  With n = 0 (forget mode) the walk gives
+        (0, 0, ()).
         """
-        table = self.table
-        order = table.order
-        if self.forget:
-            return [0] * order, [0] * order, [0] * order, [0]
         n = self.n
-        modulus = table.conductor
+        modulus = self.table.conductor
         killed = n * modulus  # no entry m * N + p, with m < n and p < N, equals it
+        key = [-1] * n  # -1 until the walk reaches the coordinate
+        age = dim = 0
+        for start in range(n):
+            if key[start] >= 0:
+                continue
+            base = start * modulus
+            s = 0
+            cycle = []
+            j = start
+            while key[j] < 0:
+                key[j] = base + s % modulus
+                cycle.append(j)
+                a, j = divmod(code[j], n)  # code a*n + k: e_j -> zeta^a e_k
+                s += a
+            s %= modulus
+            age += 2 * s + (len(cycle) - 1) * modulus
+            if s:
+                for j in cycle:
+                    key[j] = killed
+            else:
+                dim += 1
+        return age, dim, tuple(key)
+
+    @cached_property
+    def _element_arrays(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """Ages (times scale), fixed dimensions, subspace ids and their representatives.
+
+        One _walk per code gives the age, the fixed dimension and the key.
+        The ids number the distinct keys in order of first appearance, and
+        the representative of an id is its least element.
+        """
         ages = []
         fixed = []
         ids = []
         representatives = []
         id_of_key: dict[tuple[int, ...], int] = {}
-        for i, code in enumerate(table.codes):
-            key = [-1] * n  # -1 until the walk reaches the coordinate
-            age = dim = 0
-            for start in range(n):
-                if key[start] >= 0:
-                    continue
-                base = start * modulus
-                s = 0
-                cycle = []
-                j = start
-                while key[j] < 0:
-                    key[j] = base + s % modulus
-                    cycle.append(j)
-                    a, j = divmod(code[j], n)  # code a*n + k: e_j -> zeta^a e_k
-                    s += a
-                s %= modulus
-                age += 2 * s + (len(cycle) - 1) * modulus
-                if s:
-                    for j in cycle:
-                        key[j] = killed
-                else:
-                    dim += 1
+        for i, code in enumerate(self.table.codes):
+            age, dim, key = self._walk(code)
             ages.append(age)
             fixed.append(dim)
-            sid = id_of_key.setdefault(tuple(key), len(representatives))
+            sid = id_of_key.setdefault(key, len(representatives))
             if sid == len(representatives):
                 representatives.append(i)
             ids.append(sid)
@@ -180,30 +182,21 @@ class SectorGeometry:
         """Age, fixed dimension and degree shifts of element i.
 
         Read from the arrays once they exist, so a change to ages or fixed
-        shows here.  Before that, one walk of table.cycles(i) gives the same
-        numbers by the sums of _element_arrays, and builds no array: inspect
-        reads only the class representatives.  The virtual shift is twice
-        the codimension and the cr shift twice the age.
+        shows here.  Before that, one _walk of element i's code gives the
+        same numbers and builds no array: inspect reads only the class
+        representatives.  The virtual shift is twice the codimension and
+        the cr shift twice the age.
         """
         arrays = self.__dict__.get("_element_arrays")
         if arrays is not None:
             age, dim = arrays[0][i], arrays[1][i]
-        elif self.forget:
-            age = dim = 0
         else:
-            modulus = self.table.conductor
-            cycles = self.table.cycles(i)
-            age = sum(2 * s + (length - 1) * modulus for length, s in cycles)
-            dim = sum(not s for _length, s in cycles)
+            age, dim, _key = self._walk(self.table.codes[i])
         age = Fraction(age, self.scale)
         return SectorData(age, dim, 2 * (self.n - dim), 2 * age)
 
     def trace(self, i: int) -> CyclotomicNumber:
-        value = self._traces.get(i)
-        if value is None:
-            value = self.table.elements[i].trace()
-            self._traces[i] = value
-        return value
+        return self.table.elements[i].trace()
 
     def fixed_dim_of_subgroup(self, members: Sequence[int]) -> int:
         """Dimension of the common fixed subspace of a subgroup.
@@ -227,34 +220,25 @@ class SectorGeometry:
         return int(value)
 
     def pair_row(self, g: int) -> array:
-        """dim of V^g intersect V^h for h = 0..order-1: a copy of the row of g's subspace."""
-        rows = self._pair_rows
-        row = rows[g]
-        if row is None:
-            row = rows[g] = self._subspace_row(self.subspace_ids[g])[:]
-        return row
+        """dim of V^g intersect V^h for h = 0..order-1: the row of g's subspace."""
+        return self._subspace_rows[self.subspace_ids[g]]
 
-    def _subspace_row(self, sid: int) -> array:
-        """dim of V meet V^h for h = 0..order-1, V the subspace with id sid.
+    @cached_property
+    def _subspace_rows(self) -> list[array]:
+        """dim of V meet V^h for h = 0..order-1, one row per distinct subspace V.
 
-        The dimension depends on the two subspaces alone, so one walk per
-        pair of representatives fills a row of one entry per subspace, and
-        the row over all elements is gathered from it through the ids.  The
-        count is symmetric, so an entry whose subspace row is built is read
-        from there; with that read-back, all rows take S(S+1)/2 walks for S
-        distinct subspaces.
+        The dimension depends on the two subspaces alone and is symmetric
+        in them, so one walk per unordered pair of representatives fills an
+        S x S table, S(S+1)/2 walks for S distinct subspaces.  The row of a
+        subspace over all elements is gathered from its line of the table
+        through the ids.
         """
-        rows = self._subspace_rows
-        row = rows.get(sid)
-        if row is None:
-            ids, representatives = self._element_arrays[2:]
-            g = representatives[sid]
-            small = [
-                rows[other][g] if other in rows else self._common_fixed_dim(g, h)
-                for other, h in enumerate(representatives)
-            ]
-            row = rows[sid] = array("I", map(small.__getitem__, ids))
-        return row
+        ids, representatives = self._element_arrays[2:]
+        small = [[0] * len(representatives) for _ in representatives]
+        for a, g in enumerate(representatives):
+            for b in range(a, len(representatives)):
+                small[a][b] = small[b][a] = self._common_fixed_dim(g, representatives[b])
+        return [array("I", map(line.__getitem__, ids)) for line in small]
 
     def _common_fixed_dim(self, g: int, h: int) -> int:
         """The number of consistent orbits of <g, h> on the coordinates.

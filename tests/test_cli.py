@@ -163,6 +163,34 @@ def test_dimension_cap_exits_3(capsys, tmp_path, command, dimension, expected):
     assert ("exceeds the cap 256" in err) == (expected == 3)
 
 
+@pytest.mark.parametrize("command", ["inspect", "ring", "verify"])
+@pytest.mark.parametrize("cap, expected", [(10000, 0), (10001, 3)])
+def test_spec_cannot_raise_the_group_order_cap(capsys, tmp_path, command, cap, expected):
+    path = write_spec(
+        tmp_path,
+        {
+            "name": "Z_2",
+            "dimension": 1,
+            "generators": [{"perm": [0], "phases": ["1/2"]}],
+            "max_group_order": cap,
+        },
+    )
+    code, _out, err = run(capsys, command, path)
+    assert code == expected
+    assert ("group order cap 10001 exceeds the cap 10000" in err) == (expected == 3)
+
+
+def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_full_verification", exhausted)
+    code, out, err = run(capsys, "verify", str(corpus_path("z3-11")))
+    assert code == 3
+    assert out == ""
+    assert err == "resource cap exceeded: out of memory\n"
+
+
 # --- inspect ---
 
 @pytest.mark.parametrize("family", [(2, 1, 3), (3, 1, 3)], ids=lambda f: "G({},{},{})".format(*f))

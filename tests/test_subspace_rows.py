@@ -1,12 +1,12 @@
 """Pair rows keyed by fixed subspace against the per-pair orbit walk.
 
 SectorGeometry gives each element the id of its fixed subspace and walks one
-pair of representatives per pair of distinct subspaces; every pair row is a
-copy of its subspace's gathered row.  Here the rows are compared with
+pair of representatives per pair of distinct subspaces; every pair row is
+its subspace's gathered row.  Here the rows are compared with
 pair_row_scan (one walk per pair) and, up to order 50, with the averaging
 projector of the generated subgroup.  The ids must be canonical, the walks
-must number at most S(S+1)/2 for S distinct subspaces, and the rows of two
-elements with one subspace must be separate arrays.
+must number exactly S(S+1)/2 for S distinct subspaces, and the elements
+that fix one subspace must share one row object.
 """
 
 import functools
@@ -112,25 +112,17 @@ def test_filling_every_row_walks_each_pair_of_subspaces_at_most_once(monkeypatch
             geometry.pair_row(g)
         subspaces = len(set(geometry.subspace_ids))
         assert subspaces < target.order
-        assert len(calls) <= subspaces * (subspaces + 1) // 2
+        assert len(calls) == subspaces * (subspaces + 1) // 2
         # only subspace representatives are walked
         representatives = {geometry.subspace_ids.index(s) for s in range(subspaces)}
         assert {g for pair in calls for g in pair} <= representatives
 
 
-def test_rows_of_elements_with_one_subspace_are_separate_arrays():
-    model = OrbifoldModel(gmpn_spec(2, 1, 4))
-    geometry = model.geometry
-    ids = geometry.subspace_ids
-    # the three least elements of the most common subspace
-    shared = max(set(ids), key=ids.count)
-    g, other, later = [h for h in range(model.order) if ids[h] == shared][:3]
-    row, other_row = geometry.pair_row(g), geometry.pair_row(other)
-    assert row is not other_row
-    assert row == other_row
-    before = list(other_row)
-    row[0] += 1
-    assert list(other_row) == before
-    assert geometry.pair_row(g)[0] == before[0] + 1
-    # a row built after the bump is still its subspace's row
-    assert list(geometry.pair_row(later)) == before
+@pytest.mark.parametrize("dw", [False, True], ids=["geometric", "dw"])
+def test_elements_with_one_subspace_share_one_row(dw):
+    model = OrbifoldModel(gmpn_spec(2, 1, 4), forget_geometry=dw)
+    for target in (model, model.cotangent_model()):
+        geometry = target.geometry
+        rows = {id(geometry.pair_row(g)) for g in range(target.order)}
+        assert len(rows) == len(set(geometry.subspace_ids))
+        assert (len(rows) == 1) == dw

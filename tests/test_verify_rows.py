@@ -5,7 +5,9 @@ geometry; the per-element and per-pair checks decide and report in one pass,
 visiting pairs in the scans' row-major order.  On intact models, on models
 whose bijection is permuted by a transposition, and on models with one to
 three array entries bumped before any sector is read, each check must give
-the same payload as its scan, or raise the same ConsistencyError text.  A
+the same payload as its scan, or raise the same ConsistencyError text.
+Elements that fix one subspace share one pair row, so a pair bump at (g, h)
+changes entry h of the row of every element with g's subspace.  A
 bijection with one entry copied onto another is not injective, which gives
 main_theorem_check's pairings stage two preimages, or none, of some sector.
 With sector(), the rank methods, structure_constant and k_rank patched to
