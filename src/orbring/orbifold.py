@@ -13,7 +13,7 @@ from collections.abc import Iterable
 
 from ._record import Record
 from .cyclotomic import RationalPhase
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 from .monomial import DEFAULT_GROUP_ORDER_CAP, GroupTable, MonomialMap
 
 __all__ = ["OrbifoldSpec", "cotangent_double"]
@@ -42,6 +42,10 @@ class OrbifoldSpec(Record):
         if type(max_group_order) is not int or max_group_order < 1:
             raise InputError(
                 f"max_group_order must be a positive integer, got {max_group_order!r}"
+            )
+        if max_group_order > DEFAULT_GROUP_ORDER_CAP:
+            raise ResourceCapError(
+                f"group order cap {max_group_order} exceeds the cap {DEFAULT_GROUP_ORDER_CAP}"
             )
         for i, gen in enumerate(generators):
             if not isinstance(gen, MonomialMap):

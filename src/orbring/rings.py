@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import mul
 
@@ -437,17 +437,27 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     exact reductions, each equivalent to the |G|^3 scan it replaces (proofs
     in _frobenius_reduced, _equivariance_by_generators and
     _associativity_reduced), and each pass reports the scan's lex-first
-    counterexample itself.  Grading is checked in one pass on ints, and
-    nondegeneracy in O(|G|) on inverse_index (_nondegeneracy_by_inverses).
-    The tests compare this report against the |G|^3 and per-pair scans of
-    the tests' support module.
+    counterexample itself.  Grading is checked in one pass on ints over the
+    nonzero entries, and nondegeneracy in O(|G|) on inverse_index
+    (_nondegeneracy_by_inverses).  The tests compare this report against
+    the |G|^3 and per-pair scans of the tests' support module.
+
+    Every algebra that OrbifoldModel.algebra builds holds only the values 0
+    and 1; only with_constant can put in another.  On a 0/1 algebra
+    associativity compares supports as int bitmasks, derived once per
+    algebra, and _associativity_reduced proves that equivalent to comparing
+    the values.  An algebra holding any other value keeps the row compare,
+    since products of such values can differ where the supports agree (2 * 1
+    against 1 * 1).  Frobenius compatibility is decided by associativity
+    unless that fails (_frobenius_reduced).
     """
     equivariance = _equivariance_by_generators(alg)
+    associativity = _associativity_reduced(alg, equivariance.passed)
     checks = (
-        _associativity_reduced(alg, equivariance.passed),
+        associativity,
         _grading_by_rows(alg),
         _check_unit(alg),
-        _frobenius_reduced(alg),
+        _frobenius_reduced(alg, associativity.passed),
         _nondegeneracy_by_inverses(alg),
         equivariance,
     )
@@ -463,52 +473,131 @@ def _associativity_reduced(alg: SectorAlgebra, equivariant: bool) -> AxiomCheck:
     (g, h, k).  Every triple is conjugate to one whose g is the
     representative of its class, so those triples decide the axiom.  Without
     equivariance g ranges over the whole group and this is the cube itself.
-    For each (g, h) the k loop compares two rows at C level: row gh scaled by
-    c[g][h], against row h times row g gathered through the products hk.
+
+    Each (g, h) is decided for all k at once.  With values 0 and 1 both
+    sides are 0 or 1, so they agree for every k exactly when the k where
+    each side is 1 form the same set, and, k -> hk being a bijection, when
+    the images of those sets under it are equal.  The right side is 1 where
+    c[h][k] = 1 and c[g][hk] = 1, with image P_h & S_g, where S_g is row g's
+    support and P_h = {hk : c[h][k] = 1}.  The left side is 0 for every k
+    when c[g][h] = 0; when c[g][h] = 1 it is c[gh][k], with image the
+    translate {hk : c[gh][k] = 1} = g^-1 P_gh of row gh by h.  When row gh
+    has more ones than zeros, that translate is the complement of
+    {hk : c[gh][k] = 0} (the same bijection), so it is built from the
+    smaller side: an all-ones or all-zeros row costs nothing, and a sparse
+    row its ones (_binary_masks, _first_defect_by_masks).  An algebra with
+    another value compares the value rows (_first_defect_by_rows).
 
     The pass also reports the cube's lex-first counterexample.  The cube
     meets triples in lex order, so its first counterexample has the least
     defective g, then that g's least defective h, then the least k with a
-    defect at (g, h).  As h rises the pass records each g's first defective
-    h, and reports the least recorded g.  Without equivariance every g is
-    visited, so that is the cube's g.  With equivariance the defective g
-    form whole classes, since a defect at (g, h, k) is one at
-    (g^x, h^x, k^x); a class is a sorted tuple whose least member is its
-    representative, so the least defective g is the least defective
-    representative, and the pass visits it.  At the recorded (g, h) the k
-    loop is the cube's own.
+    defect at (g, h).  Without equivariance every g is visited, so that is
+    the cube's g.  With equivariance the defective g form whole classes,
+    since a defect at (g, h, k) is one at (g^x, h^x, k^x); a class is a
+    sorted tuple whose least member is its representative, so the least
+    defective g is the least defective representative.  Both searches visit
+    g in increasing order and h in increasing order and stop at the first
+    defect, and at that (g, h) the k loop is the cube's own.
     """
     table = alg.table
     rows = alg.constants
-    order = alg.order
-    firsts = table.conjugacy_classes().representatives if equivariant else range(order)
-    zero = (0,) * order
-    first_defect: dict[int, int] = {}  # g -> its least h with a defect
-    for h in range(order):
-        row_h = rows[h]
-        gather = _gatherer(table.row(h))
-        for g in firsts:
-            c = rows[g][h]
-            gh = table.mult(g, h)
-            if c == 1:
-                lhs = rows[gh]
-            elif c:
-                lhs = tuple(c * x for x in rows[gh])
-            else:
-                lhs = zero
-            if lhs != tuple(map(mul, row_h, gather(rows[g]))):
-                first_defect.setdefault(g, h)
-    if not first_defect:
+    firsts = table.conjugacy_classes().representatives if equivariant else range(alg.order)
+    masks = _binary_masks(alg)
+    if masks is None:
+        found = _first_defect_by_rows(alg, firsts)
+    else:
+        found = _first_defect_by_masks(alg, firsts, masks)
+    if found is None:
         return AxiomCheck("associativity", True)
-    g = min(first_defect)
-    h = first_defect[g]
+    g, h = found
     c, row_g, row_gh = rows[g][h], rows[g], rows[table.mult(g, h)]
     sides = ((c * x, y * row_g[hk]) for x, y, hk in zip(row_gh, rows[h], table.row(h)))
     k, (lhs, rhs) = next((k, pair) for k, pair in enumerate(sides) if pair[0] != pair[1])
     return AxiomCheck("associativity", False, _triple_payload(alg, g, h, k, lhs, rhs))
 
 
-def _frobenius_reduced(alg: SectorAlgebra) -> AxiomCheck:
+# bytes 0 and 1 to the digits "0" and "1", and any other byte to "x", which int(..., 2) refuses
+_BINARY_DIGITS = b"01" + b"x" * 254
+_SWAP_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _binary_masks(alg: SectorAlgebra):
+    """(supports, images, sides, bits) of a 0/1 algebra, or None if any constant is not 0 or 1.
+
+    bits[i] is 1 << i, supports[g] the int whose bit h is c[g][h], and
+    images[h] the mask of P_h = {hk : c[h][k] = 1}.  sides[m] is
+    (gather, flip): gather picks out the k of the smaller of row m's ones
+    and zeros, or is None if there are none, and flip is 0 for the ones or
+    the all-ones mask for the zeros.  The translate {xk : c[m][k] = 1} is
+    then sum(bits[x*k] for the k picked) ^ flip.
+
+    bytes(row) refuses a Fraction and an int outside 0..255, and any other
+    value but 0 and 1 becomes an "x", so such a row stops the build.
+    """
+    order = alg.order
+    indices = tuple(range(order))  # shared ints for the sides to point at
+    full = (1 << order) - 1
+    bits = [1 << i for i in indices]
+    supports, sides = [], []
+    for row in alg.constants:
+        try:
+            flags = bytes(row)
+            support = int(flags[::-1].translate(_BINARY_DIGITS), 2)
+        except (TypeError, ValueError):
+            return None
+        supports.append(support)
+        flip = 0
+        if 2 * support.bit_count() > order:
+            flags, flip = flags.translate(_SWAP_BITS), full
+        side = tuple(compress(indices, flags))
+        sides.append((_gatherer(side) if side else None, flip))
+    images = [
+        sum(map(bits.__getitem__, gather(alg.table.row(h)))) ^ flip if gather else flip
+        for h, (gather, flip) in enumerate(sides)
+    ]
+    return supports, images, sides, bits
+
+
+def _first_defect_by_masks(alg: SectorAlgebra, firsts, masks) -> tuple[int, int] | None:
+    """The least (g, h), g in firsts, with a defect, decided on a 0/1 algebra's masks."""
+    supports, images, sides, bits = masks
+    bit = bits.__getitem__
+    table = alg.table
+    product_rows = [table.row(h) for h in range(alg.order)]
+    for g in firsts:
+        support = supports[g]
+        entries = zip(alg.constants[g], table.row(g), images, product_rows)
+        for h, (c, gh, image, row_h) in enumerate(entries):
+            both = image & support
+            if c:
+                gather, translate = sides[gh]
+                if gather:
+                    translate ^= sum(map(bit, gather(row_h)))
+                if both != translate:
+                    return g, h
+            elif both:
+                return g, h
+    return None
+
+
+def _first_defect_by_rows(alg: SectorAlgebra, firsts) -> tuple[int, int] | None:
+    """The least (g, h), g in firsts, with a defect, for constants of any value.
+
+    For each (g, h) the k loop compares two rows at C level: row gh scaled
+    by c[g][h], against row h times row g gathered through the products hk.
+    """
+    table = alg.table
+    rows = alg.constants
+    for g in firsts:
+        row_g = rows[g]
+        for h, (c, gh) in enumerate(zip(row_g, table.row(g))):
+            rhs = map(mul, rows[h], _gatherer(table.row(h))(row_g))
+            if tuple(map(mul, repeat(c), rows[gh])) != tuple(rhs):
+                return g, h
+    return None
+
+
+def _frobenius_reduced(alg: SectorAlgebra, associative: bool) -> AxiomCheck:
     """Frobenius compatibility, checked at the one k per pair where it can fail.
 
     trace_form(x, k) vanishes unless xk = e, that is k = x^-1.  At (g, h, k)
@@ -518,7 +607,13 @@ def _frobenius_reduced(alg: SectorAlgebra) -> AxiomCheck:
     hk = g^-1, so the sides are c[g][h] c[gh][k] and c[g][g^-1] c[h][k].  Each
     (g, h) has at most one failing k, so scanning the pairs in lex order meets
     the cube's first counterexample first, with the same printed values.
+
+    Those two sides are the associativity defect at (g, h, k), with
+    hk = g^-1: Frobenius compatibility is associativity on the triples with
+    ghk = e.  An associative algebra therefore passes with no scan.
     """
+    if associative:
+        return AxiomCheck("frobenius", True)
     rows = alg.constants
     inverse = alg.table.inverse_index
     for g in range(alg.order):
@@ -585,14 +680,18 @@ def _triple_payload(alg: SectorAlgebra, g: int, h: int, k: int, lhs, rhs) -> dic
 def _grading_by_rows(alg: SectorAlgebra) -> AxiomCheck:
     """Grading: deg g + deg h = deg gh wherever c[g][h] is nonzero, in one pass.
 
-    The degrees are scaled to ints over their common denominator, and the
-    pairs are visited in row order, so the first failing pair is reported.
+    The degrees are scaled to ints over their common denominator.  Each row
+    is walked over its support alone, the h with c[g][h] nonzero, in row
+    order, so the first failing pair is reported.
     """
     scale = math.lcm(*(d.denominator for d in alg.degrees))
     degrees = [d.numerator * (scale // d.denominator) for d in alg.degrees]
+    indices = range(alg.order)
     for g, row in enumerate(alg.constants):
-        for h, (c, gh) in enumerate(zip(row, alg.table.row(g))):
-            if c and degrees[gh] != degrees[g] + degrees[h]:
+        products = alg.table.row(g)
+        for h in compress(indices, row):
+            gh = products[h]
+            if degrees[gh] != degrees[g] + degrees[h]:
                 return AxiomCheck(
                     "grading",
                     False,

@@ -163,7 +163,7 @@ def test_dimension_cap_exits_3(capsys, tmp_path, command, dimension, expected):
     assert ("exceeds the cap 256" in err) == (expected == 3)
 
 
-@pytest.mark.parametrize("command", ["inspect", "ring", "verify"])
+@pytest.mark.parametrize("command", ["inspect", "ring", "verify", "cotangent"])
 @pytest.mark.parametrize("cap, expected", [(10000, 0), (10001, 3)])
 def test_spec_cannot_raise_the_group_order_cap(capsys, tmp_path, command, cap, expected):
     path = write_spec(

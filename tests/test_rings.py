@@ -20,6 +20,7 @@ from orbring import (
     SectorAlgebra,
     verify_algebra,
 )
+from orbring import rings
 from orbring.rings import _check_unit
 from support import (
     CORPUS_NAMES,
@@ -292,8 +293,8 @@ CORRUPTION_VALUES = (0, 1, 2, Fraction(1, 2))
 
 
 @st.composite
-def corrupted(draw, alg):
-    """alg with up to three entries replaced; an orbit corruption keeps equivariance.
+def corrupted(draw, alg, values=CORRUPTION_VALUES):
+    """alg with up to three entries replaced by values; an orbit corruption keeps equivariance.
 
     Replacing a whole simultaneous-conjugation orbit of (g, h) keeps the
     constants equivariant, which sends associativity down the
@@ -305,7 +306,7 @@ def corrupted(draw, alg):
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         g = draw(st.integers(min_value=0, max_value=alg.order - 1))
         h = draw(st.integers(min_value=0, max_value=alg.order - 1))
-        value = draw(st.sampled_from(CORRUPTION_VALUES))
+        value = draw(st.sampled_from(values))
         kind = draw(st.sampled_from(["pair", "orbit", "first-generator orbit"]))
         if kind == "pair":
             pairs = {(g, h)}
@@ -343,6 +344,65 @@ def test_verifier_matches_cube_on_corrupted_corpus(data, name, theory, forget):
 @given(data=st.data(), theory=st.sampled_from(THEORIES))
 def test_verifier_matches_cube_on_corrupted_g412_point_mode(data, theory):
     alg = data.draw(corrupted(g412_point_model().algebra(theory)))
+    assert verify_algebra(alg) == cube_report(alg)
+
+
+@functools.cache
+def z12_model():
+    spec = {"name": "Z_12", "dimension": 1, "generators": [{"perm": [0], "phases": ["1/12"]}]}
+    return OrbifoldModel(OrbifoldSpec.from_dict(spec))
+
+
+# point-mode G(4,1,2) is all ones; on Z_12 every element is its own class and
+# cr is about half dense, so both smaller sides of a row are met
+BINARY_ROUTE_MODELS = {"G(4,1,2) point mode": g412_point_model, "Z_12 on C": z12_model}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    source=st.sampled_from([*CORPUS_NAMES, *BINARY_ROUTE_MODELS]),
+    theory=st.sampled_from(THEORIES),
+    forget=st.booleans(),
+)
+def test_verifier_matches_cube_on_binary_corruptions(data, source, theory, forget):
+    # corruptions by 0 and 1 keep every drawn algebra on the bitmask route
+    if source in BINARY_ROUTE_MODELS:
+        model = BINARY_ROUTE_MODELS[source]()
+    else:
+        model = corpus_model(source, forget=forget)
+    alg = data.draw(corrupted(model.algebra(theory), values=(0, 1)))
+    assert rings._binary_masks(alg) is not None
+    assert verify_algebra(alg) == cube_report(alg)
+
+
+def test_every_corpus_algebra_takes_the_bitmask_route(monkeypatch):
+    calls = {"_first_defect_by_masks": 0, "_first_defect_by_rows": 0}
+    for name in calls:
+
+        def counted(*args, name=name, search=getattr(rings, name)):
+            calls[name] += 1
+            return search(*args)
+
+        monkeypatch.setattr(rings, name, counted)
+    for name in CORPUS_NAMES:
+        for forget in (False, True):
+            model = OrbifoldModel(corpus_spec(name), forget_geometry=forget)
+            for theory in THEORIES:
+                assert verify_algebra(model.algebra(theory)).passed
+    assert calls == {"_first_defect_by_masks": 4 * len(CORPUS_NAMES), "_first_defect_by_rows": 0}
+    # a value outside {0, 1} is what sends an algebra to the row compare
+    broken = corpus_model("s3-perm").algebra(CR).with_constant(1, 2, 2)
+    assert rings._binary_masks(broken) is None
+    assert verify_algebra(broken) == cube_report(broken)
+    assert calls["_first_defect_by_rows"] == 1
+
+
+# 48 and 49 are the bytes of the digits "0" and "1"
+@pytest.mark.parametrize("value", [2, 48, 49, 256, -1, Fraction(1, 2)])
+def test_a_value_outside_0_and_1_keeps_the_row_compare(value):
+    alg = corpus_model("s3-perm").algebra(CR).with_constant(1, 2, value)
+    assert rings._binary_masks(alg) is None
     assert verify_algebra(alg) == cube_report(alg)
 
 
