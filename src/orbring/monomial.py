@@ -8,6 +8,8 @@ mod the generators' conductor packed into one tuple of ints), not on
 MonomialMap objects, and records left and right multiplication by each
 generator.  Product rows are gathered from those on first use, and the
 conjugacy classes are walked through per-generator conjugation tables.
+The table of the doubled maps g (+) conjugate(g) is derived from a closed
+table rather than closed again, and shares its index tables.
 """
 
 from __future__ import annotations
@@ -157,7 +159,9 @@ class GroupTable:
 
     Everything else is built on first read and then kept: the product rows
     (one way at every order, see row), the decoded elements and their index,
-    the conjugation tables and the classes.
+    the conjugation tables, the classes and the verdict of check_group.  A
+    table and its doubled table (see doubled) share all of these but the
+    decoded elements.
     """
 
     # Read by no code in orbring; kept only because perfbench/layers.py reads
@@ -193,7 +197,9 @@ class GroupTable:
         self._gathers = [_gatherer(lg) for lg in left]
         self._rows: list[Sequence[int] | None] = [None] * len(codes)
         self._rows[0] = tuple(range(len(codes)))
-        self._classes: ConjugacyPartition | None = None
+        # "conjugations", "classes" and "group", each set on first use; the
+        # rows and this dict are shared with every table derived by doubled
+        self._shared: dict = {}
 
     @cached_property
     def elements(self) -> list[MonomialMap]:
@@ -257,11 +263,7 @@ class GroupTable:
 
         n = dimension
         points = n * conductor
-        gen_codes = [
-            tuple(p.numerator * (conductor // p.denominator) * n + k
-                  for k, p in zip(g.perm, g.phases))
-            for g in gens
-        ]
+        gen_codes = [_encode(g, n, conductor) for g in gens]
         hit = sorted(set().union(*gen_codes))
         pick = _gatherer(tuple(c % n for c in hit))
         shift = tuple(c - c % n for c in hit)
@@ -311,6 +313,40 @@ class GroupTable:
             right=tuple(right),
             left=tuple(left),
         )
+
+    def doubled(self, generators: Iterable[MonomialMap]) -> "GroupTable":
+        """The table of the doubles g (+) conjugate(g), derived from this one.
+
+        Doubling is an injective homomorphism, so element i's double is
+        element i of the doubled group, and every index table here is the
+        doubled group's too.  The derived table shares them, product rows
+        included, and holds only its own codes.  generators are the doubled
+        spec's; their codes must be the doubled codes of gens, which
+        cross-checks MonomialMap.double against _double (a mismatch raises
+        ConsistencyError).  Doubling keeps the sorted order of the
+        generators, so GroupTable.close of them gives this same table.
+        """
+        n = self.dimension
+        if 2 * n > DIMENSION_CAP:
+            raise ResourceCapError(f"dimension {2 * n} exceeds the cap {DIMENSION_CAP}")
+        conductor = self.conductor
+        codes = [_double(code, n, conductor) for code in self.codes]
+        given = {_encode(g, 2 * n, conductor) for g in generators}
+        if given != {codes[s] for s in self.gens}:
+            raise ConsistencyError("doubled generators are not the doubles of the table's")
+        table = GroupTable(
+            dimension=2 * n,
+            conductor=conductor,
+            codes=codes,
+            gens=self.gens,
+            inverse_index=self.inverse_index,
+            parent_gen=self._parent_gen,
+            right=self._right,
+            left=self._left,
+        )
+        table._rows = self._rows
+        table._shared = self._shared
+        return table
 
     @property
     def order(self) -> int:
@@ -386,7 +422,7 @@ class GroupTable:
     def conjugation_permutation(self, by: int) -> tuple[int, ...]:
         return tuple(self.conjugate(g, by) for g in range(self.order))
 
-    @cached_property
+    @property
     def generator_conjugations(self) -> tuple[tuple[int, ...], ...]:
         """For each generator s, the permutation x -> index of s^-1 x s.
 
@@ -394,13 +430,16 @@ class GroupTable:
         runs over G too, so conj[left_s[y]] = right_s[y] fills each table in
         one scatter, with no products formed and no inverse permutation.
         """
-        tables = []
-        for right, left in zip(self._right, self._left):
-            conj = [0] * self.order
-            for x, y_s in zip(left, right):
-                conj[x] = y_s
-            tables.append(tuple(conj))
-        return tuple(tables)
+        shared = self._shared
+        if "conjugations" not in shared:
+            tables = []
+            for right, left in zip(self._right, self._left):
+                conj = [0] * self.order
+                for x, y_s in zip(left, right):
+                    conj[x] = y_s
+                tables.append(tuple(conj))
+            shared["conjugations"] = tuple(tables)
+        return shared["conjugations"]
 
     def conjugacy_classes(self) -> ConjugacyPartition:
         """Classes found by walking each one under conjugation by the generators.
@@ -413,7 +452,7 @@ class GroupTable:
         word, and the set is the whole class of g.  That costs about
         |class| * |gens| lookups in the tables of generator_conjugations.
         """
-        if self._classes is None:
+        if "classes" not in self._shared:
             conjugations = self.generator_conjugations
             order = self.order
             class_of = [-1] * order
@@ -437,12 +476,107 @@ class GroupTable:
                         raise ConsistencyError("conjugation orbits are not disjoint")
                     class_of[member] = cid
                 classes.append(tuple(orbit))
-            self._classes = ConjugacyPartition(
+            self._shared["classes"] = ConjugacyPartition(
                 classes=tuple(classes),
                 representatives=tuple(c[0] for c in classes),
                 class_of=tuple(class_of),
             )
-        return self._classes
+        return self._shared["classes"]
+
+    def shares_group_with(self, other: "GroupTable") -> bool:
+        """Whether other reads this table's product rows and shared facts (see doubled)."""
+        return self._rows is other._rows and self._shared is other._shared
+
+    def is_group_table(self) -> bool:
+        """check_group's kept verdict, decided on first call; check_group again after a change."""
+        verdict = self._shared.get("group")
+        return self.check_group() if verdict is None else verdict
+
+    def check_group(self) -> bool:
+        """Whether the rows are a group's table, inverse_index its inverses, and
+        generator_conjugations its conjugations by the generators.
+
+        Decided afresh and kept for is_group_table and every table sharing
+        the rows.  _composes_by_generators proves phi(mult(i, j)) =
+        phi(i) phi(j) for the injective phi(i) = elements[i], so the rows
+        multiply the set phi(G), which they close: a group, isomorphic to
+        the table.  In a group mult(i, t) = 0 makes t the inverse of i, and
+        then mult(mult(t, x), s) for t = inverse_index[s] is conjugation by
+        s.  verify_algebra's reductions and main_theorem_check's class stage
+        assume a True verdict; a False one decides nothing.
+        """
+        columns = [tuple(self.mult(j, s) for j in range(self.order)) for s in self.gens]
+        verdict = self._composes_by_generators(columns) and self._conjugations_hold(columns)
+        self._shared["group"] = verdict
+        return verdict
+
+    def _conjugations_hold(self, columns: list[tuple[int, ...]]) -> bool:
+        """inverse_index inverts every row, and each generator conjugation is s^-1 x s.
+
+        columns[k][x] is mult(x, gens[k]).
+        """
+        inverse = self.inverse_index
+        if any(self.row(i)[t] for i, t in enumerate(inverse)):
+            return False
+        for s, conj, column in zip(self.gens, self.generator_conjugations, columns):
+            if _gatherer(self.row(inverse[s]))(column) != conj:
+                return False
+        return True
+
+    def _composes_by_generators(self, columns: list[tuple[int, ...]]) -> bool:
+        """Whether elements[mult(i, j)] = elements[i] * elements[j] for all i, j follows from
+        the generators' columns, with elements[0] the identity and no element repeated.
+
+        Write phi(i) for elements[i], with phi(0) the identity, and suppose
+          (a) phi(mult(i, s)) = phi(i) phi(s) for every i and generator s;
+          (b) mult(i, mult(j, s)) = mult(mult(i, j), s) for all i, j and generators s;
+          (c) mult(i, 0) = i for every i;
+          (d) every element is reached from 0 by right multiplication by generators.
+        Then phi(mult(i, j)) = phi(i) phi(j), by induction on the number d of
+        steps from 0 to j in (d).  For d = 0, j = 0 and mult(i, 0) = i by (c),
+        while phi(i) phi(0) = phi(i).  For d > 0, j = mult(j', s) with j' one
+        step closer, and
+          phi(mult(i, j)) = phi(mult(mult(i, j'), s))     by (b)
+                          = phi(mult(i, j')) phi(s)       by (a)
+                          = phi(i) phi(j') phi(s)         by induction
+                          = phi(i) phi(j)                 by (a) at j'.
+        (a) is decided on integers: each decoded element is re-encoded as
+        a code (see GroupTable), and phi(i) phi(s) is composed from the two
+        codes as the closure composes them.  A decoded phase whose
+        denominator does not divide the conductor has no code, and the
+        answer is False.  (b) costs two C-level gathers per (i, s): row i
+        through the column of s, and the column of s through row i.  A
+        False answer decides nothing; the caller's scan does.  columns[k][x]
+        is mult(x, gens[k]).
+        """
+        order = self.order
+        n, conductor = self.dimension, self.conductor
+        codes = [_encode(element, n, conductor) for element in self.elements]
+        if None in codes or codes[0] != tuple(range(n)) or len(set(codes)) != order:
+            return False
+        if tuple(self.mult(i, 0) for i in range(order)) != tuple(range(order)):
+            return False
+        for s, column in zip(self.gens, columns):
+            times_s = _composer(codes[s], n, conductor)
+            if list(map(codes.__getitem__, column)) != list(map(times_s, codes)):
+                return False
+        through_columns = [_gatherer(column) for column in columns]
+        for i in range(order):
+            row = self.row(i)
+            through_row = _gatherer(row)
+            for column, through_column in zip(columns, through_columns):
+                if through_column(row) != through_row(column):
+                    return False
+        reached = {0}
+        stack = [0]
+        while stack:
+            x = stack.pop()
+            for column in columns:
+                y = column[x]
+                if y not in reached:
+                    reached.add(y)
+                    stack.append(y)
+        return len(reached) == order
 
     def subgroup_closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Smallest subgroup containing the seed indices, as a sorted tuple."""
@@ -460,6 +594,29 @@ class GroupTable:
                     members.add(y)
                     queue.append(y)
         return tuple(sorted(members))
+
+
+def _encode(m: MonomialMap, n: int, conductor: int) -> tuple[int, ...] | None:
+    """Code of a monomial map on C^n (see GroupTable), or None if a phase is off (1/conductor)Z."""
+    code = []
+    for k, p in zip(m.perm, m.phases):
+        step, rest = divmod(conductor, p.denominator)
+        if rest:
+            return None
+        code.append(p.numerator * step * n + k)
+    return tuple(code)
+
+
+def _composer(code: tuple[int, ...], n: int, conductor: int) -> Callable[[tuple], tuple]:
+    """x -> code of x*s, for s of the given code.
+
+    x*s applies s first: e_j goes to the point c = a*n + k of s's code,
+    which x sends to x[k] + a*n mod n*conductor, as in GroupTable.close.
+    """
+    pick = _gatherer(tuple(c % n for c in code))
+    shift = tuple(c - c % n for c in code)
+    moduli = (n * conductor,) * n
+    return lambda x: tuple(map(mod, map(add, pick(x), shift), moduli))
 
 
 def _invert(code: tuple[int, ...], n: int, conductor: int) -> tuple[int, ...]:

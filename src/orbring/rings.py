@@ -20,7 +20,7 @@ from operator import mul
 
 from ._record import Record
 from .errors import ConsistencyError, InputError
-from .monomial import _gatherer
+from .monomial import GroupTable, _gatherer
 from .orbifold import OrbifoldSpec, cotangent_double
 from .sectors import SectorData, SectorGeometry
 
@@ -53,10 +53,13 @@ class OrbifoldModel:
     ranks for every pair of sectors, and the two sector algebras.
     """
 
-    def __init__(self, spec: OrbifoldSpec, *, forget_geometry: bool = False):
+    def __init__(
+        self, spec: OrbifoldSpec, *, forget_geometry: bool = False, table: GroupTable | None = None
+    ):
+        """table, if given, is the group spec closes to; by default it is closed here."""
         self.spec = spec
         self.forget_geometry = forget_geometry
-        self.table = spec.close()
+        self.table = spec.close() if table is None else table
         self.geometry = SectorGeometry(self.table, forget=forget_geometry)
         self._algebras: dict[str, SectorAlgebra] = {}
         self._cotangent: OrbifoldModel | None = None
@@ -190,16 +193,25 @@ class OrbifoldModel:
         return tuple(rows)
 
     def cotangent_model(self) -> "OrbifoldModel":
-        """Model of the doubled orbifold, in the same geometry mode."""
+        """Model of the doubled orbifold, in the same geometry mode.
+
+        Its table is derived from this one (GroupTable.doubled), not closed
+        again: element i is the double of element i, and the two tables
+        share one set of product rows and classes.
+        """
         if self._cotangent is None:
+            spec = cotangent_double(self.spec)
             self._cotangent = OrbifoldModel(
-                cotangent_double(self.spec), forget_geometry=self.forget_geometry
+                spec,
+                forget_geometry=self.forget_geometry,
+                table=self.table.doubled(spec.generators),
             )
         return self._cotangent
 
 
 _RING_JSON = '{\n  "theory": %s,\n  "basis": %s,\n  "degrees": %s,\n  "constants": %s\n}\n'
 _ENTRY_JSON = "\n    [\n      %d,\n      %d,\n      %d,\n      %s\n    ]"
+_INT_ENTRY_JSON = '\n    [\n      %d,\n      %d,\n      %d,\n      "%d"\n    ]'
 
 
 class _Ring:
@@ -230,8 +242,9 @@ class _Ring:
 
         CPython's C encoder runs only when indent is None, so json.dumps with
         an indent renders every entry in pure Python; here each entry
-        (a, b, c, value) is one % format instead.  Strings are escaped by the
-        encoder's own ensure_ascii function.
+        (a, b, c, value) is one % format instead, and an int value (never a
+        bool, whose str differs) is written by that format too.  Other
+        strings are escaped by the encoder's own ensure_ascii function.
         """
 
         def strings(items) -> str:
@@ -239,7 +252,9 @@ class _Ring:
             return "[\n    " + body + "\n  ]" if body else "[]"
 
         constants = ",".join(
-            _ENTRY_JSON % (a, b, c, _quote(str(v))) for a, b, c, v in self._nonzero_entries()
+            _INT_ENTRY_JSON % (a, b, c, v) if type(v) is int
+            else _ENTRY_JSON % (a, b, c, _quote(str(v)))
+            for a, b, c, v in self._nonzero_entries()
         )
         return _RING_JSON % (
             _quote(self.theory),
@@ -450,21 +465,37 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     since products of such values can differ where the supports agree (2 * 1
     against 1 * 1).  Frobenius compatibility is decided by associativity
     unless that fails (_frobenius_reduced).
+
+    The three reductions assume a group table whose inverse_index and
+    generator_conjugations are its inverses and conjugations, which
+    table.is_group_table() decides once per table.  Where it does not hold,
+    each is replaced by its scan's exact order: the row compare over every
+    g for associativity, the triple loop for Frobenius, and conjugation by
+    every element, read through the rows, for equivariance.
     """
-    equivariance = _equivariance_by_generators(alg)
-    associativity = _associativity_reduced(alg, equivariance.passed)
+    table = alg.table
+    if table.is_group_table():
+        masks = _binary_masks(alg)
+        equivariance = _equivariance_by_generators(alg, masks)
+        associativity = _associativity_reduced(alg, equivariance.passed, masks)
+        frobenius = _frobenius_reduced(alg, associativity.passed)
+    else:
+        conjugators = ((k, table.conjugation_permutation(k)) for k in range(alg.order))
+        equivariance = _equivariance(alg, conjugators, None)
+        associativity = _associativity_reduced(alg, False, None)
+        frobenius = _frobenius_by_triples(alg)
     checks = (
         associativity,
         _grading_by_rows(alg),
         _check_unit(alg),
-        _frobenius_reduced(alg, associativity.passed),
+        frobenius,
         _nondegeneracy_by_inverses(alg),
         equivariance,
     )
     return AlgebraReport(checks)
 
 
-def _associativity_reduced(alg: SectorAlgebra, equivariant: bool) -> AxiomCheck:
+def _associativity_reduced(alg: SectorAlgebra, equivariant: bool, masks) -> AxiomCheck:
     """Associativity with g over class representatives when the constants are equivariant.
 
     The defect at (g, h, k) is the pair c[g][h] c[gh][k], c[h][k] c[g][hk].
@@ -485,8 +516,9 @@ def _associativity_reduced(alg: SectorAlgebra, equivariant: bool) -> AxiomCheck:
     has more ones than zeros, that translate is the complement of
     {hk : c[gh][k] = 0} (the same bijection), so it is built from the
     smaller side: an all-ones or all-zeros row costs nothing, and a sparse
-    row its ones (_binary_masks, _first_defect_by_masks).  An algebra with
-    another value compares the value rows (_first_defect_by_rows).
+    row its ones (_binary_masks, _first_defect_by_masks).  masks are
+    _binary_masks(alg), or None for an algebra with another value, which
+    compares the value rows (_first_defect_by_rows).
 
     The pass also reports the cube's lex-first counterexample.  The cube
     meets triples in lex order, so its first counterexample has the least
@@ -498,11 +530,14 @@ def _associativity_reduced(alg: SectorAlgebra, equivariant: bool) -> AxiomCheck:
     defective g is the least defective representative.  Both searches visit
     g in increasing order and h in increasing order and stop at the first
     defect, and at that (g, h) the k loop is the cube's own.
+
+    The masks need each row h of the table to be a permutation, so that
+    k -> hk is a bijection; on a table not known to be a group's the
+    caller passes None, and every g has its value rows compared.
     """
     table = alg.table
     rows = alg.constants
     firsts = table.conjugacy_classes().representatives if equivariant else range(alg.order)
-    masks = _binary_masks(alg)
     if masks is None:
         found = _first_defect_by_rows(alg, firsts)
     else:
@@ -522,13 +557,12 @@ _SWAP_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _binary_masks(alg: SectorAlgebra):
-    """(supports, images, sides, bits) of a 0/1 algebra, or None if any constant is not 0 or 1.
+    """(supports, sides, bits) of a 0/1 algebra, or None if any constant is not 0 or 1.
 
-    bits[i] is 1 << i, supports[g] the int whose bit h is c[g][h], and
-    images[h] the mask of P_h = {hk : c[h][k] = 1}.  sides[m] is
-    (gather, flip): gather picks out the k of the smaller of row m's ones
-    and zeros, or is None if there are none, and flip is 0 for the ones or
-    the all-ones mask for the zeros.  The translate {xk : c[m][k] = 1} is
+    bits[i] is 1 << i and supports[g] the int whose bit h is c[g][h].
+    sides[m] is (gather, flip): gather picks out the k of the smaller of row
+    m's ones and zeros, or is None if there are none, and flip is 0 for the
+    ones or the all-ones mask for the zeros.  The translate {xk : c[m][k] = 1} is
     then sum(bits[x*k] for the k picked) ^ flip.
 
     bytes(row) refuses a Fraction and an int outside 0..255, and any other
@@ -551,18 +585,21 @@ def _binary_masks(alg: SectorAlgebra):
             flags, flip = flags.translate(_SWAP_BITS), full
         side = tuple(compress(indices, flags))
         sides.append((_gatherer(side) if side else None, flip))
-    images = [
-        sum(map(bits.__getitem__, gather(alg.table.row(h)))) ^ flip if gather else flip
-        for h, (gather, flip) in enumerate(sides)
-    ]
-    return supports, images, sides, bits
+    return supports, sides, bits
 
 
 def _first_defect_by_masks(alg: SectorAlgebra, firsts, masks) -> tuple[int, int] | None:
-    """The least (g, h), g in firsts, with a defect, decided on a 0/1 algebra's masks."""
-    supports, images, sides, bits = masks
+    """The least (g, h), g in firsts, with a defect, decided on a 0/1 algebra's masks.
+
+    images[h] is the mask of P_h = {hk : c[h][k] = 1}, the translate of row h by h.
+    """
+    supports, sides, bits = masks
     bit = bits.__getitem__
     table = alg.table
+    images = [
+        sum(map(bit, gather(table.row(h)))) ^ flip if gather else flip
+        for h, (gather, flip) in enumerate(sides)
+    ]
     product_rows = [table.row(h) for h in range(alg.order)]
     for g in firsts:
         support = supports[g]
@@ -628,7 +665,34 @@ def _frobenius_reduced(alg: SectorAlgebra, associative: bool) -> AxiomCheck:
     return AxiomCheck("frobenius", True)
 
 
-def _equivariance_by_generators(alg: SectorAlgebra) -> AxiomCheck:
+def _frobenius_by_triples(alg: SectorAlgebra) -> AxiomCheck:
+    """Frobenius compatibility over every triple, in the scan's order, for any table.
+
+    trace_form(x, y) is c[x][y] where xy = e and 0 elsewhere, one row per
+    x.  For each (g, h) the k loop compares c[g][h] times the trace row of
+    gh against row h times the trace row of g gathered through the
+    products hk, at C level.
+    """
+    table = alg.table
+    rows = alg.constants
+    traces = [
+        tuple(c if xy == 0 else 0 for c, xy in zip(row, table.row(x)))
+        for x, row in enumerate(rows)
+    ]
+    for g, row_g in enumerate(rows):
+        trace_g = traces[g]
+        for h, (c, gh) in enumerate(zip(row_g, table.row(g))):
+            lhs = tuple(map(mul, repeat(c), traces[gh]))
+            rhs = tuple(map(mul, _gatherer(table.row(h))(trace_g), rows[h]))
+            if lhs != rhs:
+                k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                return AxiomCheck(
+                    "frobenius", False, _triple_payload(alg, g, h, k, lhs[k], rhs[k])
+                )
+    return AxiomCheck("frobenius", True)
+
+
+def _equivariance_by_generators(alg: SectorAlgebra, masks) -> AxiomCheck:
     """Equivariance, checked for conjugation by the table's generators only.
 
     Call k a symmetry when c[k^-1 g k][k^-1 h k] = c[g][h] for all g, h.
@@ -647,10 +711,34 @@ def _equivariance_by_generators(alg: SectorAlgebra) -> AxiomCheck:
     conjugation is trivial.  Every element below the least non-symmetric
     generator is therefore e or a symmetric generator, and that generator is
     the cube's k.  For it the rows are compared in g order as the cube does,
-    and the first h where they differ is reported.
+    and the first h where they differ is reported.  masks are
+    _binary_masks(alg) or None (see _equivariance).
+    """
+    return _equivariance(alg, zip(alg.table.gens, alg.table.generator_conjugations), masks)
+
+
+def _equivariance(alg: SectorAlgebra, conjugators, masks) -> AxiomCheck:
+    """The first (g, h) where c[k^-1 g k][k^-1 h k] differs from c[g][h], over (k, conj) pairs.
+
+    conj[x] is k^-1 x k; for each k in turn the rows are compared in g
+    order, and the first h where they differ is reported.  Given a 0/1
+    algebra's masks (with every conj a permutation), k is first tested on
+    the supports: it is a symmetry exactly when conj carries the support of
+    each row g onto the support of row conj[g].  That image is built from
+    row g's smaller side, its ones, or its zeros with the mask complemented,
+    so an all-ones or all-zeros row costs nothing.  Only a k that fails has
+    its rows compared.
     """
     rows = alg.constants
-    for k, conj in zip(alg.table.gens, alg.table.generator_conjugations):
+    if masks is not None:
+        supports, sides, bits = masks
+        bit = bits.__getitem__
+    for k, conj in conjugators:
+        if masks is not None and all(
+            (sum(map(bit, gather(conj))) ^ flip if gather else flip) == support
+            for (gather, flip), support in zip(sides, map(supports.__getitem__, conj))
+        ):
+            continue
         gather = _gatherer(conj)
         for g, row in enumerate(rows):
             conjugated = gather(rows[conj[g]])

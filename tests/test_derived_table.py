@@ -1,0 +1,158 @@
+"""The doubled table derived from the original, and the integer composition behind check_group.
+
+OrbifoldModel.cotangent_model derives the doubled group's table from the
+original's instead of closing the doubled generators again.  An independent
+closure of those generators must hold the same elements, and sector_bijection
+into it must be a bijection.  check_group composes re-encoded elements on
+integer codes; MonomialMap.__mul__ is the oracle for that composition.
+"""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from orbring import (
+    DIMENSION_CAP,
+    ConsistencyError,
+    GroupTable,
+    MonomialMap,
+    OrbifoldModel,
+    ResourceCapError,
+    cotangent_double,
+    sector_bijection,
+)
+from orbring.cotangent import closure_sanity_check
+from orbring.cyclotomic import RationalPhase
+from orbring.monomial import _composer, _encode
+from support import (
+    CORPUS_NAMES,
+    closure_sanity_scan,
+    corpus_spec,
+    gmpn_spec,
+    monomial_generator_sets,
+    monomial_maps,
+    sector_bijection_scan,
+)
+
+SPECS = [corpus_spec(name) for name in CORPUS_NAMES] + [
+    gmpn_spec(m, p, n) for m, p, n in ((4, 1, 2), (6, 2, 2), (2, 1, 3), (5, 1, 2), (2, 1, 4))
+]
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+def test_derived_table_holds_the_closed_doubled_group(spec, forget):
+    model = OrbifoldModel(spec, forget_geometry=forget)
+    derived = model.cotangent_model().table
+    closed = GroupTable.close(
+        cotangent_double(spec).generators, 2 * spec.dimension, cap=spec.max_group_order
+    )
+    assert set(derived.codes) == set(closed.codes)
+    assert derived.codes == closed.codes  # the same breadth-first order, too
+    bijection = sector_bijection(model.table, closed)
+    assert sorted(bijection) == list(range(model.order))
+    assert sector_bijection(model.table, derived) == tuple(range(model.order))
+
+
+@given(monomial_generator_sets())
+@settings(max_examples=60, deadline=None)
+def test_derived_table_holds_the_closed_doubled_group_on_random_groups(generated):
+    n, gens = generated
+    try:
+        table = GroupTable.close(gens, n, cap=64)
+    except ResourceCapError:
+        return
+    doubles = [g.double() for g in gens]
+    closed = GroupTable.close(doubles, 2 * n)
+    derived = table.doubled(doubles)
+    assert derived.codes == closed.codes
+    assert [derived.row(i) for i in range(derived.order)] == [
+        closed.row(i) for i in range(closed.order)
+    ]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+def test_derived_table_shares_the_index_tables(spec):
+    model = OrbifoldModel(spec)
+    table = model.table
+    derived = model.cotangent_model().table
+    assert derived is not table and derived.shares_group_with(table)
+    assert derived.dimension == 2 * table.dimension
+    assert derived.conductor == table.conductor
+    assert derived.gens == table.gens and derived.inverse_index == table.inverse_index
+    assert derived.generator_conjugations is table.generator_conjugations
+    assert derived.conjugacy_classes() is table.conjugacy_classes()
+    # a row built through one table is the other's row object
+    last = model.order - 1
+    assert derived.row(last) is table.row(last)
+    assert derived.elements == [element.double() for element in table.elements]
+    assert sector_bijection_scan(table, derived) == tuple(range(model.order))
+
+
+def test_derived_table_refuses_generators_that_are_not_the_doubles():
+    table = corpus_spec("z3-11").close()
+    with pytest.raises(ConsistencyError, match="not the doubles"):
+        table.doubled(cotangent_double(corpus_spec("z3-12")).generators)
+    with pytest.raises(ConsistencyError, match="not the doubles"):
+        table.doubled(corpus_spec("z3-11").generators)
+
+
+def test_derived_table_keeps_the_dimension_cap():
+    half = DIMENSION_CAP // 2
+    assert GroupTable.close([], half).doubled([]).dimension == DIMENSION_CAP
+    with pytest.raises(ResourceCapError, match=f"dimension {DIMENSION_CAP + 2} exceeds"):
+        GroupTable.close([], half + 1).doubled([])
+
+
+def test_check_group_verdict_is_shared_with_the_derived_table():
+    model = OrbifoldModel(corpus_spec("s3-perm"))
+    doubled = model.cotangent_model()
+    assert closure_sanity_check(model) is None
+    assert doubled.table.is_group_table()
+    # a row swap seen by both tables; check_group decides it afresh for both
+    row = list(model.table.row(1))
+    row[0], row[1] = row[1], row[0]
+    model.table._rows[1] = tuple(row)
+    assert not doubled.table.check_group()
+    assert not model.table.is_group_table()
+
+
+# --- the integer composition of check_group against MonomialMap.__mul__ ---
+
+@st.composite
+def composable_pairs(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    return draw(monomial_maps(dimension=n)), draw(monomial_maps(dimension=n))
+
+
+@given(composable_pairs(), st.integers(min_value=1, max_value=3))
+@settings(max_examples=200, deadline=None)
+def test_integer_composition_equals_monomial_product(pair, multiple):
+    x, s = pair
+    n = x.dimension
+    conductor = math.lcm(1, *(p.denominator for p in x.phases + s.phases)) * multiple
+    product = _composer(_encode(s, n, conductor), n, conductor)(_encode(x, n, conductor))
+    assert product == _encode(x * s, n, conductor)
+
+
+def test_encode_refuses_a_phase_off_the_conductor():
+    m = MonomialMap((1, 0), (RationalPhase(1, 2), RationalPhase(1, 3)))
+    assert _encode(m, 2, 6) == (3 * 2 + 1, 2 * 2 + 0)
+    assert _encode(m, 2, 3) is None
+
+
+def test_closure_sanity_with_a_phase_off_the_conductor_matches_scan():
+    # z3-11 has conductor 3; an element with a phase 1/2 has no code, so
+    # check_group answers False and the MonomialMap scan decides
+    model = OrbifoldModel(corpus_spec("z3-11"))
+    elements = model.table.elements
+    elements[1] = MonomialMap((0, 1), (RationalPhase(1, 2), RationalPhase(1, 3)))
+    expected = closure_sanity_scan(model)
+    assert expected == {
+        "problem": "multiplication table disagrees with composition",
+        "pair": ["g1", "g1"],
+    }
+    assert closure_sanity_check(model) == expected
+    assert not model.table.is_group_table()

@@ -406,6 +406,40 @@ def test_a_value_outside_0_and_1_keeps_the_row_compare(value):
     assert verify_algebra(alg) == cube_report(alg)
 
 
+ROW_SWAP_MODELS = {
+    "s3-perm": lambda: corpus_spec("s3-perm"),
+    "s4-perm": lambda: corpus_spec("s4-perm"),
+    "q8": lambda: corpus_spec("q8"),
+    "G(4,1,2)": lambda: gmpn_spec(4, 1, 2),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    source=st.sampled_from(sorted(ROW_SWAP_MODELS)),
+    theory=st.sampled_from(THEORIES),
+    forget=st.booleans(),
+)
+def test_verifier_matches_cube_on_a_table_with_two_row_entries_swapped(
+    data, source, theory, forget
+):
+    # The row of i stays a permutation, but the table is no group's table,
+    # so no reduction may assume one: each check must be its scan's.
+    model = OrbifoldModel(ROW_SWAP_MODELS[source](), forget_geometry=forget)
+    alg = model.algebra(theory)
+    table = model.table
+    i = data.draw(st.integers(0, table.order - 1))
+    j, k = data.draw(
+        st.lists(st.integers(0, table.order - 1), min_size=2, max_size=2, unique=True)
+    )
+    row = list(table.row(i))
+    row[j], row[k] = row[k], row[j]
+    table._rows[i] = tuple(row)
+    assert verify_algebra(alg) == cube_report(alg)
+    assert not table.is_group_table()
+
+
 def test_associativity_failing_off_the_class_representatives():
     # The corruption breaks equivariance, and every associativity defect it
     # causes has its g outside the class representatives, so the verifier

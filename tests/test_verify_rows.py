@@ -12,18 +12,31 @@ bijection with one entry copied onto another is not injective, which gives
 main_theorem_check's pairings stage two preimages, or none, of some sector.
 With sector(), the rank methods, structure_constant and k_rank patched to
 raise, verify, ring and every check must still give the scans' outcomes:
-they decide and report from their own integers.
+they decide and report from their own integers.  verify builds no class
+ring; where main_theorem_check's guard fails (a bijection that is not the
+identity, constants that are not equivariant, degrees that are not
+class-constant), it must give the scan's outcome.
 """
 
 import contextlib
 import functools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbring import ConsistencyError, OrbifoldModel, SectorGeometry, cli, cotangent
+from orbring import (
+    CR,
+    VIRT,
+    ConsistencyError,
+    OrbifoldModel,
+    SectorAlgebra,
+    SectorGeometry,
+    cli,
+    cotangent,
+)
 from orbring.cotangent import (
     age_duality_check,
     closure_sanity_check,
@@ -41,6 +54,7 @@ from support import (
     corpus_path,
     corpus_spec,
     decomposition_scan,
+    equivariance_scan,
     gmpn_spec,
     grading_check_scan,
     main_theorem_scan,
@@ -292,14 +306,15 @@ def assert_checks_match_scans_without_per_entry_paths(build):
 @pytest.mark.parametrize("name", NAMES)
 def test_verify_reaches_no_per_entry_path(name, forget):
     tables = []
-    real_bijection = cotangent.sector_bijection
+    real_cotangent_model = OrbifoldModel.cotangent_model
 
-    def recording_bijection(original, doubled):
-        tables.extend((original, doubled))
-        return real_bijection(original, doubled)
+    def recording_cotangent_model(model):
+        doubled = real_cotangent_model(model)
+        tables.extend((model.table, doubled.table))
+        return doubled
 
     with per_entry_paths_raise() as patch:
-        patch.setattr(cotangent, "sector_bijection", recording_bijection)
+        patch.setattr(OrbifoldModel, "cotangent_model", recording_cotangent_model)
         report = run_full_verification(spec_of(name), forget_geometry=forget)
     assert report.all_passed
     assert len(tables) == 2
@@ -360,3 +375,132 @@ def test_checks_reach_no_per_entry_path_with_a_transposed_bijection(data, name, 
         return model, doubled, tuple(permuted)
 
     assert_checks_match_scans_without_per_entry_paths(build)
+
+
+# --- main_theorem_check decides its class stage by proof, or builds both class rings ---
+
+@contextlib.contextmanager
+def counted_invariant_rings():
+    """Counts SectorAlgebra.invariant_ring calls in calls[0]."""
+    calls = [0]
+    real = SectorAlgebra.invariant_ring
+
+    def counted(alg):
+        calls[0] += 1
+        return real(alg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SectorAlgebra, "invariant_ring", counted)
+        yield calls
+
+
+CLASS_STAGE_SPECS = [corpus_spec(name) for name in CORPUS_NAMES] + [
+    gmpn_spec(m, p, n) for m, p, n in ((4, 1, 2), (6, 2, 2), (2, 1, 3), (5, 1, 2))
+]
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+@pytest.mark.parametrize("spec", CLASS_STAGE_SPECS, ids=lambda spec: spec.name)
+def test_verify_builds_no_class_ring(spec, forget):
+    with counted_invariant_rings() as calls:
+        report = run_full_verification(spec, forget_geometry=forget)
+    assert report.all_passed
+    assert calls == [0]
+
+
+def class_stage_outcomes(build):
+    """(check outcome, scan outcome, class rings the check built), each on its own build()."""
+    with counted_invariant_rings() as calls:
+        checked = outcome(main_theorem_check, *build())
+    return checked, outcome(main_theorem_scan, *build()), calls[0]
+
+
+@pytest.mark.parametrize("name", ["s3-perm", "q8", "z4-13"])
+def test_class_stage_matches_scan_with_a_transposed_bijection(name):
+    # in point mode every constant is 1 and every degree 0, so a transposition
+    # that keeps inverses passes the sector stages and reaches the class stage
+    order = cached(name, True)[0].order
+    built_rings = 0
+    for i in range(order):
+        for j in range(i + 1, order):
+
+            def build():
+                model, doubled, bijection = fresh(name, True)
+                permuted = list(bijection)
+                permuted[i], permuted[j] = permuted[j], permuted[i]
+                return model, doubled, tuple(permuted)
+
+            checked, scanned, rings = class_stage_outcomes(build)
+            assert checked == scanned, (i, j)
+            built_rings += rings
+    assert built_rings > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(NAMES),
+    forget=st.booleans(),
+    value=st.sampled_from([0, 1, 2, Fraction(1, 2)]),
+)
+def test_class_stage_matches_scan_with_equal_constant_edits(data, name, forget, value):
+    # the same entry edited in the virtual and the doubled cr algebra keeps the
+    # constants stage passing, while the edit may break equivariance
+    order = cached(name, forget)[0].order
+    g = data.draw(st.integers(0, order - 1))
+    h = data.draw(st.integers(0, order - 1))
+
+    def build():
+        model, doubled, bijection = fresh(name, forget)
+        model._algebras[VIRT] = model.algebra(VIRT).with_constant(g, h, value)
+        doubled._algebras[CR] = doubled.algebra(CR).with_constant(g, h, value)
+        return model, doubled, bijection
+
+    checked, scanned, rings = class_stage_outcomes(build)
+    assert checked == scanned
+    if equivariance_scan(build()[0].algebra(VIRT)).passed:
+        assert rings == 0
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+@pytest.mark.parametrize("name", ["z2z2-diag", "s3-perm", "q8", "G(4,1,2)"])
+def test_class_stage_matches_scan_with_a_bumped_fixed_entry(name, forget):
+    # fixed[g] one up or down (and the doubled age of g the opposite way, so
+    # the degrees stage passes) makes the virtual degrees non-class-constant
+    order = cached(name, forget)[0].order
+    for g in range(1, order):
+        for step in (1, -1):
+
+            def build():
+                model, doubled, bijection = fresh(name, forget)
+                model.geometry.fixed[g] += step
+                doubled.geometry.ages[g] -= step * doubled.geometry.scale
+                return model, doubled, bijection
+
+            checked, scanned, _ = class_stage_outcomes(build)
+            assert checked == scanned, (g, step)
+
+
+@pytest.mark.parametrize("name", ["s3-perm", "q8", "s4-perm"])
+def test_class_stage_matches_scan_with_non_class_constant_degrees(name):
+    # equal degree edits in both algebras pass the sector stages; a degree
+    # that is not constant on its class fails the guard, and the class rings
+    # raise as the scan's do
+    model = cached(name, False)[0]
+    g = next(cls[1] for cls in model.table.conjugacy_classes().classes if len(cls) > 1)
+
+    def build():
+        model, doubled, bijection = fresh(name, False)
+        for target, theory in ((model, VIRT), (doubled, CR)):
+            alg = target.algebra(theory)
+            degrees = list(alg.degrees)
+            degrees[g] += 2
+            target._algebras[theory] = SectorAlgebra(
+                alg.theory, alg.table, tuple(degrees), alg.constants, alg.labels
+            )
+        return model, doubled, bijection
+
+    checked, scanned, rings = class_stage_outcomes(build)
+    assert checked == scanned
+    assert checked[0] == "error" and "degree is not constant" in checked[1]
+    assert rings == 1
