@@ -19,15 +19,7 @@ from ._record import Record
 from .errors import ConsistencyError
 from .monomial import GroupTable, _double, _gatherer
 from .orbifold import OrbifoldSpec
-from .rings import (
-    CR,
-    VIRT,
-    OrbifoldModel,
-    SectorAlgebra,
-    _binary_masks,
-    _equivariance_by_generators,
-    verify_algebra,
-)
+from .rings import CR, VIRT, OrbifoldModel, SectorAlgebra
 
 __all__ = [
     "CheckResult",
@@ -200,8 +192,7 @@ def rank_oracle_check(model: OrbifoldModel) -> dict | None:
 
 
 def algebra_axioms_check(model: OrbifoldModel, theory: str) -> dict | None:
-    report = verify_algebra(model.algebra(theory))
-    failure = report.first_failure()
+    failure = model.algebra_report(theory).first_failure()
     if failure is None:
         return None
     payload = {"axiom": failure.name}
@@ -277,13 +268,13 @@ def main_theorem_check(
     """Full ring comparison: degrees, constants, pairings, and class tables.
 
     Constants are compared a row at a time: the doubled row of bijection[g]
-    gathered through the bijection against the virtual row g.  Pairings are
-    compared in one O(|G|) pass, for any bijection: the doubled pairing at
-    (bijection[g], bijection[h]) is 1 exactly when h is a preimage of the
-    doubled inverse of bijection[g], and the virtual one exactly when h is
-    g^-1.  So row g agrees exactly when those preimages are [g^-1], and
-    otherwise the pair scan's first differing h is the least element of
-    their symmetric difference.
+    gathered through the bijection, as bytes, against the virtual row g.
+    Pairings are compared in one O(|G|) pass, for any bijection: the doubled
+    pairing at (bijection[g], bijection[h]) is 1 exactly when h is a
+    preimage of the doubled inverse of bijection[g], and the virtual one
+    exactly when h is g^-1.  So row g agrees exactly when those preimages
+    are [g^-1], and otherwise the pair scan's first differing h is the
+    least element of their symmetric difference.
 
     The class stage passes without building either class ring when
     _class_stage_follows holds.  Its guard asks that
@@ -319,7 +310,7 @@ def main_theorem_check(
     cr_doubled = doubled.algebra(CR)
     at_image = _gatherer(bijection)
     for g in range(model.order):
-        lhs = at_image(cr_doubled.constants[bijection[g]])
+        lhs = bytes(at_image(cr_doubled.constants[bijection[g]]))
         rhs = virt.constants[g]
         if lhs != rhs:
             h = next(h for h, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
@@ -393,9 +384,12 @@ def _class_stage_follows(
 ) -> bool:
     """main_theorem_check's guard for its class stage.
 
-    Its cost is the virtual algebra's row masks (_binary_masks) and about
-    |gens|*|G| support images, with the group-table fact read from the
-    table, where closure_sanity_check has left it in verify.
+    Condition (ii) for the constants is the equivariance check of the
+    virtual algebra's axiom report, which on a group table is decided under
+    the generator conjugations alone.  In verify, algebra-axioms-virt has
+    already derived that report and closure_sanity_check the group-table
+    fact, so the guard costs about |gens|*|G| more; called on its own, it
+    derives the report first.
     """
     table = model.table
     if not (
@@ -411,7 +405,8 @@ def _class_stage_follows(
         return False
     if not table.is_group_table():
         return False
-    return _equivariance_by_generators(virt, _binary_masks(virt)).passed
+    (equivariance,) = (c for c in model.algebra_report(VIRT).checks if c.name == "equivariance")
+    return equivariance.passed
 
 
 def _timed(name: str, fn: Callable[[], dict | None]) -> CheckResult:

@@ -5,8 +5,9 @@ every sector contributes a single generator.  Two gates decide each product:
 the Euler class of a positive-rank bundle over a contractible base vanishes
 (rank gate), and the wrong-way map into a strictly larger fixed subspace
 raises cohomological degree out of a contractible space (codimension gate).
-Structure constants are therefore the ints 0 or 1 at sector level; class-level
-constants of the conjugation-invariant subring are nonnegative ints.
+Structure constants are therefore 0 or 1 at sector level, and each algebra
+holds its rows as bytes over {0, 1}; class-level constants of the
+conjugation-invariant subring are nonnegative ints.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ class OrbifoldModel:
         self.table = spec.close() if table is None else table
         self.geometry = SectorGeometry(self.table, forget=forget_geometry)
         self._algebras: dict[str, SectorAlgebra] = {}
+        self._reports: dict[str, tuple[SectorAlgebra, AlgebraReport]] = {}
         self._cotangent: OrbifoldModel | None = None
 
     @property
@@ -164,8 +166,16 @@ class OrbifoldModel:
             self._algebras[theory] = alg
         return alg
 
-    def _constant_rows(self, theory: str) -> tuple[tuple[int, ...], ...]:
-        """Every structure_constant(theory, g, h), read from the geometry's int arrays.
+    def algebra_report(self, theory: str) -> "AlgebraReport":
+        """verify_algebra(self.algebra(theory)), derived once for each algebra the model holds."""
+        alg = self.algebra(theory)
+        kept = self._reports.get(theory)
+        if kept is None or kept[0] is not alg:
+            kept = self._reports[theory] = (alg, verify_algebra(alg))
+        return kept[1]
+
+    def _constant_rows(self, theory: str) -> tuple[bytes, ...]:
+        """Every structure_constant(theory, g, h) as one bytes row per g, from the int arrays.
 
         The same two gates, with each rank scaled to an integer: the cr
         obstruction rank times geometry.scale (the ages' common denominator),
@@ -180,7 +190,7 @@ class OrbifoldModel:
         scale, kind = (geometry.scale, "obstruction") if cr else (1, "excess")
         rows = []
         for g in range(self.order):
-            row = []
+            row = bytearray(self.order)
             for h, (gh, p) in enumerate(zip(self.table.row(g), geometry.pair_row(g))):
                 if cr:
                     scaled = ages[g] + ages[h] - ages[gh] + scale * (p - fixed[gh])
@@ -188,8 +198,9 @@ class OrbifoldModel:
                     scaled = n - fixed[g] - fixed[h] + p
                 if scaled < 0 or scaled % scale:
                     self.checked_rank(kind, g, h, scaled, scale)
-                row.append(1 if scaled == 0 and p == fixed[gh] else 0)
-            rows.append(tuple(row))
+                if scaled == 0 and p == fixed[gh]:
+                    row[h] = 1
+            rows.append(bytes(row))
         return tuple(rows)
 
     def cotangent_model(self) -> "OrbifoldModel":
@@ -210,7 +221,6 @@ class OrbifoldModel:
 
 
 _RING_JSON = '{\n  "theory": %s,\n  "basis": %s,\n  "degrees": %s,\n  "constants": %s\n}\n'
-_ENTRY_JSON = "\n    [\n      %d,\n      %d,\n      %d,\n      %s\n    ]"
 _INT_ENTRY_JSON = '\n    [\n      %d,\n      %d,\n      %d,\n      "%d"\n    ]'
 
 
@@ -218,7 +228,7 @@ class _Ring:
     """The members the two rings share: identity comparison, order and JSON.
 
     A ring lists one basis label and one degree per basis element, and yields
-    its nonzero constants as (a, b, c, value) from _nonzero_entries.
+    its nonzero constants, all ints, as (a, b, c, value) from _nonzero_entries.
     """
 
     __slots__ = ()
@@ -242,20 +252,15 @@ class _Ring:
 
         CPython's C encoder runs only when indent is None, so json.dumps with
         an indent renders every entry in pure Python; here each entry
-        (a, b, c, value) is one % format instead, and an int value (never a
-        bool, whose str differs) is written by that format too.  Other
-        strings are escaped by the encoder's own ensure_ascii function.
+        (a, b, c, value) is one % format instead.  The strings are escaped by
+        the encoder's own ensure_ascii function.
         """
 
         def strings(items) -> str:
             body = ",\n    ".join(map(_quote, items))
             return "[\n    " + body + "\n  ]" if body else "[]"
 
-        constants = ",".join(
-            _INT_ENTRY_JSON % (a, b, c, v) if type(v) is int
-            else _ENTRY_JSON % (a, b, c, _quote(str(v)))
-            for a, b, c, v in self._nonzero_entries()
-        )
+        constants = ",".join(_INT_ENTRY_JSON % entry for entry in self._nonzero_entries())
         return _RING_JSON % (
             _quote(self.theory),
             strings(self.labels),
@@ -268,8 +273,9 @@ class SectorAlgebra(_Ring, Record, repr_omit=("table",)):
     """Group-graded algebra on one generator x_g per sector.
 
     Carries the degree map, the 0/1 structure constants, the normalized sector
-    pairing, and the conjugation action (through the group table).  Constants
-    are ints; only with_constant can put in a non-integral (Fraction) value.
+    pairing, and the conjugation action (through the group table).  The
+    constants are one bytes row per g, of length |G| and over {0, 1}, so
+    constants[g][h] is the int c[g][h].
 
     Two bilinear forms appear on this algebra.  The *sector pairing* couples
     x_g to x_{g^-1} with value 1: sectors are contractible, so there is no
@@ -281,39 +287,23 @@ class SectorAlgebra(_Ring, Record, repr_omit=("table",)):
 
     __slots__ = ("theory", "table", "degrees", "constants", "labels")
 
-    def constant(self, g: int, h: int) -> int | Fraction:
+    def constant(self, g: int, h: int) -> int:
         return self.constants[g][h]
 
     def pairing(self, g: int, h: int) -> int:
         """Normalized sector pairing: 1 on (g, g^-1), else 0."""
         return 1 if self.table.inverse_index[g] == h else 0
 
-    def trace_form(self, g: int, h: int) -> int | Fraction:
+    def trace_form(self, g: int, h: int) -> int:
         """eps(x_g * x_h) where eps extracts the identity-sector coefficient."""
         if self.table.mult(g, h) == 0:
             return self.constants[g][h]
         return 0
 
-    def with_constant(self, g: int, h: int, value) -> "SectorAlgebra":
-        """Copy of the algebra with one table entry replaced (for negative tests).
-
-        An integral value is stored as an int, any other as an exact Fraction.
-        """
-        rows = [list(row) for row in self.constants]
-        value = Fraction(value)
-        rows[g][h] = int(value) if value.denominator == 1 else value
-        return SectorAlgebra(
-            theory=self.theory,
-            table=self.table,
-            degrees=self.degrees,
-            constants=tuple(tuple(row) for row in rows),
-            labels=self.labels,
-        )
-
     def invariant_ring(self) -> "InvariantRing":
         """Products of class sums, regrouped by conjugacy class in one sweep of the rows.
 
-        For each class a, every nonzero c[g][h] with g in C_a adds into the
+        For each class a, every c[g][h] = 1 with g in C_a adds 1 to the
         coefficient of x_gh in y_a * y_b, where b is the class of h; each g
         adds at most once to a coefficient, in the order of C_a.  A class
         that no product touches has coefficient 0 throughout, so it is
@@ -333,16 +323,15 @@ class SectorAlgebra(_Ring, Record, repr_omit=("table",)):
             degrees.append(values.pop())
         class_of = part.class_of
         indices = range(self.order)
-        constants: dict[tuple[int, int, int], int | Fraction] = {}
+        constants: dict[tuple[int, int, int], int] = {}
         for a, class_a in enumerate(part.classes):
-            sums: dict[int, dict[int, int | Fraction]] = {}
+            sums: dict[int, dict[int, int]] = {}
             for g in class_a:
-                row = self.constants[g]
                 products = self.table.row(g)
-                for h in compress(indices, row):
+                for h in compress(indices, self.constants[g]):
                     acc = sums.setdefault(class_of[h], {})
                     k = products[h]
-                    acc[k] = acc.get(k, 0) + row[h]
+                    acc[k] = acc.get(k, 0) + 1
             for b in sorted(sums):
                 acc = sums[b]
                 for cid in sorted({class_of[k] for k in acc}):
@@ -393,7 +382,7 @@ class InvariantRing(_Ring, Record):
 
     __slots__ = ("theory", "labels", "class_sizes", "degrees", "constants")
 
-    def constant(self, a: int, b: int, c: int) -> int | Fraction:
+    def constant(self, a: int, b: int, c: int) -> int:
         return self.constants.get((a, b, c), 0)
 
     def _nonzero_entries(self):
@@ -457,14 +446,10 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     (_nondegeneracy_by_inverses).  The tests compare this report against
     the |G|^3 and per-pair scans of the tests' support module.
 
-    Every algebra that OrbifoldModel.algebra builds holds only the values 0
-    and 1; only with_constant can put in another.  On a 0/1 algebra
-    associativity compares supports as int bitmasks, derived once per
-    algebra, and _associativity_reduced proves that equivalent to comparing
-    the values.  An algebra holding any other value keeps the row compare,
-    since products of such values can differ where the supports agree (2 * 1
-    against 1 * 1).  Frobenius compatibility is decided by associativity
-    unless that fails (_frobenius_reduced).
+    Every constant is 0 or 1, so associativity compares supports as int
+    bitmasks, derived once per algebra, and _associativity_reduced proves
+    that equivalent to comparing the values.  Frobenius compatibility is
+    decided by associativity unless that fails (_frobenius_reduced).
 
     The three reductions assume a group table whose inverse_index and
     generator_conjugations are its inverses and conjugations, which
@@ -516,9 +501,7 @@ def _associativity_reduced(alg: SectorAlgebra, equivariant: bool, masks) -> Axio
     has more ones than zeros, that translate is the complement of
     {hk : c[gh][k] = 0} (the same bijection), so it is built from the
     smaller side: an all-ones or all-zeros row costs nothing, and a sparse
-    row its ones (_binary_masks, _first_defect_by_masks).  masks are
-    _binary_masks(alg), or None for an algebra with another value, which
-    compares the value rows (_first_defect_by_rows).
+    row its ones (_binary_masks, _first_defect_by_masks).
 
     The pass also reports the cube's lex-first counterexample.  The cube
     meets triples in lex order, so its first counterexample has the least
@@ -533,7 +516,8 @@ def _associativity_reduced(alg: SectorAlgebra, equivariant: bool, masks) -> Axio
 
     The masks need each row h of the table to be a permutation, so that
     k -> hk is a bijection; on a table not known to be a group's the
-    caller passes None, and every g has its value rows compared.
+    caller passes None, and every g has its rows compared
+    (_first_defect_by_rows).
     """
     table = alg.table
     rows = alg.constants
@@ -551,34 +535,27 @@ def _associativity_reduced(alg: SectorAlgebra, equivariant: bool, masks) -> Axio
     return AxiomCheck("associativity", False, _triple_payload(alg, g, h, k, lhs, rhs))
 
 
-# bytes 0 and 1 to the digits "0" and "1", and any other byte to "x", which int(..., 2) refuses
-_BINARY_DIGITS = b"01" + b"x" * 254
 _SWAP_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _binary_masks(alg: SectorAlgebra):
-    """(supports, sides, bits) of a 0/1 algebra, or None if any constant is not 0 or 1.
+    """(supports, sides, bits) of an algebra's 0/1 rows.
 
     bits[i] is 1 << i and supports[g] the int whose bit h is c[g][h].
     sides[m] is (gather, flip): gather picks out the k of the smaller of row
     m's ones and zeros, or is None if there are none, and flip is 0 for the
     ones or the all-ones mask for the zeros.  The translate {xk : c[m][k] = 1} is
-    then sum(bits[x*k] for the k picked) ^ flip.
-
-    bytes(row) refuses a Fraction and an int outside 0..255, and any other
-    value but 0 and 1 becomes an "x", so such a row stops the build.
+    then sum(bits[x*k] for the k picked) ^ flip.  A support is read from
+    the row's hex digits: the last digit of each byte's pair, taken from the
+    end, spells the row's bits from h = |G| - 1 down to 0.
     """
     order = alg.order
     indices = tuple(range(order))  # shared ints for the sides to point at
     full = (1 << order) - 1
     bits = [1 << i for i in indices]
     supports, sides = [], []
-    for row in alg.constants:
-        try:
-            flags = bytes(row)
-            support = int(flags[::-1].translate(_BINARY_DIGITS), 2)
-        except (TypeError, ValueError):
-            return None
+    for flags in alg.constants:
+        support = int(flags.hex()[::-2], 2)
         supports.append(support)
         flip = 0
         if 2 * support.bit_count() > order:
@@ -618,7 +595,7 @@ def _first_defect_by_masks(alg: SectorAlgebra, firsts, masks) -> tuple[int, int]
 
 
 def _first_defect_by_rows(alg: SectorAlgebra, firsts) -> tuple[int, int] | None:
-    """The least (g, h), g in firsts, with a defect, for constants of any value.
+    """The least (g, h), g in firsts, with a defect, for a table not known to be a group's.
 
     For each (g, h) the k loop compares two rows at C level: row gh scaled
     by c[g][h], against row h times row g gathered through the products hk.
@@ -721,13 +698,14 @@ def _equivariance(alg: SectorAlgebra, conjugators, masks) -> AxiomCheck:
     """The first (g, h) where c[k^-1 g k][k^-1 h k] differs from c[g][h], over (k, conj) pairs.
 
     conj[x] is k^-1 x k; for each k in turn the rows are compared in g
-    order, and the first h where they differ is reported.  Given a 0/1
+    order, and the first h where they differ is reported.  Given the
     algebra's masks (with every conj a permutation), k is first tested on
     the supports: it is a symmetry exactly when conj carries the support of
     each row g onto the support of row conj[g].  That image is built from
     row g's smaller side, its ones, or its zeros with the mask complemented,
     so an all-ones or all-zeros row costs nothing.  Only a k that fails has
-    its rows compared.
+    its rows compared, each gathered row as bytes: the gather gives a tuple
+    unless the group has order 1.
     """
     rows = alg.constants
     if masks is not None:
@@ -741,7 +719,7 @@ def _equivariance(alg: SectorAlgebra, conjugators, masks) -> AxiomCheck:
             continue
         gather = _gatherer(conj)
         for g, row in enumerate(rows):
-            conjugated = gather(rows[conj[g]])
+            conjugated = bytes(gather(rows[conj[g]]))
             if conjugated != row:
                 h = next(h for h, (x, y) in enumerate(zip(row, conjugated)) if x != y)
                 return AxiomCheck(

@@ -21,6 +21,7 @@ from orbring import (
     OrbifoldSpec,
     RationalPhase,
     ResourceCapError,
+    SectorAlgebra,
     k_rank,
 )
 
@@ -397,6 +398,29 @@ def main_theorem_scan(model, doubled, bijection):
                 "doubled_cr": str(inv_doubled.constants.get(key, 0)),
             }
     return None
+
+
+# --- corrupted algebras (negative tests) ---
+
+def with_constant(alg, g, h, value):
+    """Copy of alg with c[g][h] replaced by value, which must be 0 or 1.
+
+    A built algebra holds only 0/1 bytes rows, and the verifier decides
+    nothing else, so a corruption is a flipped or rewritten entry.
+    """
+    if value not in (0, 1):
+        raise ValueError(f"a structure constant is 0 or 1, got {value!r}")
+    rows = list(alg.constants)
+    row = bytearray(rows[g])
+    row[h] = value
+    rows[g] = bytes(row)
+    return SectorAlgebra(
+        theory=alg.theory,
+        table=alg.table,
+        degrees=alg.degrees,
+        constants=tuple(rows),
+        labels=alg.labels,
+    )
 
 
 # --- the algebra axioms and the class-sum ring as plain scans ---
