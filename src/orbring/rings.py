@@ -76,10 +76,11 @@ class OrbifoldModel:
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        return tuple("e" if i == 0 else f"g{i}" for i in range(self.order))
+        return tuple(map(self.label, range(self.order)))
 
     def label(self, i: int) -> str:
-        return self.labels[i]
+        """Element i's label, formatted alone: inspect labels only the class representatives."""
+        return "e" if i == 0 else f"g{i}"
 
     def sector(self, i: int) -> SectorData:
         return self.geometry.sector(i)

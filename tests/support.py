@@ -101,11 +101,12 @@ def monomial_generator_sets(draw):
 
 # --- independent closure oracle: breadth-first search on MonomialMap objects ---
 
-def closure_oracle(generators, dimension, cap):
+def closure_oracle(generators, dimension, cap, rows=True):
     """GroupTable's fields by composing MonomialMap objects, as a dict.
 
     The same sorted generators and the same breadth-first discovery order as
-    GroupTable.close, so the indices must agree; rows holds every product row.
+    GroupTable.close, so the indices must agree; rows holds every product
+    row, or None when rows is false.
     """
     gens = sorted(set(generators), key=MonomialMap.sort_key)
     identity = MonomialMap.identity(dimension)
@@ -127,7 +128,7 @@ def closure_oracle(generators, dimension, cap):
         "index": index,
         "gens": tuple(index[g] for g in gens),
         "inverse_index": tuple(index[e.inverse()] for e in elements),
-        "rows": [tuple(index[x * y] for y in elements) for x in elements],
+        "rows": [tuple(index[x * y] for y in elements) for x in elements] if rows else None,
     }
 
 

@@ -91,6 +91,23 @@ def test_derived_table_shares_the_index_tables(spec):
     assert sector_bijection_scan(table, derived) == tuple(range(model.order))
 
 
+# inverse_index is derived on first read, by each table from the search
+# parents they share
+@pytest.mark.parametrize("read_first", [False, True], ids=["after", "before"])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+def test_derived_inverses_match_whenever_the_original_reads_its_own(spec, read_first):
+    table = spec.close()
+    if read_first:
+        inverses = table.inverse_index
+    derived = table.doubled(cotangent_double(spec).generators)
+    assert "inverse_index" not in derived.__dict__
+    if not read_first:
+        assert "inverse_index" not in table.__dict__
+        inverses = table.inverse_index
+    assert derived.inverse_index == inverses == table.inverse_index
+    assert all(table.mult(x, y) == 0 for x, y in enumerate(inverses))
+
+
 def test_derived_table_refuses_generators_that_are_not_the_doubles():
     table = corpus_spec("z3-11").close()
     with pytest.raises(ConsistencyError, match="not the doubles"):

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,12 @@ from orbring import (
     GroupTable,
     InputError,
     MonomialMap,
+    OrbifoldModel,
     RationalPhase,
     ResourceCapError,
+    monomial,
 )
+from orbring.cli import _inspect_text
 from support import (
     CORPUS_NAMES,
     built_rows,
@@ -511,13 +515,97 @@ def test_close_lazy_mult_and_classes_form_no_monomial_products(monkeypatch):
     assert len(table.conjugacy_classes()) == 10
 
 
+def test_inspect_derives_no_inverses_and_formats_only_representative_labels():
+    model = OrbifoldModel(gmpn_spec(2, 1, 3))
+    text = _inspect_text(model)
+    assert "conjugacy classes: 10" in text
+    assert "inverse_index" not in model.table.__dict__
+    assert "labels" not in model.__dict__
+    assert model.labels[:3] == ("e", "g1", "g2") and len(model.labels) == model.order
+
+
+# --- the block walk of GroupTable.close ---
+
+def block_bounds(table, size):
+    """(start, end) of each block close walked, from the parents of the finished search.
+
+    A block starts at i and holds the elements discovered by then, at most
+    size of them; the search finds its elements in parent order, so those
+    are the elements whose parent precedes i, and the identity.
+    """
+    parents = [p for p, _ in table._parent_gen[1:]]
+    bounds = []
+    i = 0
+    while i < table.order:
+        discovered = 1 + sum(1 for p in parents if p < i)
+        end = min(i + size, discovered)
+        bounds.append((i, end))
+        i = end
+    return bounds
+
+
+def assert_products_by_generators_match_oracle(table, generators, dimension, cap):
+    """assert_table_matches_oracle without the |G|^2 rows: each generator's column and row."""
+    oracle = closure_oracle(generators, dimension, cap, rows=False)
+    elements, index = oracle["elements"], oracle["index"]
+    assert table.elements == elements
+    assert table.index == index
+    assert table.gens == oracle["gens"]
+    assert table.inverse_index == oracle["inverse_index"]
+    for s in table.gens:
+        assert [table.mult(x, s) for x in range(table.order)] == [
+            index[x * elements[s]] for x in elements
+        ]
+        assert list(table.row(s)) == [index[elements[s] * x] for x in elements]
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["original", "doubled"])
+def test_closure_across_blocks_matches_monomial_oracle(doubled):
+    spec = gmpn_spec(2, 1, 4)
+    gens = [g.double() for g in spec.generators] if doubled else list(spec.generators)
+    dimension = 2 * spec.dimension if doubled else spec.dimension
+    table = GroupTable.close(gens, dimension, cap=spec.max_group_order)
+    assert table.order == 384
+    assert len(block_bounds(table, monomial._CLOSE_BLOCK)) > 3
+    assert_products_by_generators_match_oracle(table, gens, dimension, spec.max_group_order)
+
+
+# blocks of one element are the one-at-a-time search; blocks of three split
+# every level of the search
+@pytest.mark.parametrize("size", [1, 3])
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
+def test_small_blocks_match_monomial_oracle(monkeypatch, spec, size):
+    monkeypatch.setattr(monomial, "_CLOSE_BLOCK", size)
+    table = spec.close()
+    assert_table_matches_oracle(table, spec.generators, spec.dimension, spec.max_group_order)
+
+
 @pytest.mark.parametrize(
-    "spec", [corpus_spec(name) for name in CORPUS_NAMES] + [gmpn_spec(2, 1, 3)],
+    "spec",
+    [corpus_spec(name) for name in CORPUS_NAMES] + [gmpn_spec(2, 1, 3), gmpn_spec(2, 1, 4)],
     ids=lambda spec: spec.name,
 )
 def test_order_cap_boundary(spec):
-    order = spec.close().order
-    if order > 1:
-        with pytest.raises(ResourceCapError):
-            GroupTable.close(spec.generators, spec.dimension, cap=order - 1)
+    table = spec.close()
+    order = table.order
+    caps = [order - 1] if order > 1 else []
+    # the last element whose discovering product has products of its block
+    # on both sides, so the cap is hit mid-block
+    bounds = block_bounds(table, monomial._CLOSE_BLOCK)
+    starts = [start for start, _ in bounds]
+    for c in range(order - 1, 1, -1):
+        p, _ = table._parent_gen[c]
+        start, end = bounds[bisect_right(starts, p) - 1]
+        if start < p < end - 1:
+            caps.append(c)
+            break
+    if order >= 48:
+        assert len(caps) == 2
+    for cap in caps:
+        with pytest.raises(ResourceCapError) as raised:
+            GroupTable.close(spec.generators, spec.dimension, cap=cap)
+        with pytest.raises(ResourceCapError) as expected:
+            closure_oracle(spec.generators, spec.dimension, cap, rows=False)
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == f"group not closed within cap {cap} elements"
     assert GroupTable.close(spec.generators, spec.dimension, cap=order).order == order
