@@ -19,7 +19,7 @@ from ._record import Record
 from .errors import ConsistencyError
 from .monomial import GroupTable, _double, _gatherer
 from .orbifold import OrbifoldSpec
-from .rings import CR, VIRT, OrbifoldModel, SectorAlgebra
+from .rings import CR, VIRT, OrbifoldModel, SectorAlgebra, _first_moved_defect
 
 __all__ = [
     "CheckResult",
@@ -109,13 +109,18 @@ def k_rank(model: OrbifoldModel, g: int, h: int) -> int:
 def closure_sanity_check(model: OrbifoldModel) -> dict | None:
     """Identity, inverses, element orders, and products against composition.
 
-    The composition test is the table's check_group, about |G|*|gens|
-    integer compositions and 2*|G|*|gens| row gathers; its verdict is kept
-    for verify_algebra and main_theorem_check.  The |G|^2 scan runs only
-    when it fails, and decides the check and finds the first disagreeing
-    pair.
+    Decided by the group fact: table.check_group(), whose verdict is kept
+    for verify_algebra and main_theorem_check, implies every part.  It
+    requires the re-encoded elements[0] to be the identity code, and its
+    _conjugations_hold reads mult(i, inverse_index[i]) = 0.  phi(i) =
+    elements[i] is an injective homomorphism onto |G| maps, which therefore
+    form a group, so each element order, read from its code, divides |G|
+    (Lagrange), and products agree with composition.  Only a False verdict
+    runs the loops below, in order, to name the first failure.
     """
     table = model.table
+    if table.check_group():
+        return None
     if not table.elements[0].is_identity():
         return {"problem": "index 0 is not the identity"}
     order = table.order
@@ -129,14 +134,13 @@ def closure_sanity_check(model: OrbifoldModel) -> dict | None:
                 "element_order": table.element_order(i),
                 "group_order": order,
             }
-    if not table.check_group():
-        for i in range(order):
-            for j in range(order):
-                if table.elements[table.mult(i, j)] != table.elements[i] * table.elements[j]:
-                    return {
-                        "problem": "multiplication table disagrees with composition",
-                        "pair": [model.label(i), model.label(j)],
-                    }
+    for i in range(order):
+        for j in range(order):
+            if table.elements[table.mult(i, j)] != table.elements[i] * table.elements[j]:
+                return {
+                    "problem": "multiplication table disagrees with composition",
+                    "pair": [model.label(i), model.label(j)],
+                }
     return None
 
 
@@ -267,8 +271,8 @@ def main_theorem_check(
 ) -> dict | None:
     """Full ring comparison: degrees, constants, pairings, and class tables.
 
-    Constants are compared a row at a time: the doubled row of bijection[g]
-    gathered through the bijection, as bytes, against the virtual row g.
+    Constants are compared by _first_moved_defect: the doubled row of
+    bijection[g] through the bijection against the virtual row g.
     Pairings are compared in one O(|G|) pass, for any bijection: the doubled
     pairing at (bijection[g], bijection[h]) is 1 exactly when h is a
     preimage of the doubled inverse of bijection[g], and the virtual one
@@ -308,18 +312,15 @@ def main_theorem_check(
 
     virt = model.algebra(VIRT)
     cr_doubled = doubled.algebra(CR)
-    at_image = _gatherer(bijection)
-    for g in range(model.order):
-        lhs = bytes(at_image(cr_doubled.constants[bijection[g]]))
-        rhs = virt.constants[g]
-        if lhs != rhs:
-            h = next(h for h, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-            return {
-                "stage": "constants",
-                "pair": [model.label(g), model.label(h)],
-                "doubled_cr": str(lhs[h]),
-                "virtual": str(rhs[h]),
-            }
+    found = _first_moved_defect(virt.constants, cr_doubled.constants, bijection)
+    if found is not None:
+        g, h = found
+        return {
+            "stage": "constants",
+            "pair": [model.label(g), model.label(h)],
+            "doubled_cr": str(cr_doubled.constants[bijection[g]][bijection[h]]),
+            "virtual": str(virt.constants[g][h]),
+        }
     inverse = virt.table.inverse_index
     doubled_inverse = cr_doubled.table.inverse_index
     preimages: list[list[int]] = [[] for _ in range(doubled.order)]

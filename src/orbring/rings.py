@@ -440,29 +440,43 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
 
     The three axioms stated over triples are decided in about |G|^2 work by
     exact reductions, each equivalent to the |G|^3 scan it replaces (proofs
-    in _frobenius_reduced, _equivariance_by_generators and
-    _associativity_reduced), and each pass reports the scan's lex-first
-    counterexample itself.  Grading is checked in one pass on ints over the
-    nonzero entries, and nondegeneracy in O(|G|) on inverse_index
-    (_nondegeneracy_by_inverses).  The tests compare this report against
-    the |G|^3 and per-pair scans of the tests' support module.
+    below and in _frobenius_reduced and _associativity_reduced), and each
+    pass reports the scan's lex-first counterexample itself.  Grading is
+    checked in one pass on ints over the nonzero entries, and nondegeneracy
+    in O(|G|) on inverse_index (_nondegeneracy_by_inverses).  The tests
+    compare this report against the |G|^3 and per-pair scans of the tests'
+    support module.
 
     Every constant is 0 or 1, so associativity compares supports as int
     bitmasks, derived once per algebra, and _associativity_reduced proves
     that equivalent to comparing the values.  Frobenius compatibility is
     decided by associativity unless that fails (_frobenius_reduced).
 
+    Equivariance is checked for conjugation by the table's generators only.
+    Call k a symmetry when c[k^-1 g k][k^-1 h k] = c[g][h] for all g, h.
+    Conjugation by ab is conjugation by a, then by b, so symmetries are
+    closed under products and, in a finite group, form a subgroup; table.gens
+    generate the group it was closed from, so if every generator is a
+    symmetry, every k is (the trivial group has none).  The cube meets
+    (k, g, h) in lex order, so its first counterexample has the least
+    non-symmetric k.  The closure's first step is from e, so table.gens
+    lists the non-identity generators as the elements 1..m, in index order,
+    apart from a possible identity generator, whose conjugation is trivial.
+    Every element below the least non-symmetric generator is therefore e or
+    a symmetric generator, and that generator is the cube's k.
+
     The three reductions assume a group table whose inverse_index and
     generator_conjugations are its inverses and conjugations, which
     table.is_group_table() decides once per table.  Where it does not hold,
-    each is replaced by its scan's exact order: the row compare over every
-    g for associativity, the triple loop for Frobenius, and conjugation by
-    every element, read through the rows, for equivariance.
+    each defect shape has its one exact-order scan: the triple scan
+    _first_defect_by_rows over every g, on the constants for associativity
+    and on the trace rows for Frobenius, and _equivariance's transported-row
+    scan under conjugation by every element.
     """
     table = alg.table
     if table.is_group_table():
         masks = _binary_masks(alg)
-        equivariance = _equivariance_by_generators(alg, masks)
+        equivariance = _equivariance(alg, zip(table.gens, table.generator_conjugations), masks)
         associativity = _associativity_reduced(alg, equivariance.passed, masks)
         frobenius = _frobenius_reduced(alg, associativity.passed)
     else:
@@ -517,23 +531,20 @@ def _associativity_reduced(alg: SectorAlgebra, equivariant: bool, masks) -> Axio
 
     The masks need each row h of the table to be a permutation, so that
     k -> hk is a bijection; on a table not known to be a group's the
-    caller passes None, and every g has its rows compared
-    (_first_defect_by_rows).
+    caller passes None, and every g has its rows compared.  Either way the
+    triple scan _first_defect_by_rows names the counterexample, with masks
+    over the one g they found, where it meets the same least h.
     """
-    table = alg.table
-    rows = alg.constants
-    firsts = table.conjugacy_classes().representatives if equivariant else range(alg.order)
-    if masks is None:
-        found = _first_defect_by_rows(alg, firsts)
-    else:
-        found = _first_defect_by_masks(alg, firsts, masks)
+    firsts = alg.table.conjugacy_classes().representatives if equivariant else range(alg.order)
+    if masks is not None:
+        g = _first_defect_by_masks(alg, firsts, masks)
+        if g is None:
+            return AxiomCheck("associativity", True)
+        firsts = (g,)
+    found = _first_defect_by_rows(alg, alg.constants, firsts)
     if found is None:
         return AxiomCheck("associativity", True)
-    g, h = found
-    c, row_g, row_gh = rows[g][h], rows[g], rows[table.mult(g, h)]
-    sides = ((c * x, y * row_g[hk]) for x, y, hk in zip(row_gh, rows[h], table.row(h)))
-    k, (lhs, rhs) = next((k, pair) for k, pair in enumerate(sides) if pair[0] != pair[1])
-    return AxiomCheck("associativity", False, _triple_payload(alg, g, h, k, lhs, rhs))
+    return AxiomCheck("associativity", False, _triple_payload(alg, *found))
 
 
 _SWAP_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
@@ -566,8 +577,8 @@ def _binary_masks(alg: SectorAlgebra):
     return supports, sides, bits
 
 
-def _first_defect_by_masks(alg: SectorAlgebra, firsts, masks) -> tuple[int, int] | None:
-    """The least (g, h), g in firsts, with a defect, decided on a 0/1 algebra's masks.
+def _first_defect_by_masks(alg: SectorAlgebra, firsts, masks) -> int | None:
+    """The least g in firsts with a defect at some (g, h), decided on a 0/1 algebra's masks.
 
     images[h] is the mask of P_h = {hk : c[h][k] = 1}, the translate of row h by h.
     """
@@ -582,33 +593,38 @@ def _first_defect_by_masks(alg: SectorAlgebra, firsts, masks) -> tuple[int, int]
     for g in firsts:
         support = supports[g]
         entries = zip(alg.constants[g], table.row(g), images, product_rows)
-        for h, (c, gh, image, row_h) in enumerate(entries):
+        for c, gh, image, row_h in entries:
             both = image & support
             if c:
                 gather, translate = sides[gh]
                 if gather:
                     translate ^= sum(map(bit, gather(row_h)))
                 if both != translate:
-                    return g, h
+                    return g
             elif both:
-                return g, h
+                return g
     return None
 
 
-def _first_defect_by_rows(alg: SectorAlgebra, firsts) -> tuple[int, int] | None:
-    """The least (g, h), g in firsts, with a defect, for a table not known to be a group's.
+def _first_defect_by_rows(alg: SectorAlgebra, rows, firsts) -> tuple | None:
+    """The least (g, h, k), g in firsts, where c[g][h] rows[gh][k] != c[h][k] rows[g][hk].
 
+    Returned with both sides, or None; the constants as rows give the
+    associativity defect, the trace rows the Frobenius one, on any table.
     For each (g, h) the k loop compares two rows at C level: row gh scaled
-    by c[g][h], against row h times row g gathered through the products hk.
+    by c[g][h], against row h of the constants times row g gathered through
+    the products hk.
     """
     table = alg.table
-    rows = alg.constants
+    constants = alg.constants
     for g in firsts:
         row_g = rows[g]
-        for h, (c, gh) in enumerate(zip(row_g, table.row(g))):
-            rhs = map(mul, rows[h], _gatherer(table.row(h))(row_g))
-            if tuple(map(mul, repeat(c), rows[gh])) != tuple(rhs):
-                return g, h
+        for h, (c, gh) in enumerate(zip(constants[g], table.row(g))):
+            lhs = tuple(map(mul, repeat(c), rows[gh]))
+            rhs = tuple(map(mul, constants[h], _gatherer(table.row(h))(row_g)))
+            if lhs != rhs:
+                k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+                return g, h, k, lhs[k], rhs[k]
     return None
 
 
@@ -647,66 +663,31 @@ def _frobenius_by_triples(alg: SectorAlgebra) -> AxiomCheck:
     """Frobenius compatibility over every triple, in the scan's order, for any table.
 
     trace_form(x, y) is c[x][y] where xy = e and 0 elsewhere, one row per
-    x.  For each (g, h) the k loop compares c[g][h] times the trace row of
-    gh against row h times the trace row of g gathered through the
-    products hk, at C level.
+    x.  The sides at (g, h, k) are c[g][h] trace_form(gh, k) and
+    trace_form(g, hk) c[h][k], the triple defect on the trace rows.
     """
     table = alg.table
-    rows = alg.constants
     traces = [
         tuple(c if xy == 0 else 0 for c, xy in zip(row, table.row(x)))
-        for x, row in enumerate(rows)
+        for x, row in enumerate(alg.constants)
     ]
-    for g, row_g in enumerate(rows):
-        trace_g = traces[g]
-        for h, (c, gh) in enumerate(zip(row_g, table.row(g))):
-            lhs = tuple(map(mul, repeat(c), traces[gh]))
-            rhs = tuple(map(mul, _gatherer(table.row(h))(trace_g), rows[h]))
-            if lhs != rhs:
-                k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-                return AxiomCheck(
-                    "frobenius", False, _triple_payload(alg, g, h, k, lhs[k], rhs[k])
-                )
-    return AxiomCheck("frobenius", True)
-
-
-def _equivariance_by_generators(alg: SectorAlgebra, masks) -> AxiomCheck:
-    """Equivariance, checked for conjugation by the table's generators only.
-
-    Call k a symmetry when c[k^-1 g k][k^-1 h k] = c[g][h] for all g, h.
-    Conjugation by ab is conjugation by a followed by conjugation by b, so
-    symmetries are closed under products, and in a finite group they form a
-    subgroup.  The table was closed from table.gens, which therefore generate
-    the group: if every generator is a symmetry, every k is.  The trivial
-    group has no generators and passes.  The conjugations are the table's
-    generator_conjugations.
-
-    The pass also reports the cube's lex-first counterexample.  The cube
-    meets (k, g, h) in lex order, so its first counterexample has the least
-    non-symmetric k.  The closure's first breadth-first step is from e, so
-    the non-identity generators are the elements 1..m, and table.gens lists
-    them in index order, apart from a possible identity generator, whose
-    conjugation is trivial.  Every element below the least non-symmetric
-    generator is therefore e or a symmetric generator, and that generator is
-    the cube's k.  For it the rows are compared in g order as the cube does,
-    and the first h where they differ is reported.  masks are
-    _binary_masks(alg) or None (see _equivariance).
-    """
-    return _equivariance(alg, zip(alg.table.gens, alg.table.generator_conjugations), masks)
+    found = _first_defect_by_rows(alg, traces, range(alg.order))
+    if found is None:
+        return AxiomCheck("frobenius", True)
+    return AxiomCheck("frobenius", False, _triple_payload(alg, *found))
 
 
 def _equivariance(alg: SectorAlgebra, conjugators, masks) -> AxiomCheck:
     """The first (g, h) where c[k^-1 g k][k^-1 h k] differs from c[g][h], over (k, conj) pairs.
 
     conj[x] is k^-1 x k; for each k in turn the rows are compared in g
-    order, and the first h where they differ is reported.  Given the
-    algebra's masks (with every conj a permutation), k is first tested on
-    the supports: it is a symmetry exactly when conj carries the support of
-    each row g onto the support of row conj[g].  That image is built from
-    row g's smaller side, its ones, or its zeros with the mask complemented,
-    so an all-ones or all-zeros row costs nothing.  Only a k that fails has
-    its rows compared, each gathered row as bytes: the gather gives a tuple
-    unless the group has order 1.
+    order, and the first h where they differ is reported
+    (_first_moved_defect).  Given the algebra's masks (with every conj a
+    permutation), k is first tested on the supports: it is a symmetry
+    exactly when conj carries the support of each row g onto the support of
+    row conj[g].  That image is built from row g's smaller side, its ones,
+    or its zeros with the mask complemented, so an all-ones or all-zeros
+    row costs nothing.  Only a k that fails has its rows compared.
     """
     rows = alg.constants
     if masks is not None:
@@ -718,22 +699,35 @@ def _equivariance(alg: SectorAlgebra, conjugators, masks) -> AxiomCheck:
             for (gather, flip), support in zip(sides, map(supports.__getitem__, conj))
         ):
             continue
-        gather = _gatherer(conj)
-        for g, row in enumerate(rows):
-            conjugated = bytes(gather(rows[conj[g]]))
-            if conjugated != row:
-                h = next(h for h, (x, y) in enumerate(zip(row, conjugated)) if x != y)
-                return AxiomCheck(
-                    "equivariance",
-                    False,
-                    {
-                        "pair": [alg.labels[g], alg.labels[h]],
-                        "conjugator": alg.labels[k],
-                        "original": str(row[h]),
-                        "conjugated": str(conjugated[h]),
-                    },
-                )
+        found = _first_moved_defect(rows, rows, conj)
+        if found is not None:
+            g, h = found
+            return AxiomCheck(
+                "equivariance",
+                False,
+                {
+                    "pair": [alg.labels[g], alg.labels[h]],
+                    "conjugator": alg.labels[k],
+                    "original": str(rows[g][h]),
+                    "conjugated": str(rows[conj[g]][conj[h]]),
+                },
+            )
     return AxiomCheck("equivariance", True)
+
+
+def _first_moved_defect(rows, images, perm) -> tuple[int, int] | None:
+    """The least (g, h) where rows[g][h] != images[perm[g]][perm[h]], or None.
+
+    rows are bytes.  Each image row is gathered through perm once, at C
+    level, and wrapped in bytes: the gather gives a tuple, which never
+    equals bytes, unless perm has length 1, where it gives a slice.
+    """
+    at_image = _gatherer(perm)
+    for g, row in enumerate(rows):
+        moved = bytes(at_image(images[perm[g]]))
+        if moved != row:
+            return g, next(h for h, (x, y) in enumerate(zip(row, moved)) if x != y)
+    return None
 
 
 def _triple_payload(alg: SectorAlgebra, g: int, h: int, k: int, lhs, rhs) -> dict:

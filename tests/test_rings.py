@@ -326,13 +326,6 @@ def g412_point_model():
     return OrbifoldModel(gmpn_spec(4, 1, 2), forget_geometry=True)
 
 
-@settings(max_examples=15, deadline=None)
-@given(data=st.data(), theory=st.sampled_from(THEORIES))
-def test_verifier_matches_cube_on_corrupted_g412_point_mode(data, theory):
-    alg = data.draw(corrupted(g412_point_model().algebra(theory)))
-    assert verify_algebra(alg) == cube_report(alg)
-
-
 @functools.cache
 def z12_model():
     spec = {"name": "Z_12", "dimension": 1, "generators": [{"perm": [0], "phases": ["1/12"]}]}

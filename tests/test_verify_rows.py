@@ -30,6 +30,7 @@ from orbring import (
     CR,
     VIRT,
     ConsistencyError,
+    GroupTable,
     OrbifoldModel,
     SectorAlgebra,
     SectorGeometry,
@@ -251,6 +252,19 @@ def test_closure_sanity_raises_on_powers_that_never_reach_the_identity():
     )
     assert outcome(closure_sanity_scan, model) == expected
     assert outcome(closure_sanity_check, model) == expected
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+def test_closure_sanity_reads_no_element_order_on_an_intact_table(forget, monkeypatch):
+    # check_group's verdict implies every part of the check, so on an intact
+    # table no element's cycles are walked, in the check or anywhere in verify
+    def refuse(table, i):
+        raise AssertionError(f"element_order({i}) read")
+
+    monkeypatch.setattr(GroupTable, "element_order", refuse)
+    for spec in [*map(corpus_spec, CORPUS_NAMES), gmpn_spec(2, 1, 3)]:
+        assert closure_sanity_check(OrbifoldModel(spec, forget_geometry=forget)) is None
+        assert run_full_verification(spec, forget_geometry=forget).all_passed, spec.name
 
 
 def test_closure_sanity_compares_products_with_composition_beyond_order_64():
