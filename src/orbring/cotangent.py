@@ -109,14 +109,14 @@ def k_rank(model: OrbifoldModel, g: int, h: int) -> int:
 def closure_sanity_check(model: OrbifoldModel) -> dict | None:
     """Identity, inverses, element orders, and products against composition.
 
-    Decided by the group fact: table.check_group(), whose verdict is kept
-    for verify_algebra and main_theorem_check, implies every part.  It
-    requires the re-encoded elements[0] to be the identity code, and its
-    _conjugations_hold reads mult(i, inverse_index[i]) = 0.  phi(i) =
-    elements[i] is an injective homomorphism onto |G| maps, which therefore
-    form a group, so each element order, read from its code, divides |G|
-    (Lagrange), and products agree with composition.  Only a False verdict
-    runs the loops below, in order, to name the first failure.
+    Decided by the group fact: table.check_group(), kept for verify_algebra
+    and main_theorem_check, implies every part.  Its induction along the
+    search parents starts from the re-encoded elements[0], the identity
+    code, and makes phi(i) = elements[i] an injective homomorphism onto |G|
+    maps, a group, so each element order, read from its code, divides |G|
+    (Lagrange), and products agree with composition; it also reads
+    mult(i, inverse_index[i]) = 0.  Only a False verdict runs the loops
+    below, in order, to name the first failure.
     """
     table = model.table
     if table.check_group():

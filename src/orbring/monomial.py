@@ -20,7 +20,7 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from itertools import chain, compress, cycle, islice, repeat
-from operator import add, is_, itemgetter, mod
+from operator import add, getitem, is_, itemgetter, mod, sub
 
 from ._record import Record
 from .cyclotomic import DEFAULT_CONDUCTOR_CAP, CyclotomicNumber, RationalPhase
@@ -376,19 +376,24 @@ class GroupTable:
         element i of the doubled group, and every index table here is the
         doubled group's too.  The derived table shares them, product rows
         included, and holds only its own codes.  generators are the doubled
-        spec's; their codes must be the doubled codes of gens, which
-        cross-checks MonomialMap.double against _double (a mismatch raises
-        ConsistencyError).  Doubling keeps the sorted order of the
-        generators, so GroupTable.close of them gives this same table.
+        spec's.  Doubling keeps their sorted order, so GroupTable.close of
+        them gives this same table.  Sorted, their codes must be the doubled
+        codes of gens (MonomialMap.double against _double), code 0 the
+        identity, and each code its parent's times its generator's.  As
+        phi(i) = phi(p) phi(s_k) (see _composes_by_generators) and doubling
+        is a homomorphism, induction on i makes each code that of
+        elements[i].double().  A mismatch raises ConsistencyError.
         """
         n = self.dimension
         if 2 * n > DIMENSION_CAP:
             raise ResourceCapError(f"dimension {2 * n} exceeds the cap {DIMENSION_CAP}")
         conductor = self.conductor
         codes = [_double(code, n, conductor) for code in self.codes]
-        given = {_encode(g, 2 * n, conductor) for g in generators}
-        if given != {codes[s] for s in self.gens}:
+        given = sorted(set(generators), key=MonomialMap.sort_key)
+        if [_encode(g, 2 * n, conductor) for g in given] != [codes[s] for s in self.gens]:
             raise ConsistencyError("doubled generators are not the doubles of the table's")
+        if codes[0] != tuple(range(2 * n)) or not self._composes_along(codes, 2 * n):
+            raise ConsistencyError("doubled codes do not compose along the search parents")
         table = GroupTable(
             dimension=2 * n,
             conductor=conductor,
@@ -551,86 +556,79 @@ class GroupTable:
         generator_conjugations its conjugations by the generators.
 
         Decided afresh and kept for is_group_table and every table sharing
-        the rows.  _composes_by_generators proves phi(mult(i, j)) =
-        phi(i) phi(j) for the injective phi(i) = elements[i], so the rows
-        multiply the set phi(G), which they close: a group, isomorphic to
-        the table.  In a group mult(i, t) = 0 makes t the inverse of i, and
-        then mult(mult(t, x), s) for t = inverse_index[s] is conjugation by
-        s.  verify_algebra's reductions and main_theorem_check's class stage
-        assume a True verdict; a False one decides nothing.
+        the rows.  _composes_by_generators proves phi(mult(i, j)) = phi(i)
+        phi(j) for the injective phi(i) = elements[i], along the search
+        parents, so the rows multiply the set phi(G), which they close: a
+        group, isomorphic to the table.  In a group mult(i, t) = 0 makes t
+        the inverse of i, and then mult(mult(t, x), s) for t = inverse_index[s]
+        is conjugation by s.  verify_algebra's reductions and
+        main_theorem_check's class stage assume a True verdict; a False one
+        decides nothing.
         """
-        columns = [tuple(self.mult(j, s) for j in range(self.order)) for s in self.gens]
-        verdict = self._composes_by_generators(columns) and self._conjugations_hold(columns)
+        verdict = self._composes_by_generators() and self._conjugations_hold()
         self._shared["group"] = verdict
         return verdict
 
-    def _conjugations_hold(self, columns: list[tuple[int, ...]]) -> bool:
-        """inverse_index inverts every row, and each generator conjugation is s^-1 x s.
+    def _conjugations_hold(self) -> bool:
+        """inverse_index inverts each row (all stored now), and conjugation by s is s^-1 x s."""
+        inverse, rows = self.inverse_index, self._rows
+        return not any(map(getitem, rows, inverse)) and all(
+            _gatherer(rows[inverse[s]])(tuple(map(itemgetter(s), rows))) == conj
+            for s, conj in zip(self.gens, self.generator_conjugations)
+        )
 
-        columns[k][x] is mult(x, gens[k]).
-        """
-        inverse = self.inverse_index
-        if any(self.row(i)[t] for i, t in enumerate(inverse)):
-            return False
-        for s, conj, column in zip(self.gens, self.generator_conjugations, columns):
-            if _gatherer(self.row(inverse[s]))(column) != conj:
-                return False
-        return True
-
-    def _composes_by_generators(self, columns: list[tuple[int, ...]]) -> bool:
+    def _composes_by_generators(self) -> bool:
         """Whether elements[mult(i, j)] = elements[i] * elements[j] for all i, j follows from
-        the generators' columns, with elements[0] the identity and no element repeated.
+        the search parents, with elements[0] the identity and no element repeated.
 
-        Write phi(i) for elements[i], with phi(0) the identity, and suppose
-          (a) phi(mult(i, s)) = phi(i) phi(s) for every i and generator s;
-          (b) mult(i, mult(j, s)) = mult(mult(i, j), s) for all i, j and generators s;
-          (c) mult(i, 0) = i for every i;
-          (d) every element is reached from 0 by right multiplication by generators.
-        Then phi(mult(i, j)) = phi(i) phi(j), by induction on the number d of
-        steps from 0 to j in (d).  For d = 0, j = 0 and mult(i, 0) = i by (c),
-        while phi(i) phi(0) = phi(i).  For d > 0, j = mult(j', s) with j' one
-        step closer, and
-          phi(mult(i, j)) = phi(mult(mult(i, j'), s))     by (b)
-                          = phi(mult(i, j')) phi(s)       by (a)
-                          = phi(i) phi(j') phi(s)         by induction
-                          = phi(i) phi(j)                 by (a) at j'.
-        (a) is decided on integers: each decoded element is re-encoded as
-        a code (see GroupTable), and phi(i) phi(s) is composed from the two
-        codes as the closure composes them.  A decoded phase whose
-        denominator does not divide the conductor has no code, and the
-        answer is False.  (b) costs two C-level gathers per (i, s): row i
-        through the column of s, and the column of s through row i.  A
-        False answer decides nothing; the caller's scan does.  columns[k][x]
-        is mult(x, gens[k]).
+        Write phi(i) for elements[i], with phi(0) the identity, s_k for
+        gens[k] and (p, k) for the parent of i > 0, and suppose
+          (a) p < i and phi(i) = phi(p) phi(s_k) for every i > 0;
+          (b) phi(left_k[j]) = phi(s_k) phi(j) for every j and k;
+          (c) row 0 is the identity, and row i is row p gathered through
+              left_k: mult(i, j) = mult(p, left_k[j]).
+        Then phi(mult(i, j)) = phi(i) phi(j), by induction on i.  For i = 0
+        both sides are phi(j).  For i > 0, p < i by (a), and
+          phi(mult(i, j)) = phi(mult(p, left_k[j]))     by (c)
+                          = phi(p) phi(left_k[j])       by induction
+                          = phi(p) phi(s_k) phi(j)      by (b)
+                          = phi(i) phi(j)               by (a).
+        (a) and (b) compose the re-encoded elements' codes (see GroupTable)
+        as the closure does; a decoded phase whose denominator does not
+        divide the conductor has no code, and the answer is False.  (c) is
+        one C-level gather per row: a stored row is compared with it, and a
+        row not yet built is stored as row would build it.  A False answer
+        decides nothing; the caller's scan does.
         """
-        order = self.order
+        order, rows = self.order, self._rows
         n, conductor = self.dimension, self.conductor
         codes = [_encode(element, n, conductor) for element in self.elements]
         if None in codes or codes[0] != tuple(range(n)) or len(set(codes)) != order:
             return False
-        if tuple(self.mult(i, 0) for i in range(order)) != tuple(range(order)):
+        if rows[0] != tuple(range(order)) or not self._composes_along(codes, n):
             return False
-        for s, column in zip(self.gens, columns):
-            times_s = _composer(codes[s], n, conductor)
-            if list(map(codes.__getitem__, column)) != list(map(times_s, codes)):
+        # s*x sends the point a*n + q of x's code to s[q] + a*n, for every x at once
+        points = tuple(chain.from_iterable(codes))
+        low = tuple(map(mod, points, repeat(n)))
+        turns, moduli = tuple(map(sub, points, low)), repeat(n * conductor)
+        for s, left in zip(self.gens, self._left):
+            products = map(mod, map(add, map(codes[s].__getitem__, low), turns), moduli)
+            if list(products) != list(chain.from_iterable(map(codes.__getitem__, left))):
                 return False
-        through_columns = [_gatherer(column) for column in columns]
-        for i in range(order):
-            row = self.row(i)
-            through_row = _gatherer(row)
-            for column, through_column in zip(columns, through_columns):
-                if through_column(row) != through_row(column):
-                    return False
-        reached = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for column in columns:
-                y = column[x]
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-        return len(reached) == order
+        through = [_gatherer(left) for left in self._left]
+        for i, (p, k) in enumerate(islice(self._parent_gen, 1, None), 1):
+            built = through[k](rows[p])
+            if rows[i] is None:
+                rows[i] = built
+            elif rows[i] != built:
+                return False
+        return True
+
+    def _composes_along(self, codes: list[tuple[int, ...]], n: int) -> bool:
+        """Whether p < i and codes[i] = codes[p] * codes[gens[k]] for each parent (p, k) of i."""
+        times = [_composer(codes[s], n, self.conductor) for s in self.gens]
+        parents = enumerate(islice(self._parent_gen, 1, None), 1)
+        return all(0 <= p < i and times[k](codes[p]) == codes[i] for i, (p, k) in parents)
 
     def subgroup_closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Smallest subgroup containing the seed indices, as a sorted tuple."""

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from orbring import (
     CR,
     VIRT,
+    AlgebraReport,
     AxiomCheck,
     ConsistencyError,
     InvariantRing,
@@ -24,6 +25,7 @@ from orbring import (
     SectorAlgebra,
     k_rank,
 )
+from orbring.rings import _check_unit
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -568,3 +570,17 @@ def nondegeneracy_scan(alg):
                 {"sector": alg.labels[h], "partners": [alg.labels[g] for g in partners]},
             )
     return AxiomCheck("nondegeneracy", True)
+
+
+def cube_report(alg):
+    """The report of the six |G|^3 and |G|^2 scans, the verifier's reference."""
+    return AlgebraReport(
+        (
+            associativity_scan(alg),
+            grading_axiom_scan(alg),
+            _check_unit(alg),
+            frobenius_scan(alg),
+            nondegeneracy_scan(alg),
+            equivariance_scan(alg),
+        )
+    )

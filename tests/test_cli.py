@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import budget
 from orbring import OrbifoldModel, cli
 from support import CORPUS_NAMES, built_rows, corpus_path, gmpn_spec
 
@@ -18,6 +19,15 @@ def run(capsys, *argv):
 
 
 # --- parsing and exit codes ---
+
+def test_budget_helper_fails_on_an_exit_code_or_a_peak(capsys, tmp_path):
+    # tests/budget.py runs a command in process for the CI's time and memory steps
+    spec = str(corpus_path("z3-11"))
+    assert budget.run(["1000", "inspect", spec]) == 0
+    assert budget.run(["1", "inspect", spec]) == 1
+    assert budget.run(["1000", "inspect", str(tmp_path / "nope.json")]) == 1
+    assert "inspect" in capsys.readouterr().err
+
 
 def test_missing_file_is_input_error(capsys, tmp_path):
     code, _out, err = run(capsys, "inspect", str(tmp_path / "nope.json"))

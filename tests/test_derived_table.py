@@ -3,8 +3,10 @@
 OrbifoldModel.cotangent_model derives the doubled group's table from the
 original's instead of closing the doubled generators again.  An independent
 closure of those generators must hold the same elements, and sector_bijection
-into it must be a bijection.  check_group composes re-encoded elements on
-integer codes; MonomialMap.__mul__ is the oracle for that composition.
+into it must be a bijection, and a derived code that does not compose along
+the search parents must be refused.  check_group composes re-encoded
+elements on integer codes; MonomialMap.__mul__ is the oracle for that
+composition.
 """
 
 import math
@@ -23,11 +25,13 @@ from orbring import (
     cotangent_double,
     sector_bijection,
 )
+from orbring import monomial
 from orbring.cotangent import closure_sanity_check
 from orbring.cyclotomic import RationalPhase
 from orbring.monomial import _composer, _encode
 from support import (
     CORPUS_NAMES,
+    built_rows,
     closure_sanity_scan,
     corpus_spec,
     gmpn_spec,
@@ -116,6 +120,27 @@ def test_derived_table_refuses_generators_that_are_not_the_doubles():
         table.doubled(corpus_spec("z3-11").generators)
 
 
+@pytest.mark.parametrize(
+    "spec", [gmpn_spec(4, 1, 2), corpus_spec("trivial-c2")], ids=lambda spec: spec.name
+)
+def test_derived_table_refuses_a_derived_code_off_its_parents(monkeypatch, spec):
+    # the generators' doubles pass the cross-check, but the last element's
+    # double is written backwards: off its parent's composed with its
+    # generator's, or, for the trivial group, not the identity
+    table = spec.close()
+    victim = table.codes[-1]
+    assert table.order - 1 not in table.gens
+    double = monomial._double
+
+    def corrupted(code, n, conductor):
+        doubled = double(code, n, conductor)
+        return doubled[::-1] if code == victim else doubled
+
+    monkeypatch.setattr(monomial, "_double", corrupted)
+    with pytest.raises(ConsistencyError, match="do not compose along the search parents"):
+        OrbifoldModel(spec).cotangent_model()
+
+
 def test_derived_table_keeps_the_dimension_cap():
     half = DIMENSION_CAP // 2
     assert GroupTable.close([], half).doubled([]).dimension == DIMENSION_CAP
@@ -134,6 +159,23 @@ def test_check_group_verdict_is_shared_with_the_derived_table():
     model.table._rows[1] = tuple(row)
     assert not doubled.table.check_group()
     assert not model.table.is_group_table()
+
+
+def test_check_group_builds_no_gatherer_per_row(monkeypatch):
+    # each row is its parent's gathered through a left table built once per
+    # generator, so an intact table needs a few gathers per generator, not per row
+    table = gmpn_spec(2, 1, 3).close()
+    built = []
+    gatherer = monomial._gatherer
+
+    def counted(indices):
+        built.append(len(indices))
+        return gatherer(indices)
+
+    monkeypatch.setattr(monomial, "_gatherer", counted)
+    assert table.check_group()
+    assert built_rows(table) == list(range(table.order))
+    assert len(built) < table.order == 48
 
 
 # --- the integer composition of check_group against MonomialMap.__mul__ ---

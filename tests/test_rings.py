@@ -11,7 +11,6 @@ from orbring import (
     CR,
     THEORIES,
     VIRT,
-    AlgebraReport,
     AxiomCheck,
     ConsistencyError,
     InvariantRing,
@@ -21,18 +20,14 @@ from orbring import (
     verify_algebra,
 )
 from orbring import rings
-from orbring.rings import _check_unit
 from support import (
     CORPUS_NAMES,
     SMALL_NAMES,
-    associativity_scan,
     class_convolution_oracle,
     corpus_model,
     corpus_spec,
-    equivariance_scan,
-    frobenius_scan,
+    cube_report,
     gmpn_spec,
-    grading_axiom_scan,
     invariant_expansion_oracle,
     invariant_ring_scan,
     nondegeneracy_scan,
@@ -275,20 +270,6 @@ def test_corrupted_unit_detected():
 
 
 # --- reduced verifier against the exhaustive cube scans ---
-
-def cube_report(alg):
-    """The report of the six |G|^3 and |G|^2 scans, the verifier's reference."""
-    return AlgebraReport(
-        (
-            associativity_scan(alg),
-            grading_axiom_scan(alg),
-            _check_unit(alg),
-            frobenius_scan(alg),
-            nondegeneracy_scan(alg),
-            equivariance_scan(alg),
-        )
-    )
-
 
 @st.composite
 def corrupted(draw, alg):

@@ -5,7 +5,11 @@ geometry; the per-element and per-pair checks decide and report in one pass,
 visiting pairs in the scans' row-major order.  On intact models, on models
 whose bijection is permuted by a transposition, and on models with one to
 three array entries bumped before any sector is read, each check must give
-the same payload as its scan, or raise the same ConsistencyError text.
+the same payload as its scan, or raise the same ConsistencyError text.  With
+one datum that check_group's induction reads corrupted (a left-table entry,
+a search parent at or after its child, two whole rows exchanged),
+check_group must answer False, and closure sanity, the axiom report and the
+main theorem must give their scans' outcomes.
 Elements that fix one subspace share one pair row, so a pair bump at (g, h)
 changes entry h of the row of every element with g's subspace.  A
 bijection with one entry copied onto another is not injective, which gives
@@ -37,6 +41,7 @@ from orbring import (
     cli,
     cotangent,
     rings,
+    verify_algebra,
 )
 from orbring.cotangent import (
     age_duality_check,
@@ -54,6 +59,7 @@ from support import (
     closure_sanity_scan,
     corpus_path,
     corpus_spec,
+    cube_report,
     decomposition_scan,
     equivariance_scan,
     gmpn_spec,
@@ -76,7 +82,9 @@ CHECKS = [
 
 
 def spec_of(name):
-    return gmpn_spec(4, 1, 2) if name == "G(4,1,2)" else corpus_spec(name)
+    if name.startswith("G("):
+        return gmpn_spec(*map(int, name[2:-1].split(",")))
+    return corpus_spec(name)
 
 
 def fresh(name, forget):
@@ -277,6 +285,82 @@ def test_closure_sanity_compares_products_with_composition_beyond_order_64():
     expected = outcome(closure_sanity_scan, model)
     assert expected[1]["problem"] == "multiplication table disagrees with composition"
     assert outcome(closure_sanity_check, model) == expected
+
+
+# --- what the group fact's induction reads, corrupted one datum at a time ---
+
+GROUP_FACT_NAMES = CORPUS_NAMES + ["G(4,1,2)", "G(2,1,3)"]
+
+
+def corrupt_group_datum(data, table, kind):
+    """Edit one datum that check_group's induction along the search parents reads.
+
+    The inverses and generator conjugations are derived first, from the
+    intact parents and left tables, so only the induction can see the edit.
+    """
+    order = table.order
+    assert table.inverse_index[0] == 0 and len(table.generator_conjugations) == len(table.gens)
+    if kind == "left":
+        k = data.draw(st.integers(0, len(table.gens) - 1))
+        j = data.draw(st.integers(0, order - 1))
+        left = table._left[k]
+        left[j] = data.draw(st.integers(0, order - 1).filter(lambda y: y != left[j]))
+    elif kind == "parent":
+        # rows built first, since row walks the parents up to a built row
+        for x in range(order):
+            table.row(x)
+        # where i = p * gens[k] with p > i, that parent breaks only the order p < i
+        later = [
+            (i, p, k)
+            for i in range(1, order)
+            for k, s in enumerate(table.gens)
+            if (p := table.mult(i, table.inverse_index[s])) > i
+        ]
+        if later:
+            i, p, k = data.draw(st.sampled_from(later))
+        else:
+            i = data.draw(st.integers(1, order - 1))
+            p, k = data.draw(st.integers(i, order - 1)), table._parent_gen[i][1]
+        table._parent_gen[i] = (p, k)
+    else:
+        # two whole rows exchanged: each is stored, and neither is its
+        # parent's row gathered through a left table
+        i, j = data.draw(st.lists(st.integers(0, order - 1), min_size=2, max_size=2, unique=True))
+        table._rows[i], table._rows[j] = table.row(j), table.row(i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(GROUP_FACT_NAMES),
+    kind=st.sampled_from(["left", "parent", "row"]),
+    theory=st.sampled_from([CR, VIRT]),
+    forget=st.booleans(),
+)
+def test_checks_match_scans_with_a_group_datum_corrupted(data, name, kind, theory, forget):
+    model = OrbifoldModel(spec_of(name), forget_geometry=forget)
+    # derived before the edit: doubled reads the parents, and the doubled
+    # table derives its inverses from them
+    doubled = model.cotangent_model()
+    assert doubled.table.inverse_index[0] == 0
+    table = model.table
+    if table.order < 2:
+        return
+    corrupt_group_datum(data, table, kind)
+    assert not table.check_group()
+    if kind == "left":
+        # the failed check stored no row gathered through the edited table
+        intact = model.spec.close()
+        assert all(table.row(x) == intact.row(x) for x in range(table.order))
+    assert outcome(closure_sanity_check, model) == outcome(closure_sanity_scan, model)
+    # a row swap can break a rank, which the algebra's build raises
+    built, alg = outcome(model.algebra, theory)
+    if built == "report":
+        assert verify_algebra(alg) == cube_report(alg)
+    bijection = tuple(range(model.order))
+    assert outcome(main_theorem_check, model, doubled, bijection) == outcome(
+        main_theorem_scan, model, doubled, bijection
+    )
 
 
 # --- verify and ring decide from the arrays, never through the per-entry path ---
