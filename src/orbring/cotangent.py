@@ -3,9 +3,11 @@
 Under g -> g (+) conjugate(g) the doubled orbifold's cr-side data must
 reproduce the original orbifold's virtual-side data: degree shifts agree,
 bundle ranks add up, and the full structure-constant tables coincide at sector
-and class level.  Each statement is run as an exhaustive exact check, except
-that the class-level comparison is proved from the sector-level one where
-main_theorem_check's guard holds.
+and class level.  Each statement is decided exactly: closure sanity by the
+group fact (GroupTable.check_group), the class-level comparison by proof from
+the sector-level one where main_theorem_check's guard holds, and the rest by
+exact scans.  The doubling checks take a model with its cotangent_model(),
+whose table is derived from the model's, and refuse any other pair.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from ._record import Record
 from .errors import ConsistencyError
 from .monomial import GroupTable, _double, _gatherer
 from .orbifold import OrbifoldSpec
-from .rings import CR, VIRT, OrbifoldModel, SectorAlgebra, _first_moved_defect
+from .rings import CR, VIRT, OrbifoldModel, SectorAlgebra
 
 __all__ = [
     "CheckResult",
@@ -75,11 +77,13 @@ class VerificationReport(Record):
 def sector_bijection(original: GroupTable, doubled: GroupTable) -> tuple[int, ...]:
     """Index map of g -> g (+) conjugate(g), by looking up each doubled code in the doubled table.
 
-    For a table from GroupTable.doubled this is the identity, which
-    run_full_verification uses without the lookup; the tests use this
-    lookup into a doubled table closed on its own.  Doubling keeps the phase
-    denominators, so the conductors agree; if they differ, codes are not
-    comparable and every element counts as missing.
+    For a table from GroupTable.doubled this is the identity, the only
+    bijection the doubling checks accept, which run_full_verification passes
+    without the lookup.  The remaining callers are the tests, which also look
+    into doubled tables closed on their own, and perfbench's traced verify
+    replay.  Doubling keeps the phase denominators, so the conductors agree;
+    if they differ, codes are not comparable and every element counts as
+    missing.
     """
     if doubled.order != original.order:
         raise ConsistencyError(
@@ -205,6 +209,23 @@ def algebra_axioms_check(model: OrbifoldModel, theory: str) -> dict | None:
     return payload
 
 
+def _require_derived_pair(
+    model: OrbifoldModel, doubled: OrbifoldModel, bijection: tuple[int, ...]
+) -> None:
+    """The doubling checks' contract: doubled's table is derived from model's
+    (GroupTable.doubled, sharing its rows and classes) and bijection is the
+    identity, as run_full_verification passes them; ValueError otherwise.
+    """
+    if not (
+        doubled.table.shares_group_with(model.table)
+        and tuple(bijection) == tuple(range(model.order))
+    ):
+        raise ValueError(
+            "the doubling checks take doubled = model.cotangent_model() "
+            "and bijection = tuple(range(model.order))"
+        )
+
+
 def grading_check(
     model: OrbifoldModel, doubled: OrbifoldModel, bijection: tuple[int, ...]
 ) -> dict | None:
@@ -213,10 +234,9 @@ def grading_check(
     Compared on ints in one pass: 2 age over the doubled scale against
     2 (n - dim V^g).
     """
+    _require_derived_pair(model, doubled, bijection)
     scale = doubled.geometry.scale
-    doubled_ages = doubled.geometry.ages
-    for g, f in enumerate(model.geometry.fixed):
-        age = doubled_ages[bijection[g]]
+    for g, (f, age) in enumerate(zip(model.geometry.fixed, doubled.geometry.ages)):
         if age != scale * (model.n - f):
             return {
                 "element": model.label(g),
@@ -232,31 +252,29 @@ def decomposition_check(
     """Doubled obstruction rank = excess rank + difference-bundle rank, per pair.
 
     One pass over the pairs (g, h) in row order, on ints scaled by the
-    doubled age denominator; the doubled side is read at
-    (bijection[g], bijection[h]) from the doubled row of bijection[g].  At
-    the first pair where the sides differ, the doubled rank is not a
-    nonnegative integer or the excess rank is negative, a bad doubled rank
-    raises, then a negative excess; otherwise the two sides differ and are
-    reported.
+    doubled age denominator; the doubled side is read at (g, h), with the
+    shared product gh.  At the first pair where the sides differ, the
+    doubled rank is not a nonnegative integer or the excess rank is
+    negative, a bad doubled rank raises, then a negative excess; otherwise
+    the two sides differ and are reported.
     """
+    _require_derived_pair(model, doubled, bijection)
     geometry, doubled_geometry = model.geometry, doubled.geometry
     scale = doubled_geometry.scale
     fixed = geometry.fixed
     doubled_ages, doubled_fixed = doubled_geometry.ages, doubled_geometry.fixed
     for g in range(model.order):
-        b = bijection[g]
-        age_b = doubled_ages[b]
-        products, pairs = doubled.table.row(b), doubled_geometry.pair_row(b)
+        age_g = doubled_ages[g]
         codimension = model.n - fixed[g]
-        for h, (gh, p) in enumerate(zip(model.table.row(g), geometry.pair_row(g))):
-            c = bijection[h]
-            bc = products[c]
-            left = age_b + doubled_ages[c] - doubled_ages[bc]
-            left += scale * (pairs[c] - doubled_fixed[bc])
+        for h, (gh, p, q) in enumerate(
+            zip(model.table.row(g), geometry.pair_row(g), doubled_geometry.pair_row(g))
+        ):
+            left = age_g + doubled_ages[h] - doubled_ages[gh]
+            left += scale * (q - doubled_fixed[gh])
             excess = codimension - fixed[h] + p
             right = scale * (excess + p - fixed[gh])
             if left != right or left < 0 or excess < 0:
-                doubled.checked_rank("obstruction", b, c, left, scale)
+                doubled.checked_rank("obstruction", g, h, left, scale)
                 model.checked_rank("excess", g, h, excess)
                 return {
                     "pair": [model.label(g), model.label(h)],
@@ -271,31 +289,30 @@ def main_theorem_check(
 ) -> dict | None:
     """Full ring comparison: degrees, constants, pairings, and class tables.
 
-    Constants are compared by _first_moved_defect: the doubled row of
-    bijection[g] through the bijection against the virtual row g.
-    Pairings are compared in one O(|G|) pass, for any bijection: the doubled
-    pairing at (bijection[g], bijection[h]) is 1 exactly when h is a
-    preimage of the doubled inverse of bijection[g], and the virtual one
-    exactly when h is g^-1.  So row g agrees exactly when those preimages
-    are [g^-1], and otherwise the pair scan's first differing h is the
-    least element of their symmetric difference.
+    doubled and bijection must be model.cotangent_model() and the identity
+    (ValueError otherwise), so the two sides share one index, one set of
+    product rows and one set of classes, under the identity class map.
+    Constants are compared row by row as bytes.  The pairing at (g, h) is 1
+    exactly when h is g's inverse in that algebra's table, so row g of the
+    pairings agrees exactly when the two inverse_index entries at g agree;
+    otherwise the pair scan's first differing h is the lesser of the two
+    that lies in range.
 
     The class stage passes without building either class ring when
     _class_stage_follows holds.  Its guard asks that
-      (i) the doubled table share the original's rows and classes (as
-          OrbifoldModel.cotangent_model's does), the bijection be the
-          identity, and the doubled cr degrees equal the virtual ones;
+      (i) the algebras be built on the pair's own tables and the doubled cr
+          degrees equal the virtual ones;
       (ii) the virtual degrees and constants be invariant under each
           conjugation in table.generator_conjugations;
       (iii) table.is_group_table() hold, so that each of those
           conjugations is conjugation by a generator in a group.
-    Proof.  By (i) and the constants stage, the doubled cr algebra has the
-    virtual algebra's degrees and constant rows over the same rows and
-    classes, so invariant_ring builds the same ring from both, or raises
-    the same error; with the identity class map, the stage passes exactly
-    when the virtual ring is built.  It raises in two places.  The classes
-    are the orbits of the generator conjugations, so degrees invariant
-    under each are constant on each class.  The coefficient of x_k in
+    Proof.  By the contract, (i) and the constants stage, the doubled cr
+    algebra has the virtual algebra's degrees and constant rows over the
+    same rows and classes, so invariant_ring builds the same ring from both,
+    or raises the same error; the stage passes exactly when the virtual ring
+    is built.  It raises in two places.  The classes are the orbits of the
+    generator conjugations, so degrees invariant under each are constant on
+    each class.  The coefficient of x_k in
     y_a y_b is S(k), the sum of c[g][h] over g in C_a, h in C_b, gh = k.
     A generator conjugation sigma is, by (iii), an automorphism of the
     table that maps each class onto itself, so (g, h) -> (sigma g, sigma h)
@@ -312,65 +329,39 @@ def main_theorem_check(
 
     virt = model.algebra(VIRT)
     cr_doubled = doubled.algebra(CR)
-    found = _first_moved_defect(virt.constants, cr_doubled.constants, bijection)
-    if found is not None:
-        g, h = found
-        return {
-            "stage": "constants",
-            "pair": [model.label(g), model.label(h)],
-            "doubled_cr": str(cr_doubled.constants[bijection[g]][bijection[h]]),
-            "virtual": str(virt.constants[g][h]),
-        }
-    inverse = virt.table.inverse_index
-    doubled_inverse = cr_doubled.table.inverse_index
-    preimages: list[list[int]] = [[] for _ in range(doubled.order)]
-    for h, b in enumerate(bijection):
-        preimages[b].append(h)
-    for g in range(model.order):
-        partners = preimages[doubled_inverse[bijection[g]]]
-        if partners != [inverse[g]]:
-            h = min(set(partners).symmetric_difference((inverse[g],)))
-            return {"stage": "pairings", "pair": [model.label(g), model.label(h)]}
+    for g, (row, doubled_row) in enumerate(zip(virt.constants, cr_doubled.constants)):
+        if row != doubled_row:
+            h = next(h for h, (x, y) in enumerate(zip(row, doubled_row)) if x != y)
+            return {
+                "stage": "constants",
+                "pair": [model.label(g), model.label(h)],
+                "doubled_cr": str(doubled_row[h]),
+                "virtual": str(row[h]),
+            }
+    for g, (x, y) in enumerate(zip(virt.table.inverse_index, cr_doubled.table.inverse_index)):
+        partners = [h for h in (x, y) if h in range(model.order)] if x != y else None
+        if partners:
+            return {"stage": "pairings", "pair": [model.label(g), model.label(min(partners))]}
 
-    virt_classes = model.table.conjugacy_classes()
-    doubled_classes = doubled.table.conjugacy_classes()
-    if len(virt_classes) != len(doubled_classes):
-        return {
-            "stage": "invariant-ring",
-            "problem": "class counts differ",
-            "original": len(virt_classes),
-            "doubled": len(doubled_classes),
-        }
-    class_map = tuple(
-        doubled_classes.class_of[bijection[rep]] for rep in virt_classes.representatives
-    )
-    if len(set(class_map)) != len(class_map):
-        return {"stage": "invariant-ring", "problem": "class map is not a bijection"}
-    if _class_stage_follows(model, doubled, bijection, virt, cr_doubled):
+    if _class_stage_follows(model, doubled, virt, cr_doubled):
         return None
-
     inv_virt = virt.invariant_ring()
     inv_doubled = cr_doubled.invariant_ring()
     for a in range(inv_virt.order):
-        if inv_virt.degrees[a] != inv_doubled.degrees[class_map[a]]:
+        if inv_virt.degrees[a] != inv_doubled.degrees[a]:
             return {
                 "stage": "invariant-ring",
                 "class": inv_virt.labels[a],
                 "virtual_degree": str(inv_virt.degrees[a]),
-                "doubled_degree": str(inv_doubled.degrees[class_map[a]]),
+                "doubled_degree": str(inv_doubled.degrees[a]),
             }
-    remapped = {
-        (class_map[a], class_map[b], class_map[c]): value
-        for (a, b, c), value in inv_virt.constants.items()
-    }
-    if remapped != inv_doubled.constants:
-        keys = set(remapped) | set(inv_doubled.constants)
-        for key in sorted(keys):
-            if remapped.get(key) != inv_doubled.constants.get(key):
+    if inv_virt.constants != inv_doubled.constants:
+        for key in sorted(set(inv_virt.constants) | set(inv_doubled.constants)):
+            if inv_virt.constants.get(key) != inv_doubled.constants.get(key):
                 return {
                     "stage": "invariant-ring",
                     "classes": [inv_doubled.labels[i] for i in key],
-                    "virtual": str(remapped.get(key, 0)),
+                    "virtual": str(inv_virt.constants.get(key, 0)),
                     "doubled_cr": str(inv_doubled.constants.get(key, 0)),
                 }
     return None
@@ -379,7 +370,6 @@ def main_theorem_check(
 def _class_stage_follows(
     model: OrbifoldModel,
     doubled: OrbifoldModel,
-    bijection: tuple[int, ...],
     virt: SectorAlgebra,
     cr_doubled: SectorAlgebra,
 ) -> bool:
@@ -396,8 +386,6 @@ def _class_stage_follows(
     if not (
         virt.table is table
         and cr_doubled.table is doubled.table
-        and table.shares_group_with(doubled.table)
-        and tuple(bijection) == tuple(range(model.order))
         and cr_doubled.degrees == virt.degrees
     ):
         return False

@@ -54,6 +54,16 @@ def corpus_model(name: str, forget: bool = False) -> OrbifoldModel:
     return _models[key]
 
 
+def derived_pair(spec: OrbifoldSpec, forget: bool = False):
+    """(model, model.cotangent_model(), the identity bijection) on a fresh model of spec.
+
+    The one pair the doubling checks accept: the doubled table is derived
+    from the original's, with element i's double at index i.
+    """
+    model = OrbifoldModel(spec, forget_geometry=forget)
+    return model, model.cotangent_model(), tuple(range(model.order))
+
+
 def built_rows(table) -> list[int]:
     """Indices of the product rows the table has built so far."""
     return [i for i, row in enumerate(table._rows) if row is not None]

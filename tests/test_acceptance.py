@@ -22,7 +22,6 @@ from orbring import (
     grading_check,
     main_theorem_check,
     run_full_verification,
-    sector_bijection,
     verify_algebra,
 )
 from support import (
@@ -30,6 +29,7 @@ from support import (
     class_convolution_oracle,
     corpus_path,
     corpus_spec,
+    derived_pair,
     poly_mul,
     x_power_minus_one,
 )
@@ -41,18 +41,12 @@ def report(number: int, title: str, ok: bool, detail: str = "") -> None:
     print(f"{status} criterion {number}: {title}{suffix}")
 
 
-def fresh_pair(name):
-    model = OrbifoldModel(corpus_spec(name))
-    doubled = model.cotangent_model()
-    return model, doubled, sector_bijection(model.table, doubled.table)
-
-
 def test_criterion_1_grading_lemma():
     failures = []
     worst = 0.0
     for name in CORPUS_NAMES:
         start = time.perf_counter()
-        model, doubled, bij = fresh_pair(name)
+        model, doubled, bij = derived_pair(corpus_spec(name))
         mismatch = grading_check(model, doubled, bij)
         elapsed = time.perf_counter() - start
         worst = max(worst, elapsed)
@@ -70,7 +64,7 @@ def test_criterion_2_main_theorem():
     worst = 0.0
     for name in CORPUS_NAMES:
         start = time.perf_counter()
-        model, doubled, bij = fresh_pair(name)
+        model, doubled, bij = derived_pair(corpus_spec(name))
         assert model.order <= 48
         mismatch = main_theorem_check(model, doubled, bij)
         elapsed = time.perf_counter() - start
@@ -89,7 +83,7 @@ def test_criterion_3_bundle_decomposition():
     worst = 0.0
     for name in CORPUS_NAMES:
         start = time.perf_counter()
-        model, doubled, bij = fresh_pair(name)
+        model, doubled, bij = derived_pair(corpus_spec(name))
         mismatch = decomposition_check(model, doubled, bij)
         elapsed = time.perf_counter() - start
         worst = max(worst, elapsed)
@@ -175,7 +169,7 @@ def test_criterion_6_dijkgraaf_witten_oracle():
 
 
 def test_criterion_7_manifold_case():
-    model, doubled, bij = fresh_pair("trivial-c2")
+    model, doubled, bij = derived_pair(corpus_spec("trivial-c2"))
     ok = (
         model.order == 1
         and doubled.order == 1

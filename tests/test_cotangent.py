@@ -22,16 +22,11 @@ from support import (
     CORPUS_NAMES,
     corpus_model,
     corpus_spec,
+    derived_pair,
     gmpn_spec,
     monomial_generator_sets,
     sector_bijection_scan,
 )
-
-
-def doubled_and_bijection(name, forget=False):
-    model = corpus_model(name, forget=forget)
-    doubled = model.cotangent_model()
-    return model, doubled, sector_bijection(model.table, doubled.table)
 
 
 # --- the doubled spec itself ---
@@ -52,7 +47,9 @@ def test_cotangent_double_trivial():
 
 
 def test_sector_bijection_is_total():
-    model, doubled, bij = doubled_and_bijection("s4-perm")
+    model = corpus_model("s4-perm")
+    doubled = model.cotangent_model()
+    bij = sector_bijection(model.table, doubled.table)
     assert sorted(bij) == list(range(model.order))
     for i in range(model.order):
         assert doubled.table.elements[bij[i]] == model.table.elements[i].double()
@@ -123,14 +120,14 @@ def test_sector_bijection_reports_a_non_injective_map_as_the_scan_does():
 # --- grading lemma ---
 
 def test_grading_z3_by_hand():
-    model, doubled, bij = doubled_and_bijection("z3-11")
+    model, doubled, bij = derived_pair(corpus_spec("z3-11"))
     # doubled age of g: 1/3 + 1/3 + 2/3 + 2/3 = 2, so s = 4 = sigma
     assert doubled.sector(bij[1]).age == 2
     assert doubled.sector(bij[1]).cr_shift == 4 == model.sector(1).virtual_shift
 
 
 def test_grading_s3_transposition_by_hand():
-    model, doubled, bij = doubled_and_bijection("s3-perm")
+    model, doubled, bij = derived_pair(corpus_spec("s3-perm"))
     tau = next(i for i in range(6) if model.table.element_order(i) == 2)
     assert doubled.sector(bij[tau]).age == 1
     assert doubled.sector(bij[tau]).cr_shift == 2 == model.sector(tau).virtual_shift
@@ -138,7 +135,7 @@ def test_grading_s3_transposition_by_hand():
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_grading_check_passes(name):
-    model, doubled, bij = doubled_and_bijection(name)
+    model, doubled, bij = derived_pair(corpus_spec(name))
     assert grading_check(model, doubled, bij) is None
 
 
@@ -163,7 +160,7 @@ def test_k_rank_never_positive():
 
 
 def test_decomposition_z3_pairs_by_hand():
-    model, doubled, bij = doubled_and_bijection("z3-11")
+    model, doubled, bij = derived_pair(corpus_spec("z3-11"))
     # (g, g): doubled obstruction 2 + 2 - 2 - 0 + 0 = 2 = excess 2 + k 0
     assert doubled.obstruction_rank(bij[1], bij[1]) == 2
     assert model.excess_rank(1, 1) == 2 and k_rank(model, 1, 1) == 0
@@ -174,7 +171,7 @@ def test_decomposition_z3_pairs_by_hand():
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_decomposition_check_passes(name):
-    model, doubled, bij = doubled_and_bijection(name)
+    model, doubled, bij = derived_pair(corpus_spec(name))
     assert decomposition_check(model, doubled, bij) is None
 
 
@@ -182,12 +179,12 @@ def test_decomposition_check_passes(name):
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_main_theorem_check_passes(name):
-    model, doubled, bij = doubled_and_bijection(name)
+    model, doubled, bij = derived_pair(corpus_spec(name))
     assert main_theorem_check(model, doubled, bij) is None
 
 
 def test_main_theorem_tables_z3_by_hand():
-    model, doubled, bij = doubled_and_bijection("z3-11")
+    model, doubled, bij = derived_pair(corpus_spec("z3-11"))
     virt = model.algebra(VIRT)
     cr_doubled = doubled.algebra(CR)
     for g in range(3):
@@ -199,7 +196,7 @@ def test_main_theorem_tables_z3_by_hand():
 
 
 def test_main_theorem_trivial_group_is_homotopy_invariance():
-    model, doubled, bij = doubled_and_bijection("trivial-c2")
+    model, doubled, bij = derived_pair(corpus_spec("trivial-c2"))
     assert model.order == doubled.order == 1
     assert main_theorem_check(model, doubled, bij) is None
     assert model.algebra(VIRT).constants == (b"\x01",)
@@ -208,7 +205,7 @@ def test_main_theorem_trivial_group_is_homotopy_invariance():
 
 @pytest.mark.parametrize("name", ["s3-perm", "q8", "s4-perm"])
 def test_main_theorem_is_tautology_in_dw_mode(name):
-    model, doubled, bij = doubled_and_bijection(name, forget=True)
+    model, doubled, bij = derived_pair(corpus_spec(name), forget=True)
     assert main_theorem_check(model, doubled, bij) is None
     # both sides are the group ring
     assert all(c == 1 for row in model.algebra(VIRT).constants for c in row)

@@ -2,24 +2,24 @@
 
 Each check in orbring.cotangent runs on the integer arrays of the sector
 geometry; the per-element and per-pair checks decide and report in one pass,
-visiting pairs in the scans' row-major order.  On intact models, on models
-whose bijection is permuted by a transposition, and on models with one to
-three array entries bumped before any sector is read, each check must give
-the same payload as its scan, or raise the same ConsistencyError text.  With
-one datum that check_group's induction reads corrupted (a left-table entry,
-a search parent at or after its child, two whole rows exchanged),
-check_group must answer False, and closure sanity, the axiom report and the
-main theorem must give their scans' outcomes.
+visiting pairs in the scans' row-major order.  On intact models and on
+models with one to three array entries bumped before any sector is read,
+each check must give the same payload as its scan, or raise the same
+ConsistencyError text.  The doubling checks take only a model, its
+cotangent_model() and the identity bijection, and raise ValueError on any
+other doubled model or bijection.  With one datum that check_group's
+induction reads corrupted (a left-table entry, a search parent at or after
+its child, two whole rows exchanged), check_group must answer False, and
+closure sanity, the axiom report and the main theorem must give their
+scans' outcomes.
 Elements that fix one subspace share one pair row, so a pair bump at (g, h)
-changes entry h of the row of every element with g's subspace.  A
-bijection with one entry copied onto another is not injective, which gives
-main_theorem_check's pairings stage two preimages, or none, of some sector.
+changes entry h of the row of every element with g's subspace.
 With sector(), the rank methods, structure_constant and k_rank patched to
 raise, verify, ring and every check must still give the scans' outcomes:
 they decide and report from their own integers.  verify builds no class
-ring; where main_theorem_check's guard fails (a bijection that is not the
-identity, constants that are not equivariant, degrees that are not
-class-constant), it must give the scan's outcome.
+ring; where main_theorem_check's guard fails (constants that are not
+equivariant, degrees that are not class-constant, doubled degrees that
+differ from the virtual ones), it must give the scan's outcome.
 """
 
 import contextlib
@@ -40,6 +40,7 @@ from orbring import (
     SectorGeometry,
     cli,
     cotangent,
+    cotangent_double,
     rings,
     verify_algebra,
 )
@@ -61,6 +62,7 @@ from support import (
     corpus_spec,
     cube_report,
     decomposition_scan,
+    derived_pair,
     equivariance_scan,
     gmpn_spec,
     grading_check_scan,
@@ -87,15 +89,9 @@ def spec_of(name):
     return corpus_spec(name)
 
 
-def fresh(name, forget):
-    model = OrbifoldModel(spec_of(name), forget_geometry=forget)
-    doubled = model.cotangent_model()
-    return model, doubled, sector_bijection(model.table, doubled.table)
-
-
 @functools.cache
 def cached(name, forget):
-    return fresh(name, forget)
+    return derived_pair(spec_of(name), forget)
 
 
 def outcome(fn, *args):
@@ -135,25 +131,6 @@ def assert_checks_match_scans(model, doubled, bijection):
         assert outcome(check, *args) == outcome(scan, *args), check.__name__
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    data=st.data(),
-    name=st.sampled_from(NAMES),
-    forget=st.booleans(),
-)
-def test_checks_match_scans_with_a_transposed_bijection(data, name, forget):
-    model, doubled, bijection = cached(name, forget)
-    permuted = list(bijection)
-    i = data.draw(st.integers(0, model.order - 1))
-    j = data.draw(st.integers(0, model.order - 1))
-    permuted[i], permuted[j] = permuted[j], permuted[i]
-    assert_checks_match_scans(model, doubled, tuple(permuted))
-    # one entry copied onto another: a bijection that is not injective
-    copied = list(bijection)
-    copied[i] = copied[j]
-    assert_checks_match_scans(model, doubled, tuple(copied))
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
@@ -165,7 +142,7 @@ def test_checks_match_scans_with_a_transposed_bijection(data, name, forget):
 def test_checks_match_scans_with_a_bumped_array_entry(data, name, forget, side, kind):
     # with several rows broken, each check must report the scan's first
     # failing pair in row-major order, not merely some failing pair
-    model, doubled, bijection = fresh(name, forget)
+    model, doubled, bijection = derived_pair(spec_of(name), forget)
     target = model if side == "original" else doubled
     for _ in range(data.draw(st.integers(1, 3))):
         apply_bump(target, kind, *draw_bump(data, target, kind))
@@ -176,7 +153,7 @@ def test_rank_oracles_raise_where_both_forms_agree_on_a_fraction():
     # Shifting age g1 up and age g1^-1 = g2 down by 1/6 keeps age duality,
     # so the two forms agree at every pair; only their integrality flags
     # (g1, g1), where both read 1/2.
-    model, _, _ = fresh("z3-11", False)
+    model, _, _ = derived_pair(spec_of("z3-11"), False)
     model.geometry.ages[1] += 1
     model.geometry.ages[2] -= 1
     expected = ("error", "obstruction rank at (g1, g1) is 1/2, expected a nonnegative integer")
@@ -188,13 +165,57 @@ def test_decomposition_raises_at_a_negative_excess_behind_equal_sides():
     # On z3-11 (n = 2), fixed dimension 4 at e and pair dimensions 5, 1, 1 in
     # row e make every excess rank of that row -1 while excess + k is 0, the
     # doubled rank; so only the sign of the excess flags the row.
-    model, doubled, bijection = fresh("z3-11", False)
+    model, doubled, bijection = derived_pair(spec_of("z3-11"), False)
     model.geometry.fixed[0] = 4
     row = model.geometry.pair_row(0)
     row[0], row[1], row[2] = 5, 1, 1
     expected = ("error", "excess rank at (e, e) is -1, expected a nonnegative integer")
     assert outcome(decomposition_scan, model, doubled, bijection) == expected
     assert outcome(decomposition_check, model, doubled, bijection) == expected
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+@pytest.mark.parametrize("name", ["s3-perm", "q8", "G(4,1,2)"])
+@pytest.mark.parametrize("check", [grading_check, decomposition_check, main_theorem_check])
+def test_doubling_checks_refuse_all_but_the_derived_pair(check, name, forget):
+    model, doubled, identity = derived_pair(spec_of(name), forget)
+    transposed = (1, 0, *identity[2:])
+    copied = (0, 0, *identity[2:])
+    # the same doubled group, closed on its own: its rows are not model's
+    closed = OrbifoldModel(cotangent_double(model.spec), forget_geometry=forget)
+    looked_up = sector_bijection(model.table, closed.table)
+    for args in (
+        (model, doubled, transposed),
+        (model, doubled, copied),
+        (model, closed, identity),
+        (model, closed, looked_up),
+    ):
+        with pytest.raises(ValueError, match=r"model\.cotangent_model\(\)"):
+            check(*args)
+    assert check(model, doubled, identity) is None
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+@pytest.mark.parametrize("name", ["z3-11", "s3-perm", "q8"])
+def test_main_theorem_matches_scan_with_a_doubled_inverse_edited(name, forget):
+    # each table derives its own inverse_index; an edited doubled entry, in
+    # range or out of it, must fail the pairings stage at the scan's pair
+    order = cached(name, forget)[0].order
+    stages = set()
+    for g in range(order):
+        for value in (0, order - 1, order, -1):
+
+            def build():
+                model, doubled, bijection = derived_pair(spec_of(name), forget)
+                inverse = list(doubled.table.inverse_index)
+                inverse[g] = value
+                doubled.table.inverse_index = tuple(inverse)
+                return model, doubled, bijection
+
+            checked = outcome(main_theorem_check, *build())
+            assert checked == outcome(main_theorem_scan, *build()), (g, value)
+            stages.add(checked[1] and checked[1]["stage"])
+    assert "pairings" in stages
 
 
 def test_checks_match_scans_on_intact_models():
@@ -453,25 +474,9 @@ def test_checks_reach_no_per_entry_path_with_a_bumped_array_entry(
     bump = draw_bump(data, probe[0] if side == "original" else probe[1], kind)
 
     def build():
-        model, doubled, bijection = fresh(name, forget)
+        model, doubled, bijection = derived_pair(spec_of(name), forget)
         apply_bump(model if side == "original" else doubled, kind, *bump)
         return model, doubled, bijection
-
-    assert_checks_match_scans_without_per_entry_paths(build)
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data(), name=st.sampled_from(NAMES), forget=st.booleans())
-def test_checks_reach_no_per_entry_path_with_a_transposed_bijection(data, name, forget):
-    order = cached(name, forget)[0].order
-    i = data.draw(st.integers(0, order - 1))
-    j = data.draw(st.integers(0, order - 1))
-
-    def build():
-        model, doubled, bijection = fresh(name, forget)
-        permuted = list(bijection)
-        permuted[i], permuted[j] = permuted[j], permuted[i]
-        return model, doubled, tuple(permuted)
 
     assert_checks_match_scans_without_per_entry_paths(build)
 
@@ -532,27 +537,6 @@ def class_stage_outcomes(build):
     return checked, outcome(main_theorem_scan, *build()), calls[0]
 
 
-@pytest.mark.parametrize("name", ["s3-perm", "q8", "z4-13"])
-def test_class_stage_matches_scan_with_a_transposed_bijection(name):
-    # in point mode every constant is 1 and every degree 0, so a transposition
-    # that keeps inverses passes the sector stages and reaches the class stage
-    order = cached(name, True)[0].order
-    built_rings = 0
-    for i in range(order):
-        for j in range(i + 1, order):
-
-            def build():
-                model, doubled, bijection = fresh(name, True)
-                permuted = list(bijection)
-                permuted[i], permuted[j] = permuted[j], permuted[i]
-                return model, doubled, tuple(permuted)
-
-            checked, scanned, rings = class_stage_outcomes(build)
-            assert checked == scanned, (i, j)
-            built_rings += rings
-    assert built_rings > 0
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     data=st.data(),
@@ -568,7 +552,7 @@ def test_class_stage_matches_scan_with_equal_constant_edits(data, name, forget, 
     h = data.draw(st.integers(0, order - 1))
 
     def build():
-        model, doubled, bijection = fresh(name, forget)
+        model, doubled, bijection = derived_pair(spec_of(name), forget)
         model._algebras[VIRT] = with_constant(model.algebra(VIRT), g, h, value)
         doubled._algebras[CR] = with_constant(doubled.algebra(CR), g, h, value)
         return model, doubled, bijection
@@ -589,7 +573,7 @@ def test_class_stage_matches_scan_with_a_bumped_fixed_entry(name, forget):
         for step in (1, -1):
 
             def build():
-                model, doubled, bijection = fresh(name, forget)
+                model, doubled, bijection = derived_pair(spec_of(name), forget)
                 model.geometry.fixed[g] += step
                 doubled.geometry.ages[g] -= step * doubled.geometry.scale
                 return model, doubled, bijection
@@ -607,7 +591,7 @@ def test_class_stage_matches_scan_with_non_class_constant_degrees(name):
     g = next(cls[1] for cls in model.table.conjugacy_classes().classes if len(cls) > 1)
 
     def build():
-        model, doubled, bijection = fresh(name, False)
+        model, doubled, bijection = derived_pair(spec_of(name), False)
         for target, theory in ((model, VIRT), (doubled, CR)):
             alg = target.algebra(theory)
             degrees = list(alg.degrees)
@@ -621,3 +605,28 @@ def test_class_stage_matches_scan_with_non_class_constant_degrees(name):
     assert checked == scanned
     assert checked[0] == "error" and "degree is not constant" in checked[1]
     assert rings == 1
+
+
+def test_class_stage_matches_scan_with_only_the_doubled_degrees_replaced():
+    # the degree of e raised by 2 in the doubled cr algebra alone: the
+    # degrees stage reads the geometry and the constants are untouched, so
+    # only the class rings, both built, can see it
+    def build():
+        model, doubled, bijection = derived_pair(spec_of("s3-perm"), False)
+        alg = doubled.algebra(CR)
+        degrees = list(alg.degrees)
+        degrees[0] += 2
+        doubled._algebras[CR] = SectorAlgebra(
+            alg.theory, alg.table, tuple(degrees), alg.constants, alg.labels
+        )
+        return model, doubled, bijection
+
+    checked, scanned, rings = class_stage_outcomes(build)
+    expected = {
+        "stage": "invariant-ring",
+        "class": "[e]",
+        "virtual_degree": "0",
+        "doubled_degree": "2",
+    }
+    assert checked == scanned == ("report", expected)
+    assert rings == 2
