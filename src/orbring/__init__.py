@@ -18,7 +18,7 @@ from .monomial import (
     DEFAULT_GROUP_ORDER_CAP, DIMENSION_CAP, ConjugacyPartition, GroupTable, MonomialMap
 )
 from .orbifold import OrbifoldSpec, cotangent_double
-from .sectors import SectorData, SectorGeometry, eigen_phases
+from .sectors import SectorData, SectorGeometry
 from .rings import (
     CR,
     THEORIES,
@@ -35,7 +35,6 @@ from .cotangent import (
     VerificationReport,
     decomposition_check,
     grading_check,
-    k_rank,
     main_theorem_check,
     run_full_verification,
     sector_bijection,
@@ -72,10 +71,8 @@ __all__ = [
     "cotangent_double",
     "cyclotomic_polynomial",
     "decomposition_check",
-    "eigen_phases",
     "euler_phi",
     "grading_check",
-    "k_rank",
     "main_theorem_check",
     "run_full_verification",
     "sector_bijection",

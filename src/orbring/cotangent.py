@@ -28,7 +28,6 @@ __all__ = [
     "VerificationReport",
     "decomposition_check",
     "grading_check",
-    "k_rank",
     "main_theorem_check",
     "run_full_verification",
     "sector_bijection",
@@ -102,12 +101,6 @@ def sector_bijection(original: GroupTable, doubled: GroupTable) -> tuple[int, ..
     if len(set(mapping)) != original.order:
         raise ConsistencyError("doubling map is not injective on sector indices")
     return tuple(mapping)
-
-
-def k_rank(model: OrbifoldModel, g: int, h: int) -> int:
-    """Rank of the virtual difference bundle at (g, h); may be negative."""
-    gh = model.table.mult(g, h)
-    return model.fixed_dim_pair(g, h) - model.sector(gh).fixed_dim
 
 
 def closure_sanity_check(model: OrbifoldModel) -> dict | None:

@@ -3,8 +3,13 @@
 Elements are polynomials in zeta_N with rational coefficients, reduced modulo
 the N-th cyclotomic polynomial Phi_N.  The reduced coefficient vector (length
 phi(N)) is a canonical form, so equality and rationality tests are plain
-coefficient scans and every trace or projector average computed on top of this
-module carries zero numerical error.
+coefficient scans with zero numerical error.
+
+No command computes in Q(zeta_N).  MonomialMap.trace and SectorGeometry.trace
+return its numbers for perfbench's traced replay and for the tests' oracle of
+pair fixed dimensions, the averaging projector of a subgroup, whose trace
+must come out a rational integer.  Spec parsing and the integer codes read
+RationalPhase and DEFAULT_CONDUCTOR_CAP.
 """
 
 from __future__ import annotations

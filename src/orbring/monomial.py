@@ -112,6 +112,8 @@ class MonomialMap(Record):
         phases = self.phases + tuple(-p for p in self.phases)
         return MonomialMap(perm, phases)
 
+    # Called by no command; SectorGeometry.trace reads it, for perfbench's
+    # traced sectors.traces span and the tests' projector oracle.
     def trace(self) -> CyclotomicNumber:
         """Exact matrix trace: diagonal entries come from fixed indices only."""
         total = CyclotomicNumber.zero()
@@ -630,6 +632,9 @@ class GroupTable:
         parents = enumerate(islice(self._parent_gen, 1, None), 1)
         return all(0 <= p < i and times[k](codes[p]) == codes[i] for i, (p, k) in parents)
 
+    # Called by no command; kept because perfbench/layers.py counts the
+    # subgroups <g, h> with it for the traced counter sectors.subgroups, and
+    # the tests' projector oracle averages over them.
     def subgroup_closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Smallest subgroup containing the seed indices, as a sorted tuple."""
         gens = sorted(set(seed))

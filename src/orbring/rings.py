@@ -50,8 +50,9 @@ def _check_theory(theory: str) -> None:
 class OrbifoldModel:
     """One linear quotient orbifold, closed and measured.
 
-    Bundles the closed group table, the exact sector geometry, the bundle
-    ranks for every pair of sectors, and the two sector algebras.
+    Bundles the closed group table, the exact sector geometry and the two
+    sector algebras, whose constants are gated by the bundle ranks of every
+    pair of sectors.
     """
 
     def __init__(
@@ -97,57 +98,6 @@ class OrbifoldModel:
             )
         return scaled // scale
 
-    def obstruction_rank(self, g: int, h: int) -> int:
-        """Rank of the correction bundle gating the cr product at (g, h)."""
-        product = self.sector(self.table.mult(g, h))
-        value = (
-            self.sector(g).age
-            + self.sector(h).age
-            - product.age
-            - product.fixed_dim
-            + self.fixed_dim_pair(g, h)
-        )
-        return self.checked_rank("obstruction", g, h, value.numerator, value.denominator)
-
-    def obstruction_rank_dual_form(self, g: int, h: int) -> int:
-        """Triple-age form of the same rank; an independent cross-check."""
-        gh_inv = self.table.inverse_index[self.table.mult(g, h)]
-        value = (
-            self.sector(g).age
-            + self.sector(h).age
-            + self.sector(gh_inv).age
-            - (self.n - self.fixed_dim_pair(g, h))
-        )
-        return self.checked_rank(
-            "obstruction (dual form)", g, h, value.numerator, value.denominator
-        )
-
-    def excess_rank(self, g: int, h: int) -> int:
-        """Rank of the excess bundle of V^g and V^h inside the ambient space.
-
-        Zero exactly when the two fixed subspaces meet transversally.
-        """
-        value = (
-            self.n
-            - self.sector(g).fixed_dim
-            - self.sector(h).fixed_dim
-            + self.fixed_dim_pair(g, h)
-        )
-        return self.checked_rank("excess", g, h, value)
-
-    def structure_constant(self, theory: str, g: int, h: int) -> int:
-        """Coefficient of x_{gh} in x_g * x_h: 1 iff both gates pass, else 0.
-
-        algebra() computes the whole table from arrays instead; this one-entry
-        form is its reference.
-        """
-        _check_theory(theory)
-        rank = self.obstruction_rank(g, h) if theory == CR else self.excess_rank(g, h)
-        if rank != 0:
-            return 0
-        gh = self.table.mult(g, h)
-        return 1 if self.fixed_dim_pair(g, h) == self.sector(gh).fixed_dim else 0
-
     def algebra(self, theory: str) -> "SectorAlgebra":
         _check_theory(theory)
         alg = self._algebras.get(theory)
@@ -176,12 +126,19 @@ class OrbifoldModel:
         return kept[1]
 
     def _constant_rows(self, theory: str) -> tuple[bytes, ...]:
-        """Every structure_constant(theory, g, h) as one bytes row per g, from the int arrays.
+        """The theory's structure constants as one bytes row per g, from the int arrays.
 
-        The same two gates, with each rank scaled to an integer: the cr
-        obstruction rank times geometry.scale (the ages' common denominator),
-        or the excess rank itself.  An entry whose rank is not a nonnegative
-        integer raises the rank's ConsistencyError through checked_rank.
+        Entry h of row g, the coefficient of x_{gh} in x_g * x_h, is 1 iff
+        both gates pass.  The rank gate asks that the bundle rank vanish: for
+        cr the obstruction rank age g + age h - age gh - dim V^gh +
+        dim(V^g meet V^h), here times geometry.scale (the ages' common
+        denominator); for virt the excess rank n - dim V^g - dim V^h +
+        dim(V^g meet V^h), zero exactly when the two fixed subspaces meet
+        transversally.  The codimension gate asks that V^g meet V^h be
+        V^gh, that is, have its dimension.  An entry whose rank is not a
+        nonnegative integer raises the rank's ConsistencyError through
+        checked_rank.  The tests keep a one-entry form of the two gates as
+        the oracle for every entry.
         """
         geometry = self.geometry
         fixed = geometry.fixed

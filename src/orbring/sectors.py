@@ -3,17 +3,16 @@
 Per group element: the age, the fixed-subspace dimension, the two degree
 shifts and the id of the fixed subspace V^g, all read in one walk over the
 cycles of the element's integer code (ages as ints over 2N, N the
-generators' conductor).  The multiset of rotation numbers (eigen_phases)
-computes the same ages and dimensions from a MonomialMap and is kept as
-their independent oracle.  Per pair: the dimension of V^g meet V^h depends
-only on the two subspaces, so it is counted once per pair of distinct
-subspaces, by a walk over the orbits of the pair of representatives on the
-coordinates with potentials in Z/N (no subgroup closure, no cyclotomic
-arithmetic).  Each subspace's row over all elements is gathered from those
-counts through the ids, once, and every element that fixes the subspace
-reads that one row.  The averaging projector of the generated subgroup
-(fixed_dim_of_subgroup) computes the same number exactly in Q(zeta_N) and
-is kept as its independent oracle.
+generators' conductor).  The tests keep an independent oracle that computes
+the same ages and dimensions from each map's multiset of rotation numbers.
+Per pair: the dimension of V^g meet V^h depends only on the two subspaces,
+so it is counted once per pair of distinct subspaces, by a walk over the
+orbits of the pair of representatives on the coordinates with potentials
+in Z/N (no subgroup closure, no cyclotomic arithmetic).  Each subspace's
+row over all elements is gathered from those counts through the ids, once,
+and every element that fixes the subspace reads that one row.  The tests'
+oracle for that count is the trace of the averaging projector of the
+generated subgroup, exact in Q(zeta_N), summed from SectorGeometry.trace.
 """
 
 from __future__ import annotations
@@ -24,40 +23,10 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._record import Record
-from .cyclotomic import CyclotomicNumber, RationalPhase
-from .errors import ConsistencyError
-from .monomial import GroupTable, MonomialMap
+from .cyclotomic import CyclotomicNumber
+from .monomial import GroupTable
 
-__all__ = ["SectorData", "SectorGeometry", "eigen_phases"]
-
-
-def eigen_phases(m: MonomialMap) -> tuple[RationalPhase, ...]:
-    """Sorted multiset of rotation numbers of a monomial map.
-
-    A permutation cycle of length L whose phases sum to s (mod 1) spans an
-    invariant subspace on which the L-th power of the map is the scalar
-    e^(2*pi*i*s); its eigenvalues are therefore the L roots e^(2*pi*i*(s+t)/L),
-    t = 0..L-1.
-    """
-    n = m.dimension
-    seen = [False] * n
-    out: list[RationalPhase] = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        total = Fraction(0)
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            total += m.phases[j].as_fraction()
-            length += 1
-            j = m.perm[j]
-        s = total % 1
-        for t in range(length):
-            out.append(RationalPhase.from_fraction((s + t) / length))
-    out.sort()
-    return tuple(out)
+__all__ = ["SectorData", "SectorGeometry"]
 
 
 class SectorData(Record):
@@ -107,7 +76,8 @@ class SectorGeometry:
 
         One walk over the permutation cycles of the code gives all three.
         A cycle of length L whose phases sum to s/N (0 <= s < N) has the
-        eigen-phases (s/N + t)/L, t = 0..L-1 (see eigen_phases).  They sum
+        eigen-phases (s/N + t)/L, t = 0..L-1, since the element's L-th power
+        is the scalar e^(2 pi i s/N) on the cycle's span.  They sum
         to s/N + (L-1)/2, which is (2s + (L-1)N) over 2N, and one of them
         is zero exactly when s = 0.
 
@@ -195,29 +165,10 @@ class SectorGeometry:
         age = Fraction(age, self.scale)
         return SectorData(age, dim, 2 * (self.n - dim), 2 * age)
 
+    # Called by no command; kept because perfbench/layers.py times it in the
+    # traced span sectors.traces, and the tests' projector oracle sums it.
     def trace(self, i: int) -> CyclotomicNumber:
         return self.table.elements[i].trace()
-
-    def fixed_dim_of_subgroup(self, members: Sequence[int]) -> int:
-        """Dimension of the common fixed subspace of a subgroup.
-
-        The averaging projector (1/|H|) sum of rho(k) has trace equal to the
-        fixed-space dimension; the cyclotomic sum must come out a rational
-        integer in [0, n], which is asserted at runtime.
-        """
-        if self.forget:
-            return 0
-        total = CyclotomicNumber.zero()
-        for k in members:
-            total = total + self.trace(k)
-        average = total * Fraction(1, len(members))
-        value = average.as_rational()
-        if value is None or value.denominator != 1 or not 0 <= value <= self.n:
-            raise ConsistencyError(
-                f"projector average over subgroup {tuple(members)} is {value!r}, "
-                f"expected an integer in [0, {self.n}]"
-            )
-        return int(value)
 
     def pair_row(self, g: int) -> array:
         """dim of V^g intersect V^h for h = 0..order-1: the row of g's subspace."""
@@ -251,8 +202,8 @@ class SectorGeometry:
         k with another potential marks the orbit inconsistent: v vanishes
         there.  A consistent orbit carries one free parameter.  Each element
         permutes the coordinates, so its inverse is one of its powers, and
-        following images alone covers the orbit of <g, h>.  The projector of
-        fixed_dim_of_subgroup is the oracle for this count.
+        following images alone covers the orbit of <g, h>.  The tests'
+        averaging projector of <g, h> is the oracle for this count.
         """
         n = self.n
         modulus = self.table.conductor

@@ -16,6 +16,7 @@ from orbring import (
     AlgebraReport,
     AxiomCheck,
     ConsistencyError,
+    CyclotomicNumber,
     InvariantRing,
     MonomialMap,
     OrbifoldModel,
@@ -23,9 +24,8 @@ from orbring import (
     RationalPhase,
     ResourceCapError,
     SectorAlgebra,
-    k_rank,
 )
-from orbring.rings import _check_unit
+from orbring.rings import _check_theory, _check_unit
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -86,7 +86,26 @@ def gmpn_spec(m: int, p: int, n: int) -> OrbifoldSpec:
     return OrbifoldSpec.from_dict({"name": f"G({m},{p},{n})", "dimension": n, "generators": gens})
 
 
-# --- random monomial maps and generator sets (hypothesis strategies) ---
+def diagonal_spec(generators):
+    """The group of diagonal maps on C^n generated by the given phase vectors (Fractions)."""
+    n = len(generators[0])
+    gens = [{"perm": list(range(n)), "phases": [str(a) for a in phases]} for phases in generators]
+    return OrbifoldSpec.from_dict({"name": "diagonal", "dimension": n, "generators": gens})
+
+
+# --- random monomial maps, generator sets and diagonal phase vectors (hypothesis strategies) ---
+
+@st.composite
+def diagonal_generators(draw):
+    """At most 2 generators on C^n, n <= 4, each with phases k/N for one N <= 12."""
+    n = draw(st.integers(1, 4))
+    generators = []
+    for _ in range(draw(st.integers(1, 2))):
+        N = draw(st.integers(1, 12))
+        numerators = draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
+        generators.append(tuple(Fraction(k, N) for k in numerators))
+    return generators
+
 
 @st.composite
 def monomial_maps(draw, dimension=None):
@@ -260,10 +279,127 @@ def invariant_expansion_oracle(alg):
     return coeffs
 
 
+# --- per-entry forms: one rank, gate or geometric datum at a time ---
+#
+# The package computes each of these only as whole arrays; these one-entry
+# forms, which it cannot call, are their references.
+
+def eigen_phases(m: MonomialMap) -> tuple[RationalPhase, ...]:
+    """Sorted multiset of rotation numbers of a monomial map.
+
+    A permutation cycle of length L whose phases sum to s (mod 1) spans an
+    invariant subspace on which the L-th power of the map is the scalar
+    e^(2*pi*i*s); its eigenvalues are therefore the L roots e^(2*pi*i*(s+t)/L),
+    t = 0..L-1.
+    """
+    n = m.dimension
+    seen = [False] * n
+    out: list[RationalPhase] = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        total = Fraction(0)
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            total += m.phases[j].as_fraction()
+            length += 1
+            j = m.perm[j]
+        s = total % 1
+        for t in range(length):
+            out.append(RationalPhase.from_fraction((s + t) / length))
+    out.sort()
+    return tuple(out)
+
+
+def fixed_dim_of_subgroup(geometry, members) -> int:
+    """Dimension of the common fixed subspace of a subgroup.
+
+    The averaging projector (1/|H|) sum of rho(k) has trace equal to the
+    fixed-space dimension; the cyclotomic sum must come out a rational
+    integer in [0, n], which is asserted at runtime.
+    """
+    if geometry.forget:
+        return 0
+    total = CyclotomicNumber.zero()
+    for k in members:
+        total = total + geometry.trace(k)
+    average = total * Fraction(1, len(members))
+    value = average.as_rational()
+    if value is None or value.denominator != 1 or not 0 <= value <= geometry.n:
+        raise ConsistencyError(
+            f"projector average over subgroup {tuple(members)} is {value!r}, "
+            f"expected an integer in [0, {geometry.n}]"
+        )
+    return int(value)
+
+
+def obstruction_rank(model, g: int, h: int) -> int:
+    """Rank of the correction bundle gating the cr product at (g, h)."""
+    product = model.sector(model.table.mult(g, h))
+    value = (
+        model.sector(g).age
+        + model.sector(h).age
+        - product.age
+        - product.fixed_dim
+        + model.fixed_dim_pair(g, h)
+    )
+    return model.checked_rank("obstruction", g, h, value.numerator, value.denominator)
+
+
+def obstruction_rank_dual_form(model, g: int, h: int) -> int:
+    """Triple-age form of the same rank; an independent cross-check."""
+    gh_inv = model.table.inverse_index[model.table.mult(g, h)]
+    value = (
+        model.sector(g).age
+        + model.sector(h).age
+        + model.sector(gh_inv).age
+        - (model.n - model.fixed_dim_pair(g, h))
+    )
+    return model.checked_rank(
+        "obstruction (dual form)", g, h, value.numerator, value.denominator
+    )
+
+
+def excess_rank(model, g: int, h: int) -> int:
+    """Rank of the excess bundle of V^g and V^h inside the ambient space.
+
+    Zero exactly when the two fixed subspaces meet transversally.
+    """
+    value = (
+        model.n
+        - model.sector(g).fixed_dim
+        - model.sector(h).fixed_dim
+        + model.fixed_dim_pair(g, h)
+    )
+    return model.checked_rank("excess", g, h, value)
+
+
+def k_rank(model, g: int, h: int) -> int:
+    """Rank of the virtual difference bundle at (g, h); may be negative."""
+    gh = model.table.mult(g, h)
+    return model.fixed_dim_pair(g, h) - model.sector(gh).fixed_dim
+
+
+def structure_constant(model, theory: str, g: int, h: int) -> int:
+    """Coefficient of x_{gh} in x_g * x_h: 1 iff both gates pass, else 0.
+
+    algebra() computes the whole table from arrays instead; this one-entry
+    form is its reference.
+    """
+    _check_theory(theory)
+    rank = obstruction_rank(model, g, h) if theory == CR else excess_rank(model, g, h)
+    if rank != 0:
+        return 0
+    gh = model.table.mult(g, h)
+    return 1 if model.fixed_dim_pair(g, h) == model.sector(gh).fixed_dim else 0
+
+
 # --- per-pair scans: the references for the row-wise verify checks ---
 #
 # Each is the check as a plain loop over every element or pair, reading the
-# per-entry methods (sector(), the rank methods, constant, pairing, mult).
+# per-entry forms above and sector(), constant, pairing and mult.
 # The checks in orbring must return the same payload or raise the same
 # ConsistencyError text.
 
@@ -314,8 +450,8 @@ def age_duality_scan(model):
 def rank_oracle_scan(model):
     for g in range(model.order):
         for h in range(model.order):
-            direct = model.obstruction_rank(g, h)
-            dual = model.obstruction_rank_dual_form(g, h)
+            direct = obstruction_rank(model, g, h)
+            dual = obstruction_rank_dual_form(model, g, h)
             if direct != dual:
                 return {
                     "pair": [model.label(g), model.label(h)],
@@ -341,8 +477,8 @@ def grading_check_scan(model, doubled, bijection):
 def decomposition_scan(model, doubled, bijection):
     for g in range(model.order):
         for h in range(model.order):
-            lhs = doubled.obstruction_rank(bijection[g], bijection[h])
-            rhs = model.excess_rank(g, h) + k_rank(model, g, h)
+            lhs = obstruction_rank(doubled, bijection[g], bijection[h])
+            rhs = excess_rank(model, g, h) + k_rank(model, g, h)
             if lhs != rhs:
                 return {
                     "pair": [model.label(g), model.label(h)],

@@ -11,6 +11,7 @@ the doubled cr ring alike.  Conjugacy classes of G_A x G_B are the products
 of the factors' classes, and the class sums multiply factor by factor, so
 the class rings are tensor products too.  Each check here reads the
 factors' rings and the product's through the decoded maps alone.
+The factors are corpus specs, a reflection group and drawn diagonal groups.
 """
 
 import itertools
@@ -28,7 +29,14 @@ from orbring import (
     RationalPhase,
     run_full_verification,
 )
-from support import CORPUS_NAMES, corpus_model, corpus_spec, gmpn_spec
+from support import (
+    CORPUS_NAMES,
+    corpus_model,
+    corpus_spec,
+    diagonal_generators,
+    diagonal_spec,
+    gmpn_spec,
+)
 
 
 def product_spec(spec_a, spec_b):
@@ -145,3 +153,17 @@ def test_kunneth_on_drawn_corpus_pairs(a, b, forget):
     assert_kunneth(
         corpus_spec(a), corpus_spec(b), forget, corpus_model(a, forget), corpus_model(b, forget)
     )
+
+
+@settings(max_examples=20, deadline=None)
+@given(generators=diagonal_generators(), data=st.data())
+def test_kunneth_with_a_drawn_diagonal_factor(generators, data):
+    diagonal = diagonal_spec(generators)
+    order = OrbifoldModel(diagonal).order
+    # order 144 keeps the per-pair asserts and the product's verify quick;
+    # trivial-c2 has order 1, so some corpus spec always fits
+    names = [n for n in CORPUS_NAMES if order * corpus_model(n).order <= 144]
+    other = corpus_spec(data.draw(st.sampled_from(names), label="corpus factor"))
+    for forget in (False, True):
+        assert_kunneth(diagonal, other, forget)
+        assert_kunneth(other, diagonal, forget)

@@ -15,10 +15,9 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from orbring import CR, VIRT, OrbifoldModel, OrbifoldSpec, sector_bijection
-from support import gmpn_spec
+from support import diagonal_generators, diagonal_spec, gmpn_spec
 
 
 def symmetric_spec(n):
@@ -123,13 +122,6 @@ def test_wreath_class_degrees_follow_goettsche(m, n):
     assert Counter(ring.degrees) == goettsche_degrees(m, n)
 
 
-def diagonal_spec(generators):
-    """The group of diagonal maps on C^n generated by the given phase vectors (Fractions)."""
-    n = len(generators[0])
-    gens = [{"perm": list(range(n)), "phases": [str(a) for a in phases]} for phases in generators]
-    return OrbifoldSpec.from_dict({"name": "diagonal", "dimension": n, "generators": gens})
-
-
 def diagonal_closure(generators):
     """Every phase vector a(g) in [0, 1)^n of the group, from the generators' powers alone."""
     orders = [math.lcm(*(a.denominator for a in phases)) for phases in generators]
@@ -181,18 +173,6 @@ def test_cyclic_groups_on_the_line_follow_the_toric_rules(N):
 def test_z2_times_z4_follows_the_toric_rules():
     half, quarter = Fraction(1, 2), Fraction(1, 4)
     assert_toric_rules([(half, half, Fraction(0)), (quarter, Fraction(0), 3 * quarter)])
-
-
-@st.composite
-def diagonal_generators(draw):
-    """At most 2 generators on C^n, n <= 4, each with phases k/N for one N <= 12."""
-    n = draw(st.integers(1, 4))
-    generators = []
-    for _ in range(draw(st.integers(1, 2))):
-        N = draw(st.integers(1, 12))
-        numerators = draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
-        generators.append(tuple(Fraction(k, N) for k in numerators))
-    return generators
 
 
 @given(diagonal_generators())

@@ -1,7 +1,6 @@
 import math
 import random
 from bisect import bisect_right
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings

@@ -27,10 +27,14 @@ from support import (
     corpus_model,
     corpus_spec,
     cube_report,
+    excess_rank,
     gmpn_spec,
     invariant_expansion_oracle,
     invariant_ring_scan,
     nondegeneracy_scan,
+    obstruction_rank,
+    obstruction_rank_dual_form,
+    structure_constant,
     with_constant,
 )
 
@@ -45,34 +49,34 @@ def test_obstruction_vanishes_against_the_unit():
     for name in SMALL_NAMES:
         model = corpus_model(name)
         for h in range(model.order):
-            assert model.obstruction_rank(0, h) == 0
-            assert model.excess_rank(0, h) == 0
+            assert obstruction_rank(model, 0, h) == 0
+            assert excess_rank(model, 0, h) == 0
 
 
 def test_obstruction_rank_z3_11():
     model = corpus_model("z3-11")
-    assert model.obstruction_rank(1, 1) == 0  # 2/3 + 2/3 - 4/3 - 0 + 0
+    assert obstruction_rank(model, 1, 1) == 0  # 2/3 + 2/3 - 4/3 - 0 + 0
 
 
 def test_obstruction_rank_z3_12():
     model = corpus_model("z3-12")
-    assert model.obstruction_rank(1, 1) == 1  # 1 + 1 - 1 - 0 + 0
-    assert model.obstruction_rank_dual_form(1, 1) == 1  # 1 + 1 + 1 - (2 - 0)
+    assert obstruction_rank(model, 1, 1) == 1  # 1 + 1 - 1 - 0 + 0
+    assert obstruction_rank_dual_form(model, 1, 1) == 1  # 1 + 1 + 1 - (2 - 0)
 
 
 def test_obstruction_rank_s3_two_transpositions():
     model = corpus_model("s3-perm")
     t1, t2 = transpositions_of(model)[:2]
-    assert model.obstruction_rank(t1, t2) == 0  # 1/2 + 1/2 - 1 - 1 + 1
-    assert model.obstruction_rank_dual_form(t1, t2) == 0  # 1/2 + 1/2 + 1 - (3 - 1)
+    assert obstruction_rank(model, t1, t2) == 0  # 1/2 + 1/2 - 1 - 1 + 1
+    assert obstruction_rank_dual_form(model, t1, t2) == 0  # 1/2 + 1/2 + 1 - (3 - 1)
 
 
 def test_excess_rank_examples():
     z3 = corpus_model("z3-11")
-    assert z3.excess_rank(1, 1) == 2  # 2 - 0 - 0 + 0
+    assert excess_rank(z3, 1, 1) == 2  # 2 - 0 - 0 + 0
     s3 = corpus_model("s3-perm")
     t1, t2 = transpositions_of(s3)[:2]
-    assert s3.excess_rank(t1, t2) == 0  # 3 - 2 - 2 + 1
+    assert excess_rank(s3, t1, t2) == 0  # 3 - 2 - 2 + 1
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -80,7 +84,7 @@ def test_rank_oracle_agreement(name):
     model = corpus_model(name)
     for g in range(model.order):
         for h in range(model.order):
-            assert model.obstruction_rank(g, h) == model.obstruction_rank_dual_form(g, h)
+            assert obstruction_rank(model, g, h) == obstruction_rank_dual_form(model, g, h)
 
 
 @pytest.mark.parametrize("name", SMALL_NAMES)
@@ -91,8 +95,8 @@ def test_ranks_are_conjugation_invariant(name):
         for g in range(model.order):
             for h in range(model.order):
                 cg, ch = table.conjugate(g, k), table.conjugate(h, k)
-                assert model.obstruction_rank(cg, ch) == model.obstruction_rank(g, h)
-                assert model.excess_rank(cg, ch) == model.excess_rank(g, h)
+                assert obstruction_rank(model, cg, ch) == obstruction_rank(model, g, h)
+                assert excess_rank(model, cg, ch) == excess_rank(model, g, h)
 
 
 # --- structure constants ---
@@ -101,20 +105,20 @@ def test_structure_constants_z3_11():
     model = corpus_model("z3-11")
     # cr: x_g^2 survives, x_g * x_{g^2} dies on the codimension gate,
     # x_{g^2}^2 dies on the rank gate (rank 2)
-    assert model.structure_constant(CR, 1, 1) == 1
-    assert model.structure_constant(CR, 1, 2) == 0
-    assert model.structure_constant(CR, 2, 2) == 0
-    assert model.structure_constant(VIRT, 1, 1) == 0  # excess rank 2
+    assert structure_constant(model, CR, 1, 1) == 1
+    assert structure_constant(model, CR, 1, 2) == 0
+    assert structure_constant(model, CR, 2, 2) == 0
+    assert structure_constant(model, VIRT, 1, 1) == 0  # excess rank 2
     for h in range(3):
-        assert model.structure_constant(CR, 0, h) == 1
-        assert model.structure_constant(VIRT, 0, h) == 1
+        assert structure_constant(model, CR, 0, h) == 1
+        assert structure_constant(model, VIRT, 0, h) == 1
 
 
 def test_structure_constants_s3_transposition_pair():
     model = corpus_model("s3-perm")
     t1, t2 = transpositions_of(model)[:2]
-    assert model.structure_constant(CR, t1, t2) == 1
-    assert model.structure_constant(VIRT, t1, t2) == 1
+    assert structure_constant(model, CR, t1, t2) == 1
+    assert structure_constant(model, VIRT, t1, t2) == 1
 
 
 def test_full_cr_table_z3_11():
@@ -153,14 +157,14 @@ def test_algebra_rows_match_structure_constant(spec, forget):
         constants = model.algebra(theory).constants
         for g in range(model.order):
             for h in range(model.order):
-                assert constants[g][h] == model.structure_constant(theory, g, h), (theory, g, h)
+                assert constants[g][h] == structure_constant(model, theory, g, h), (theory, g, h)
 
 
 def first_entry_error(model, theory):
     with pytest.raises(ConsistencyError) as entry:
         for g in range(model.order):
             for h in range(model.order):
-                model.structure_constant(theory, g, h)
+                structure_constant(model, theory, g, h)
     return str(entry.value)
 
 
@@ -660,5 +664,8 @@ def test_to_json_of_invariant_ring_without_constants():
 def test_theory_tag_validated():
     from orbring import InputError
 
+    model = corpus_model("z3-11")
     with pytest.raises(InputError):
-        corpus_model("z3-11").structure_constant("weird", 0, 0)
+        model.algebra("weird")
+    with pytest.raises(InputError):
+        structure_constant(model, "weird", 0, 0)

@@ -8,10 +8,8 @@ from orbring import (
     MonomialMap,
     OrbifoldModel,
     OrbifoldSpec,
-    RationalPhase,
     ResourceCapError,
     SectorGeometry,
-    eigen_phases,
     run_full_verification,
 )
 from support import (
@@ -19,11 +17,13 @@ from support import (
     SMALL_NAMES,
     corpus_model,
     corpus_spec,
+    eigen_phases,
+    fixed_dim_of_subgroup,
     gmpn_spec,
     monomial_generator_sets,
     monomial_maps,
 )
-from test_monomial import QUAT_J, S3_GENS, Z3_GEN, zp
+from test_monomial import QUAT_J, Z3_GEN, zp
 
 
 def sector_of(m):
@@ -216,7 +216,7 @@ def test_s3_two_transpositions_share_the_diagonal_line():
     # two distinct transpositions fix only the diagonal line
     assert model.fixed_dim_pair(t1, t2) == 1
     # they generate S3, whose projector has trace (3 + 3*1 + 2*0) / 6 = 1
-    assert model.geometry.fixed_dim_of_subgroup(table.subgroup_closure((t1, t2))) == 1
+    assert fixed_dim_of_subgroup(model.geometry, table.subgroup_closure((t1, t2))) == 1
 
 
 @pytest.mark.parametrize("name", SMALL_NAMES)
@@ -235,7 +235,7 @@ def test_pair_dimension_properties(name):
 @pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_whole_group_projector_is_a_dimension(name):
     model = corpus_model(name)
-    value = model.geometry.fixed_dim_of_subgroup(tuple(range(model.order)))
+    value = fixed_dim_of_subgroup(model.geometry, tuple(range(model.order)))
     assert 0 <= value <= model.n
     # known fixed spaces: the diagonal line for permutation reps, zero otherwise
     expected = {
@@ -260,7 +260,7 @@ def assert_pairs_match_projector(model):
         for h in range(g, table.order):
             members = table.subgroup_closure((g, h))
             if members not in projected:
-                projected[members] = geometry.fixed_dim_of_subgroup(members)
+                projected[members] = fixed_dim_of_subgroup(geometry, members)
             assert model.fixed_dim_pair(g, h) == projected[members], (g, h)
 
 

@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbring import OrbifoldModel, OrbifoldSpec, SectorGeometry
-from support import CORPUS_NAMES, corpus_spec, gmpn_spec, monomial_maps, pair_row_scan
+from support import (
+    CORPUS_NAMES,
+    corpus_spec,
+    fixed_dim_of_subgroup,
+    gmpn_spec,
+    monomial_maps,
+    pair_row_scan,
+)
 
 PROJECTOR_ORDER = 50
 
@@ -43,7 +50,7 @@ def assert_rows_match_scan(model):
             for h in range(g, model.order):
                 members = table.subgroup_closure((g, h))
                 if members not in projected:
-                    projected[members] = geometry.fixed_dim_of_subgroup(members)
+                    projected[members] = fixed_dim_of_subgroup(geometry, members)
                 assert scan[h] == projected[members], (g, h)
 
 

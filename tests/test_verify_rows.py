@@ -14,9 +14,10 @@ closure sanity, the axiom report and the main theorem must give their
 scans' outcomes.
 Elements that fix one subspace share one pair row, so a pair bump at (g, h)
 changes entry h of the row of every element with g's subspace.
-With sector(), the rank methods, structure_constant and k_rank patched to
-raise, verify, ring and every check must still give the scans' outcomes:
-they decide and report from their own integers.  verify builds no class
+With sector() patched to raise, verify, ring and every check must still
+give the scans' outcomes: they decide and report from their own integers.
+The per-entry rank and gate forms live in support, so the package cannot
+call them.  verify builds no class
 ring; where main_theorem_check's guard fails (constants that are not
 equivariant, degrees that are not class-constant, doubled degrees that
 differ from the virtual ones), it must give the scan's outcome.
@@ -39,7 +40,6 @@ from orbring import (
     SectorAlgebra,
     SectorGeometry,
     cli,
-    cotangent,
     cotangent_double,
     rings,
     verify_algebra,
@@ -386,14 +386,7 @@ def test_checks_match_scans_with_a_group_datum_corrupted(data, name, kind, theor
 
 # --- verify and ring decide from the arrays, never through the per-entry path ---
 
-PER_ENTRY = [
-    (SectorGeometry, "sector"),
-    (OrbifoldModel, "obstruction_rank"),
-    (OrbifoldModel, "obstruction_rank_dual_form"),
-    (OrbifoldModel, "excess_rank"),
-    (OrbifoldModel, "structure_constant"),
-    (cotangent, "k_rank"),
-]
+PER_ENTRY = [(SectorGeometry, "sector")]
 
 
 def reached(*args, **kwargs):
