@@ -4,10 +4,12 @@ Under g -> g (+) conjugate(g) the doubled orbifold's cr-side data must
 reproduce the original orbifold's virtual-side data: degree shifts agree,
 bundle ranks add up, and the full structure-constant tables coincide at sector
 and class level.  Each statement is decided exactly: closure sanity by the
-group fact (GroupTable.check_group), the class-level comparison by proof from
-the sector-level one where main_theorem_check's guard holds, and the rest by
-exact scans.  The doubling checks take a model with its cotangent_model(),
-whose table is derived from the model's, and refuse any other pair.
+group fact (GroupTable.check_group), rank-oracles, bundle-decomposition and
+the main theorem's constants by proof from facts about the two geometries
+(_doubling_facts), the class-level comparison by proof from the sector-level
+one, and the rest, or any of these where its facts fail, by exact scans.
+The doubling checks take a model with its cotangent_model(), whose table is
+derived from the model's, and refuse any other pair.
 """
 
 from __future__ import annotations
@@ -167,7 +169,18 @@ def rank_oracle_check(model: OrbifoldModel) -> dict | None:
     pair where they differ, or the direct form is not a nonnegative integer,
     either form that is not a nonnegative integer raises (the direct form
     first); otherwise the two differ and are reported.
+
+    The pass runs only where age duality fails.  Proof.  At k = gh the
+    direct form minus the dual one is scale (n - dim V^k) - age k -
+    age k^-1, zero by age duality, so the pass can only stop where the
+    direct form is not a nonnegative integer, raising through checked_rank.
+    The cr build computes that form at each entry in row order and raises
+    through the same call, so model.algebra(CR) raises the same error at
+    the same pair, or builds and the check passes.
     """
+    if age_duality_check(model) is None:
+        model.algebra(CR)
+        return None
     geometry = model.geometry
     table = model.table
     ages, fixed, scale = geometry.ages, geometry.fixed, geometry.scale
@@ -250,8 +263,24 @@ def decomposition_check(
     doubled rank is not a nonnegative integer or the excess rank is
     negative, a bad doubled rank raises, then a negative excess; otherwise
     the two sides differ and are reported.
+
+    The pass runs only where the grading lemma (F2) or _doubling_facts
+    fails.  Proof.  Write f, p and a for the fixed and pair dimensions and
+    the ages over scale, primes for the doubled ones, e = n - f_g - f_h + p
+    (the excess rank) and k = p - f_gh.  By (F2) a'_x = scale' (n - f_x)
+    and by (F3) p' = 2p and f' = 2f, so the doubled side a'_g + a'_h -
+    a'_gh + scale' (p' - f'_gh) is scale' (e + k), the right side.  The
+    virt build raises at the first negative e, and it succeeded (F5).  With
+    r(g, h) = a_g + a_h - a_gh + scale (p - f_gh), the scaled cr rank:
+    (F4) gives h^-1 g^-1 = (gh)^-1 and, with (F3), p(h^-1, g^-1) = p(g, h);
+    (F1) at x and x^-1 gives a_x + a_x^-1 = scale (n - f_x) and
+    f_x^-1 = f_x.  So r(g, h) + r(h^-1, g^-1) = scale (e + k), and the cr
+    build, which raises at the first negative r, succeeded (F5).  So every
+    doubled rank is a nonnegative integer, and the pass finds nothing.
     """
     _require_derived_pair(model, doubled, bijection)
+    if grading_check(model, doubled, bijection) is None and _doubling_facts(model, doubled):
+        return None
     geometry, doubled_geometry = model.geometry, doubled.geometry
     scale = doubled_geometry.scale
     fixed = geometry.fixed
@@ -291,6 +320,14 @@ def main_theorem_check(
     otherwise the pair scan's first differing h is the lesser of the two
     that lies in range.
 
+    The constants stage passes without building the doubled cr algebra when
+    doubled holds none and _doubling_facts holds (the degrees stage has
+    checked the grading lemma).  Proof.  In decomposition_check's notation,
+    that build's scaled rank at (g, h) is scale' (e + k), a nonnegative
+    multiple of scale', so it raises nothing, and its codimension gate
+    p' = f'_gh is k = 0.  So its constant is 1 exactly when e = 0 and
+    p = f_gh, the virt constant's two gates.
+
     The class stage passes without building either class ring when
     _class_stage_follows holds.  Its guard asks that
       (i) the algebras be built on the pair's own tables and the doubled cr
@@ -321,17 +358,21 @@ def main_theorem_check(
         return {"stage": "degrees", **mismatch}
 
     virt = model.algebra(VIRT)
-    cr_doubled = doubled.algebra(CR)
-    for g, (row, doubled_row) in enumerate(zip(virt.constants, cr_doubled.constants)):
-        if row != doubled_row:
-            h = next(h for h, (x, y) in enumerate(zip(row, doubled_row)) if x != y)
-            return {
-                "stage": "constants",
-                "pair": [model.label(g), model.label(h)],
-                "doubled_cr": str(doubled_row[h]),
-                "virtual": str(row[h]),
-            }
-    for g, (x, y) in enumerate(zip(virt.table.inverse_index, cr_doubled.table.inverse_index)):
+    cr_doubled = doubled.built(CR)
+    if cr_doubled is None and not _doubling_facts(model, doubled):
+        cr_doubled = doubled.algebra(CR)
+    if cr_doubled is not None:
+        for g, (row, doubled_row) in enumerate(zip(virt.constants, cr_doubled.constants)):
+            if row != doubled_row:
+                h = next(h for h, (x, y) in enumerate(zip(row, doubled_row)) if x != y)
+                return {
+                    "stage": "constants",
+                    "pair": [model.label(g), model.label(h)],
+                    "doubled_cr": str(doubled_row[h]),
+                    "virtual": str(row[h]),
+                }
+    doubled_table = doubled.table if cr_doubled is None else cr_doubled.table
+    for g, (x, y) in enumerate(zip(virt.table.inverse_index, doubled_table.inverse_index)):
         partners = [h for h in (x, y) if h in range(model.order)] if x != y else None
         if partners:
             return {"stage": "pairings", "pair": [model.label(g), model.label(min(partners))]}
@@ -339,7 +380,7 @@ def main_theorem_check(
     if _class_stage_follows(model, doubled, virt, cr_doubled):
         return None
     inv_virt = virt.invariant_ring()
-    inv_doubled = cr_doubled.invariant_ring()
+    inv_doubled = doubled.algebra(CR).invariant_ring()
     for a in range(inv_virt.order):
         if inv_virt.degrees[a] != inv_doubled.degrees[a]:
             return {
@@ -364,23 +405,27 @@ def _class_stage_follows(
     model: OrbifoldModel,
     doubled: OrbifoldModel,
     virt: SectorAlgebra,
-    cr_doubled: SectorAlgebra,
+    cr_doubled: SectorAlgebra | None,
 ) -> bool:
     """main_theorem_check's guard for its class stage.
 
-    Condition (ii) for the constants is the equivariance check of the
-    virtual algebra's axiom report, which on a group table is decided under
-    the generator conjugations alone.  In verify, algebra-axioms-virt has
-    already derived that report and closure_sanity_check the group-table
-    fact, so the guard costs about |gens|*|G| more; called on its own, it
-    derives the report first.
+    Where cr_doubled is None (not built), its degrees would be the doubled
+    ages' 2 age, which the grading lemma found equal to 2 (n - dim V^g), so
+    (i) compares virt's degrees with those.  Condition (ii) for the constants is
+    the equivariance check of the virtual algebra's axiom report, which on
+    a group table is decided under the generator conjugations alone.  In
+    verify, algebra-axioms-virt has already derived that report and
+    closure_sanity_check the group-table fact, so the guard costs about
+    |gens|*|G| more; called on its own, it derives the report first.
     """
     table = model.table
-    if not (
-        virt.table is table
-        and cr_doubled.table is doubled.table
-        and cr_doubled.degrees == virt.degrees
-    ):
+    if cr_doubled is None:
+        doubled_degrees = tuple(2 * (model.n - f) for f in model.geometry.fixed)
+    elif cr_doubled.table is doubled.table:
+        doubled_degrees = cr_doubled.degrees
+    else:
+        return False
+    if not (virt.table is table and doubled_degrees == virt.degrees):
         return False
     degrees = virt.degrees
     if any(_gatherer(conj)(degrees) != degrees for conj in table.generator_conjugations):
@@ -389,6 +434,35 @@ def _class_stage_follows(
         return False
     (equivariance,) = (c for c in model.algebra_report(VIRT).checks if c.name == "equivariance")
     return equivariance.passed
+
+
+def _doubling_facts(model: OrbifoldModel, doubled: OrbifoldModel) -> bool:
+    """Whether the facts hold that, with the grading lemma (F2), decide
+    bundle-decomposition and the main theorem's constants:
+      (F1) age duality;
+      (F3) doubled has model's subspace_ids, twice its fixed and twice its
+           subspace_pairs, and each geometry's pair_rows_agree: p(g, h) is
+           a symmetric function of the ids of g and h, and p' = 2p;
+      (F4) the group fact, and g^-1 has g's subspace id;
+      (F5) model holds its cr and virt algebras, both built without error.
+    O(|G| + S^2) steps for S distinct subspaces, plus one C-level gather
+    per built pair row; doubled's pair rows are not built.
+    """
+    geometry, doubled_geometry = model.geometry, doubled.geometry
+    ids = geometry.subspace_ids
+    return (
+        model.built(CR) is not None
+        and model.built(VIRT) is not None
+        and age_duality_check(model) is None
+        and model.table.is_group_table()
+        and list(map(ids.__getitem__, model.table.inverse_index)) == ids
+        and doubled_geometry.subspace_ids == ids
+        and doubled_geometry.fixed == [2 * f for f in geometry.fixed]
+        and doubled_geometry.subspace_pairs
+        == [[2 * d for d in line] for line in geometry.subspace_pairs]
+        and geometry.pair_rows_agree()
+        and doubled_geometry.pair_rows_agree()
+    )
 
 
 def _timed(name: str, fn: Callable[[], dict | None]) -> CheckResult:

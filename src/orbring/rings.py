@@ -117,6 +117,10 @@ class OrbifoldModel:
             self._algebras[theory] = alg
         return alg
 
+    def built(self, theory: str) -> "SectorAlgebra | None":
+        """The theory's algebra if algebra() has built it, else None; builds nothing."""
+        return self._algebras.get(theory)
+
     def algebra_report(self, theory: str) -> "AlgebraReport":
         """verify_algebra(self.algebra(theory)), derived once for each algebra the model holds."""
         alg = self.algebra(theory)

@@ -46,10 +46,12 @@ class SectorGeometry:
     ages[i] is the age of element i times scale, fixed[i] its fixed
     dimension and subspace_ids[i] the id of its fixed subspace: two elements
     share an id exactly when they fix the same subspace, and ids count up
-    from 0 in order of first appearance.  pair_row(g)[h] is the dimension
-    of V^g meet V^h.  There is one row per distinct subspace, and every
-    element that fixes that subspace gets the same row object.  The lists
-    and rows are built on first use and must not be mutated by callers.
+    from 0 in order of first appearance.  subspace_pairs[a][b] is the
+    dimension of the meet of the subspaces with ids a and b, and
+    pair_row(g)[h] that of V^g meet V^h.  There is one row per distinct
+    subspace, and every element that fixes that subspace gets the same row
+    object.  The lists and rows are built on first use and must not be
+    mutated by callers.
     """
 
     def __init__(self, table: GroupTable, forget: bool = False):
@@ -175,21 +177,47 @@ class SectorGeometry:
         return self._subspace_rows[self.subspace_ids[g]]
 
     @cached_property
-    def _subspace_rows(self) -> list[array]:
-        """dim of V meet V^h for h = 0..order-1, one row per distinct subspace V.
+    def subspace_pairs(self) -> list[list[int]]:
+        """dim of V_a meet V_b for subspace ids a and b, an S x S table for S distinct subspaces.
 
         The dimension depends on the two subspaces alone and is symmetric
-        in them, so one walk per unordered pair of representatives fills an
-        S x S table, S(S+1)/2 walks for S distinct subspaces.  The row of a
-        subspace over all elements is gathered from its line of the table
-        through the ids.
+        in them, so one walk per unordered pair of representatives fills
+        it, S(S+1)/2 walks.
         """
-        ids, representatives = self._element_arrays[2:]
+        representatives = self._element_arrays[3]
         small = [[0] * len(representatives) for _ in representatives]
         for a, g in enumerate(representatives):
             for b in range(a, len(representatives)):
                 small[a][b] = small[b][a] = self._common_fixed_dim(g, representatives[b])
-        return [array("I", map(line.__getitem__, ids)) for line in small]
+        return small
+
+    @cached_property
+    def _subspace_rows(self) -> list[array]:
+        """dim of V meet V^h for h = 0..order-1, one row per distinct subspace V:
+        its line of subspace_pairs gathered through the ids."""
+        return [self._gathered(line) for line in self.subspace_pairs]
+
+    def _gathered(self, line: list[int]) -> array:
+        return array("I", map(line.__getitem__, self.subspace_ids))
+
+    def pair_rows_agree(self) -> bool:
+        """Whether subspace_pairs is symmetric and each pair row built so far
+        is its line gathered through subspace_ids, so that pair_row(g)[h] is
+        subspace_pairs[id g][id h].  S^2 comparisons and one C-level gather
+        per built row.
+        """
+        pairs = self.subspace_pairs
+        if list(map(tuple, pairs)) != list(zip(*pairs)):
+            return False
+        rows = self.__dict__.get("_subspace_rows")
+        if rows is None:
+            return True
+        ids = range(len(pairs))
+        return (
+            len(rows) == len(pairs)
+            and all(map(ids.__contains__, self.subspace_ids))
+            and all(row == self._gathered(line) for row, line in zip(rows, pairs))
+        )
 
     def _common_fixed_dim(self, g: int, h: int) -> int:
         """The number of consistent orbits of <g, h> on the coordinates.

@@ -5,13 +5,18 @@ geometry; the per-element and per-pair checks decide and report in one pass,
 visiting pairs in the scans' row-major order.  On intact models and on
 models with one to three array entries bumped before any sector is read,
 each check must give the same payload as its scan, or raise the same
-ConsistencyError text.  The doubling checks take only a model, its
-cotangent_model() and the identity bijection, and raise ValueError on any
-other doubled model or bijection.  With one datum that check_group's
-induction reads corrupted (a left-table entry, a search parent at or after
-its child, two whole rows exchanged), check_group must answer False, and
-closure sanity, the axiom report and the main theorem must give their
-scans' outcomes.
+ConsistencyError text.  Rank-oracles, bundle-decomposition and the main
+theorem's constants stage are decided by proof from facts about the two
+geometries (cotangent._doubling_facts) once the model holds its cr and virt
+algebras, so bumps are also checked with those builds made first, and each
+of FACT_KINDS breaks one of those facts alone.  The doubling checks take
+only a model, its cotangent_model() and the identity bijection, and raise
+ValueError on any other doubled model or bijection.  With one datum that
+check_group's induction reads corrupted (a left-table entry, a search parent
+at or after its child, two whole rows exchanged), check_group must answer
+False, and closure sanity, the axiom report and every check must give their
+scans' outcomes.  verify builds the cr and virt constant tables of the model
+alone, and reads no pair row outside them.
 Elements that fix one subspace share one pair row, so a pair bump at (g, h)
 changes entry h of the row of every element with g's subspace.
 With sector() patched to raise, verify, ring and every check must still
@@ -45,6 +50,7 @@ from orbring import (
     verify_algebra,
 )
 from orbring.cotangent import (
+    _doubling_facts,
     age_duality_check,
     closure_sanity_check,
     decomposition_check,
@@ -101,9 +107,36 @@ def outcome(fn, *args):
         return "error", str(exc)
 
 
+# each breaks one fact of cotangent._doubling_facts alone; the target is the
+# model, and the doubled side is its cotangent_model()
+FACT_KINDS = ["doubled ids", "doubled pair", "inverse id", "doubled fixed"]
+
+
 def draw_bump(data, target, kind):
-    """Draw one array entry of target's geometry to bump, as (g, h, step)."""
+    """Draw one array entry of target's geometry to bump, as (g, h, step).
+
+    For "doubled pair", g and h are subspace ids; for the id kinds, step
+    shifts an id modulo the number of subspaces, and is 0 where there is
+    one subspace, or for "inverse id" where every element is an involution.
+    """
+    count = len(target.geometry.subspace_pairs) if kind in FACT_KINDS else None
+    if kind == "doubled pair":
+        a, b = data.draw(st.integers(0, count - 1)), data.draw(st.integers(0, count - 1))
+        pairs = target.cotangent_model().geometry.subspace_pairs
+        return a, b, 1 if pairs[a][b] == 0 or data.draw(st.booleans()) else -1
+    if kind in ("doubled ids", "inverse id"):
+        choices = range(target.order)
+        if kind == "inverse id":
+            # an involution's id is its inverse's, so F4 breaks only off the involutions
+            inverse = target.table.inverse_index
+            choices = [g for g in choices if inverse[g] != g]
+            if not choices:
+                return 0, None, 0
+        g = data.draw(st.sampled_from(choices))
+        return g, None, data.draw(st.integers(1, count - 1)) if count > 1 else 0
     g = data.draw(st.integers(0, target.order - 1))
+    if kind == "doubled fixed":
+        return g, None, data.draw(st.sampled_from([1, -1, 2, -2]))
     if kind != "pair":
         # a step of 1 makes the age fractional, a step of scale shifts it by 1
         scale = target.geometry.scale
@@ -115,7 +148,23 @@ def draw_bump(data, target, kind):
 
 def apply_bump(target, kind, g, h, step):
     geometry = target.geometry
-    if kind != "pair":
+    if kind in FACT_KINDS:
+        doubled = target.cotangent_model().geometry
+        count = len(geometry.subspace_pairs)
+        if kind == "doubled ids":
+            doubled.subspace_ids[g] = (doubled.subspace_ids[g] + step) % count
+        elif kind == "inverse id":
+            # on both sides, so that the doubled ids still equal the original's
+            x = target.table.inverse_index[g]
+            for ids in (geometry.subspace_ids, doubled.subspace_ids):
+                ids[x] = (ids[x] + step) % count
+        elif kind == "doubled pair":
+            doubled.subspace_pairs[g][h] += step
+            if g != h:
+                doubled.subspace_pairs[h][g] += step
+        else:
+            doubled.fixed[g] += step
+    elif kind != "pair":
         geometry.ages[g] += step
         if kind == "inverse ages":
             # the opposite step at g^-1 keeps age duality, so the two rank
@@ -123,6 +172,12 @@ def apply_bump(target, kind, g, h, step):
             geometry.ages[target.table.inverse_index[g]] -= step
     else:
         geometry.pair_row(g)[h] += step
+
+
+def build_both(model):
+    """Build model's cr and virt algebras, as verify has by bundle-decomposition;
+    the outcome of each build."""
+    return [outcome(model.algebra, theory)[0] for theory in (CR, VIRT)]
 
 
 def assert_checks_match_scans(model, doubled, bijection):
@@ -138,15 +193,70 @@ def assert_checks_match_scans(model, doubled, bijection):
     forget=st.booleans(),
     side=st.sampled_from(["original", "doubled"]),
     kind=st.sampled_from(["age", "inverse ages", "pair"]),
+    built=st.booleans(),
 )
-def test_checks_match_scans_with_a_bumped_array_entry(data, name, forget, side, kind):
+def test_checks_match_scans_with_a_bumped_array_entry(data, name, forget, side, kind, built):
     # with several rows broken, each check must report the scan's first
-    # failing pair in row-major order, not merely some failing pair
+    # failing pair in row-major order, not merely some failing pair; with
+    # the builds made first, the facts decide whether a check takes its proof
     model, doubled, bijection = derived_pair(spec_of(name), forget)
     target = model if side == "original" else doubled
     for _ in range(data.draw(st.integers(1, 3))):
         apply_bump(target, kind, *draw_bump(data, target, kind))
+    if built:
+        build_both(model)
     assert_checks_match_scans(model, doubled, bijection)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(NAMES),
+    forget=st.booleans(),
+    kind=st.sampled_from(FACT_KINDS),
+)
+def test_checks_match_scans_with_one_doubling_fact_broken(data, name, forget, kind):
+    model, doubled, bijection = derived_pair(spec_of(name), forget)
+    g, h, step = draw_bump(data, model, kind)
+    apply_bump(model, kind, g, h, step)
+    if build_both(model) == ["report", "report"]:
+        # the facts hold exactly where the edit changed nothing
+        assert _doubling_facts(model, doubled) == (step == 0)
+    assert_checks_match_scans(model, doubled, bijection)
+
+
+def test_decomposition_runs_its_pass_where_only_age_duality_fails():
+    # On z3-11 (n = 2, ages over 6): fixed dimensions 3, 0, 0, subspace pair
+    # dimensions [[4, 1], [1, 0]] and ages 0, 2, 2, with the doubled arrays
+    # held to them by the grading lemma and (F3), pass both builds and every
+    # fact but age duality; the doubled rank at (g1, g2) is then -1, which
+    # only the pass can see
+    model, doubled, bijection = derived_pair(spec_of("z3-11"), False)
+    geometry, doubled_geometry = model.geometry, doubled.geometry
+    geometry.ages[:] = [0, 12, 12]
+    geometry.fixed[:] = [3, 0, 0]
+    geometry.subspace_pairs[:] = [[4, 1], [1, 0]]
+    doubled_geometry.ages[:] = [-6, 12, 12]
+    doubled_geometry.fixed[:] = [6, 0, 0]
+    doubled_geometry.subspace_pairs[:] = [[8, 2], [2, 0]]
+    assert build_both(model) == ["report", "report"]
+    assert age_duality_check(model) is not None
+    assert grading_check(model, doubled, bijection) is None
+    expected = ("error", "obstruction rank at (g1, g2) is -1, expected a nonnegative integer")
+    assert outcome(decomposition_scan, model, doubled, bijection) == expected
+    assert outcome(decomposition_check, model, doubled, bijection) == expected
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+@pytest.mark.parametrize("name", NAMES)
+def test_doubling_facts_hold_on_intact_models(name, forget):
+    # (F5) waits for both builds; then every fact holds
+    model, doubled, _ = derived_pair(spec_of(name), forget)
+    assert not _doubling_facts(model, doubled)
+    model.algebra(CR)
+    assert not _doubling_facts(model, doubled)
+    model.algebra(VIRT)
+    assert _doubling_facts(model, doubled)
 
 
 def test_rank_oracles_raise_where_both_forms_agree_on_a_fraction():
@@ -378,10 +488,9 @@ def test_checks_match_scans_with_a_group_datum_corrupted(data, name, kind, theor
     built, alg = outcome(model.algebra, theory)
     if built == "report":
         assert verify_algebra(alg) == cube_report(alg)
-    bijection = tuple(range(model.order))
-    assert outcome(main_theorem_check, model, doubled, bijection) == outcome(
-        main_theorem_scan, model, doubled, bijection
-    )
+    # with both builds made, as in verify, the doubling facts are decided too
+    build_both(model)
+    assert_checks_match_scans(model, doubled, tuple(range(model.order)))
 
 
 # --- verify and ring decide from the arrays, never through the per-entry path ---
@@ -503,6 +612,73 @@ def test_verify_builds_no_class_ring(spec, forget):
         report = run_full_verification(spec, forget_geometry=forget)
     assert report.all_passed
     assert calls == [0]
+
+
+@contextlib.contextmanager
+def counted_builds_and_pair_rows():
+    """Records (model, theory) per constant-table build in builds, and the
+    geometry of each pair_row read outside a build in reads."""
+    builds, reads, depth = [], [], [0]
+    real_rows, real_pair_row = OrbifoldModel._constant_rows, SectorGeometry.pair_row
+
+    def counted_rows(model, theory):
+        builds.append((model, theory))
+        depth[0] += 1
+        try:
+            return real_rows(model, theory)
+        finally:
+            depth[0] -= 1
+
+    def counted_pair_row(geometry, g):
+        if not depth[0]:
+            reads.append(geometry)
+        return real_pair_row(geometry, g)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OrbifoldModel, "_constant_rows", counted_rows)
+        patch.setattr(SectorGeometry, "pair_row", counted_pair_row)
+        yield builds, reads
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+def test_verify_builds_two_constant_tables(forget):
+    # rank-oracles, bundle-decomposition and the main theorem's constants are
+    # decided by proof: verify builds the cr and virt tables of the original
+    # alone, no check runs its pair pass, and no doubled pair row is built
+    pairs = []
+    real_cotangent_model = OrbifoldModel.cotangent_model
+
+    def recording_cotangent_model(model):
+        doubled = real_cotangent_model(model)
+        pairs.append((model, doubled))
+        return doubled
+
+    with counted_builds_and_pair_rows() as (builds, reads), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OrbifoldModel, "cotangent_model", recording_cotangent_model)
+        report = run_full_verification(gmpn_spec(2, 1, 3), forget_geometry=forget)
+    assert report.all_passed
+    ((model, doubled),) = pairs
+    assert builds == [(model, CR), (model, VIRT)]
+    assert reads == []
+    assert doubled.built(CR) is None
+    assert "_subspace_rows" not in vars(doubled.geometry)
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+def test_standalone_doubling_checks_run_their_pair_pass(forget):
+    # a fresh pair holds no cr or virt build, so (F5) fails: decomposition
+    # reads each doubled pair row in its pass, and the main theorem builds
+    # the doubled cr table and compares it
+    spec = gmpn_spec(2, 1, 3)
+    model, doubled, bijection = derived_pair(spec, forget)
+    with counted_builds_and_pair_rows() as (builds, reads):
+        assert decomposition_check(model, doubled, bijection) is None
+    assert builds == []
+    assert reads.count(model.geometry) == reads.count(doubled.geometry) == model.order
+    model, doubled, bijection = derived_pair(spec, forget)
+    with counted_builds_and_pair_rows() as (builds, reads):
+        assert main_theorem_check(model, doubled, bijection) is None
+    assert builds == [(model, VIRT), (doubled, CR)]
 
 
 @pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
