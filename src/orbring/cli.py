@@ -42,10 +42,6 @@ def _emit(text: str) -> None:
         data = data[taken:]
 
 
-def _load(args: argparse.Namespace) -> OrbifoldSpec:
-    return OrbifoldSpec.load(args.spec)
-
-
 def _inspect_text(model: OrbifoldModel) -> str:
     part = model.table.conjugacy_classes()
     lines = [
@@ -75,13 +71,13 @@ def _inspect_text(model: OrbifoldModel) -> str:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
-    model = OrbifoldModel(_load(args), forget_geometry=args.dw)
+    model = OrbifoldModel(OrbifoldSpec.load(args.spec), forget_geometry=args.dw)
     _emit(_inspect_text(model))
     return EXIT_OK
 
 
 def cmd_ring(args: argparse.Namespace) -> int:
-    model = OrbifoldModel(_load(args), forget_geometry=args.dw)
+    model = OrbifoldModel(OrbifoldSpec.load(args.spec), forget_geometry=args.dw)
     algebra = model.algebra(args.theory)
     ring = algebra.invariant_ring() if args.basis == "class" else algebra
     _emit(ring.to_json() if args.format == "json" else ring.to_text())
@@ -89,7 +85,7 @@ def cmd_ring(args: argparse.Namespace) -> int:
 
 
 def cmd_cotangent(args: argparse.Namespace) -> int:
-    doubled = cotangent_double(_load(args))
+    doubled = cotangent_double(OrbifoldSpec.load(args.spec))
     if args.output is None:
         _emit(doubled.to_json())
     else:
@@ -98,7 +94,7 @@ def cmd_cotangent(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    report = run_full_verification(_load(args), forget_geometry=args.dw)
+    report = run_full_verification(OrbifoldSpec.load(args.spec), forget_geometry=args.dw)
     _emit(report.to_json() if args.format == "json" else report.to_text())
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAIL
 

@@ -186,11 +186,12 @@ def rank_oracle_check(model: OrbifoldModel) -> dict | None:
     ages, fixed, scale = geometry.ages, geometry.fixed, geometry.scale
     inverse = table.inverse_index
     n = model.n
+    ids, pair_rows = geometry.subspace_ids, geometry.subspace_rows()
     # one plain loop beats C-level map chains per row plus a rescan on CPython 3.11.7:
     # G(5,1,3) in process, this check 245 -> 158 ms, decomposition_check 341 -> 200 ms
     for g in range(model.order):
         age_g = ages[g]
-        for h, (gh, p) in enumerate(zip(table.row(g), geometry.pair_row(g))):
+        for h, (gh, p) in enumerate(zip(table.row(g), pair_rows[ids[g]])):
             shared = age_g + ages[h] + scale * p
             direct = shared - ages[gh] - scale * fixed[gh]
             dual = shared + ages[inverse[gh]] - scale * n
@@ -277,19 +278,23 @@ def decomposition_check(
     f_x^-1 = f_x.  So r(g, h) + r(h^-1, g^-1) = scale (e + k), and the cr
     build, which raises at the first negative r, succeeded (F5).  So every
     doubled rank is a nonnegative integer, and the pass finds nothing.
+    Every pass, the builds' and this one, reads p(g, h) as
+    subspace_pairs[id g][id h] from the table as it stands, so the facts
+    about the two tables are facts about what each pass reads.
     """
-    _require_derived_pair(model, doubled, bijection)
     if grading_check(model, doubled, bijection) is None and _doubling_facts(model, doubled):
         return None
     geometry, doubled_geometry = model.geometry, doubled.geometry
     scale = doubled_geometry.scale
     fixed = geometry.fixed
     doubled_ages, doubled_fixed = doubled_geometry.ages, doubled_geometry.fixed
+    ids, doubled_ids = geometry.subspace_ids, doubled_geometry.subspace_ids
+    pair_rows, doubled_pair_rows = geometry.subspace_rows(), doubled_geometry.subspace_rows()
     for g in range(model.order):
         age_g = doubled_ages[g]
         codimension = model.n - fixed[g]
         for h, (gh, p, q) in enumerate(
-            zip(model.table.row(g), geometry.pair_row(g), doubled_geometry.pair_row(g))
+            zip(model.table.row(g), pair_rows[ids[g]], doubled_pair_rows[doubled_ids[g]])
         ):
             left = age_g + doubled_ages[h] - doubled_ages[gh]
             left += scale * (q - doubled_fixed[gh])
@@ -326,7 +331,9 @@ def main_theorem_check(
     that build's scaled rank at (g, h) is scale' (e + k), a nonnegative
     multiple of scale', so it raises nothing, and its codimension gate
     p' = f'_gh is k = 0.  So its constant is 1 exactly when e = 0 and
-    p = f_gh, the virt constant's two gates.
+    p = f_gh, the virt constant's two gates.  The virt build read, and the
+    doubled cr build would read, p(g, h) as subspace_pairs[id g][id h] from
+    its geometry's table as it stands: the tables _doubling_facts compared.
 
     The class stage passes without building either class ring when
     _class_stage_follows holds.  Its guard asks that
@@ -441,15 +448,16 @@ def _doubling_facts(model: OrbifoldModel, doubled: OrbifoldModel) -> bool:
     bundle-decomposition and the main theorem's constants:
       (F1) age duality;
       (F3) doubled has model's subspace_ids, twice its fixed and twice its
-           subspace_pairs, and each geometry's pair_rows_agree: p(g, h) is
-           a symmetric function of the ids of g and h, and p' = 2p;
+           subspace_pairs, and model's subspace_pairs is symmetric (so
+           doubled's is too): every pass reads p(g, h) as
+           subspace_pairs[id g][id h], a symmetric function of the ids of g
+           and h, and p' = 2p;
       (F4) the group fact, and g^-1 has g's subspace id;
       (F5) model holds its cr and virt algebras, both built without error.
-    O(|G| + S^2) steps for S distinct subspaces, plus one C-level gather
-    per built pair row; doubled's pair rows are not built.
+    O(|G| + S^2) steps for S distinct subspaces; no pair row is gathered.
     """
     geometry, doubled_geometry = model.geometry, doubled.geometry
-    ids = geometry.subspace_ids
+    ids, pairs = geometry.subspace_ids, geometry.subspace_pairs
     return (
         model.built(CR) is not None
         and model.built(VIRT) is not None
@@ -458,10 +466,8 @@ def _doubling_facts(model: OrbifoldModel, doubled: OrbifoldModel) -> bool:
         and list(map(ids.__getitem__, model.table.inverse_index)) == ids
         and doubled_geometry.subspace_ids == ids
         and doubled_geometry.fixed == [2 * f for f in geometry.fixed]
-        and doubled_geometry.subspace_pairs
-        == [[2 * d for d in line] for line in geometry.subspace_pairs]
-        and geometry.pair_rows_agree()
-        and doubled_geometry.pair_rows_agree()
+        and doubled_geometry.subspace_pairs == [[2 * d for d in line] for line in pairs]
+        and list(zip(*pairs)) == list(map(tuple, pairs))
     )
 
 

@@ -87,7 +87,8 @@ class OrbifoldModel:
         return self.geometry.sector(i)
 
     def fixed_dim_pair(self, g: int, h: int) -> int:
-        return self.geometry.pair_row(g)[h]
+        ids = self.geometry.subspace_ids
+        return self.geometry.subspace_pairs[ids[g]][ids[h]]
 
     def checked_rank(self, kind: str, g: int, h: int, scaled: int, scale: int = 1) -> int:
         """The bundle rank scaled/scale at (g, h); raises unless it is a nonnegative integer."""
@@ -150,10 +151,12 @@ class OrbifoldModel:
         ages = geometry.ages
         cr = theory == CR
         scale, kind = (geometry.scale, "obstruction") if cr else (1, "excess")
+        ids = geometry.subspace_ids
+        pair_rows = geometry.subspace_rows()
         rows = []
         for g in range(self.order):
             row = bytearray(self.order)
-            for h, (gh, p) in enumerate(zip(self.table.row(g), geometry.pair_row(g))):
+            for h, (gh, p) in enumerate(zip(self.table.row(g), pair_rows[ids[g]])):
                 if cr:
                     scaled = ages[g] + ages[h] - ages[gh] + scale * (p - fixed[gh])
                 else:
@@ -660,7 +663,7 @@ def _equivariance(alg: SectorAlgebra, conjugators, masks) -> AxiomCheck:
             for (gather, flip), support in zip(sides, map(supports.__getitem__, conj))
         ):
             continue
-        found = _first_moved_defect(rows, rows, conj)
+        found = _first_moved_defect(rows, conj)
         if found is not None:
             g, h = found
             return AxiomCheck(
@@ -676,8 +679,8 @@ def _equivariance(alg: SectorAlgebra, conjugators, masks) -> AxiomCheck:
     return AxiomCheck("equivariance", True)
 
 
-def _first_moved_defect(rows, images, perm) -> tuple[int, int] | None:
-    """The least (g, h) where rows[g][h] != images[perm[g]][perm[h]], or None.
+def _first_moved_defect(rows, perm) -> tuple[int, int] | None:
+    """The least (g, h) where rows[g][h] != rows[perm[g]][perm[h]], or None.
 
     rows are bytes.  Each image row is gathered through perm once, at C
     level, and wrapped in bytes: the gather gives a tuple, which never
@@ -685,7 +688,7 @@ def _first_moved_defect(rows, images, perm) -> tuple[int, int] | None:
     """
     at_image = _gatherer(perm)
     for g, row in enumerate(rows):
-        moved = bytes(at_image(images[perm[g]]))
+        moved = bytes(at_image(rows[perm[g]]))
         if moved != row:
             return g, next(h for h, (x, y) in enumerate(zip(row, moved)) if x != y)
     return None

@@ -8,11 +8,13 @@ the same ages and dimensions from each map's multiset of rotation numbers.
 Per pair: the dimension of V^g meet V^h depends only on the two subspaces,
 so it is counted once per pair of distinct subspaces, by a walk over the
 orbits of the pair of representatives on the coordinates with potentials
-in Z/N (no subgroup closure, no cyclotomic arithmetic).  Each subspace's
-row over all elements is gathered from those counts through the ids, once,
-and every element that fixes the subspace reads that one row.  The tests'
-oracle for that count is the trace of the averaging projector of the
-generated subgroup, exact in Q(zeta_N), summed from SectorGeometry.trace.
+in Z/N (no subgroup closure, no cyclotomic arithmetic), into one S x S
+table for S distinct subspaces, the only store of pair dimensions.  A pass
+over all pairs gathers each subspace's row over all elements from that
+table through the ids, afresh, and every element that fixes the subspace
+reads that row.  The tests' oracle for that count is the trace of the
+averaging projector of the generated subgroup, exact in Q(zeta_N), summed
+from SectorGeometry.trace.
 """
 
 from __future__ import annotations
@@ -47,11 +49,11 @@ class SectorGeometry:
     dimension and subspace_ids[i] the id of its fixed subspace: two elements
     share an id exactly when they fix the same subspace, and ids count up
     from 0 in order of first appearance.  subspace_pairs[a][b] is the
-    dimension of the meet of the subspaces with ids a and b, and
-    pair_row(g)[h] that of V^g meet V^h.  There is one row per distinct
-    subspace, and every element that fixes that subspace gets the same row
-    object.  The lists and rows are built on first use and must not be
-    mutated by callers.
+    dimension of the meet of the subspaces with ids a and b, so that of
+    V^g meet V^h is subspace_pairs[ids[g]][ids[h]], read from the table as
+    it stands; subspace_rows() gathers the table's lines into rows over
+    all elements and keeps none of them.  The lists are built on first use
+    and must not be mutated by callers.
     """
 
     def __init__(self, table: GroupTable, forget: bool = False):
@@ -172,10 +174,6 @@ class SectorGeometry:
     def trace(self, i: int) -> CyclotomicNumber:
         return self.table.elements[i].trace()
 
-    def pair_row(self, g: int) -> array:
-        """dim of V^g intersect V^h for h = 0..order-1: the row of g's subspace."""
-        return self._subspace_rows[self.subspace_ids[g]]
-
     @cached_property
     def subspace_pairs(self) -> list[list[int]]:
         """dim of V_a meet V_b for subspace ids a and b, an S x S table for S distinct subspaces.
@@ -191,33 +189,12 @@ class SectorGeometry:
                 small[a][b] = small[b][a] = self._common_fixed_dim(g, representatives[b])
         return small
 
-    @cached_property
-    def _subspace_rows(self) -> list[array]:
-        """dim of V meet V^h for h = 0..order-1, one row per distinct subspace V:
-        its line of subspace_pairs gathered through the ids."""
-        return [self._gathered(line) for line in self.subspace_pairs]
-
-    def _gathered(self, line: list[int]) -> array:
-        return array("I", map(line.__getitem__, self.subspace_ids))
-
-    def pair_rows_agree(self) -> bool:
-        """Whether subspace_pairs is symmetric and each pair row built so far
-        is its line gathered through subspace_ids, so that pair_row(g)[h] is
-        subspace_pairs[id g][id h].  S^2 comparisons and one C-level gather
-        per built row.
-        """
-        pairs = self.subspace_pairs
-        if list(map(tuple, pairs)) != list(zip(*pairs)):
-            return False
-        rows = self.__dict__.get("_subspace_rows")
-        if rows is None:
-            return True
-        ids = range(len(pairs))
-        return (
-            len(rows) == len(pairs)
-            and all(map(ids.__contains__, self.subspace_ids))
-            and all(row == self._gathered(line) for row, line in zip(rows, pairs))
-        )
+    def subspace_rows(self) -> list[array]:
+        """dim of V_a meet V^h for h = 0..order-1, one row per subspace id a:
+        line a of subspace_pairs gathered through the current subspace_ids,
+        built afresh on each call, one C-level gather per row."""
+        ids = self.subspace_ids
+        return [array("I", map(line.__getitem__, ids)) for line in self.subspace_pairs]
 
     def _common_fixed_dim(self, g: int, h: int) -> int:
         """The number of consistent orbits of <g, h> on the coordinates.

@@ -431,7 +431,7 @@ def closure_sanity_scan(model):
 def pair_row_scan(geometry, g):
     """Row g of pair fixed dimensions by one orbit walk per pair (g, h).
 
-    The keyed rows of SectorGeometry.pair_row walk only pairs of distinct
+    The rows of SectorGeometry.subspace_rows walk only pairs of distinct
     fixed subspaces; this walks every pair and is their oracle.
     """
     return array("I", [geometry._common_fixed_dim(g, h) for h in range(geometry.table.order)])

@@ -16,9 +16,10 @@ check_group's induction reads corrupted (a left-table entry, a search parent
 at or after its child, two whole rows exchanged), check_group must answer
 False, and closure sanity, the axiom report and every check must give their
 scans' outcomes.  verify builds the cr and virt constant tables of the model
-alone, and reads no pair row outside them.
-Elements that fix one subspace share one pair row, so a pair bump at (g, h)
-changes entry h of the row of every element with g's subspace.
+alone, and gathers no pair row outside them.
+Pair dimensions are stored once, in subspace_pairs, so a pair bump at (g, h)
+edits the cell of the ids of g and h: it changes p at every pair with those
+ids, in that order only, and leaves the table asymmetric where they differ.
 With sector() patched to raise, verify, ring and every check must still
 give the scans' outcomes: they decide and report from their own integers.
 The per-entry rank and gate forms live in support, so the package cannot
@@ -30,6 +31,7 @@ differ from the virtual ones), it must give the scan's outcome.
 
 import contextlib
 import functools
+import itertools
 import json
 
 import pytest
@@ -109,21 +111,27 @@ def outcome(fn, *args):
 
 # each breaks one fact of cotangent._doubling_facts alone; the target is the
 # model, and the doubled side is its cotangent_model()
-FACT_KINDS = ["doubled ids", "doubled pair", "inverse id", "doubled fixed"]
+FACT_KINDS = ["doubled ids", "doubled pair", "asymmetric pair", "inverse id", "doubled fixed"]
 
 
 def draw_bump(data, target, kind):
     """Draw one array entry of target's geometry to bump, as (g, h, step).
 
-    For "doubled pair", g and h are subspace ids; for the id kinds, step
-    shifts an id modulo the number of subspaces, and is 0 where there is
-    one subspace, or for "inverse id" where every element is an involution.
+    For "doubled pair" and "asymmetric pair", g and h are subspace ids, and
+    for "asymmetric pair" they differ, with step 0 where there is one
+    subspace; for the id kinds, step shifts an id modulo the number of
+    subspaces, and is 0 where there is one subspace, or for "inverse id"
+    where every element is an involution.
     """
     count = len(target.geometry.subspace_pairs) if kind in FACT_KINDS else None
-    if kind == "doubled pair":
-        a, b = data.draw(st.integers(0, count - 1)), data.draw(st.integers(0, count - 1))
-        pairs = target.cotangent_model().geometry.subspace_pairs
-        return a, b, 1 if pairs[a][b] == 0 or data.draw(st.booleans()) else -1
+    if kind in ("doubled pair", "asymmetric pair"):
+        if kind == "asymmetric pair" and count == 1:
+            return 0, 0, 0
+        a = data.draw(st.integers(0, count - 1))
+        ids = st.integers(0, count - 1)
+        b = data.draw(ids.filter(a.__ne__) if kind == "asymmetric pair" else ids)
+        side = target.geometry if kind == "asymmetric pair" else target.cotangent_model().geometry
+        return a, b, 1 if side.subspace_pairs[a][b] == 0 or data.draw(st.booleans()) else -1
     if kind in ("doubled ids", "inverse id"):
         choices = range(target.order)
         if kind == "inverse id":
@@ -142,13 +150,27 @@ def draw_bump(data, target, kind):
         scale = target.geometry.scale
         return g, None, data.draw(st.sampled_from([1, -1, scale, -scale]))
     h = data.draw(st.integers(0, target.order - 1))
-    up = target.geometry.pair_row(g)[h] == 0 or data.draw(st.booleans())
+    up = target.fixed_dim_pair(g, h) == 0 or data.draw(st.booleans())
     return g, h, 1 if up else -1
+
+
+def bump_pair_cell(target, a, b, step):
+    """Add step to target's subspace_pairs[a][b] alone, and check that
+    fixed_dim_pair moved by step at the pair of the two ids' representatives."""
+    ids = target.geometry.subspace_ids
+    g, h = ids.index(a), ids.index(b)
+    before = target.fixed_dim_pair(g, h)
+    target.geometry.subspace_pairs[a][b] += step
+    assert target.fixed_dim_pair(g, h) == before + step
 
 
 def apply_bump(target, kind, g, h, step):
     geometry = target.geometry
-    if kind in FACT_KINDS:
+    if kind == "asymmetric pair":
+        # the original's table loses its symmetry, and the double stays twice it
+        bump_pair_cell(target, g, h, step)
+        bump_pair_cell(target.cotangent_model(), g, h, 2 * step)
+    elif kind in FACT_KINDS:
         doubled = target.cotangent_model().geometry
         count = len(geometry.subspace_pairs)
         if kind == "doubled ids":
@@ -171,7 +193,8 @@ def apply_bump(target, kind, g, h, step):
             # forms still agree wherever a rank turns fractional
             geometry.ages[target.table.inverse_index[g]] -= step
     else:
-        geometry.pair_row(g)[h] += step
+        ids = geometry.subspace_ids
+        bump_pair_cell(target, ids[g], ids[h], step)
 
 
 def build_both(model):
@@ -225,6 +248,29 @@ def test_checks_match_scans_with_one_doubling_fact_broken(data, name, forget, ki
     assert_checks_match_scans(model, doubled, bijection)
 
 
+@pytest.mark.parametrize("name", ["z3-11", "z2z2-diag", "s3-perm"])
+def test_doubling_facts_fail_at_every_asymmetric_pair_edit(name):
+    # the double stays twice the original, and most such edits pass both
+    # builds, age duality and the grading lemma: the symmetry of the
+    # original's table alone is left to reject them
+    count = len(cached(name, False)[0].geometry.subspace_pairs)
+    unseen_by_other_facts = 0
+    for a, b in itertools.permutations(range(count), 2):
+        for step in (1, -1):
+            model, doubled, bijection = derived_pair(spec_of(name), False)
+            if model.geometry.subspace_pairs[a][b] + step < 0:
+                continue
+            apply_bump(model, "asymmetric pair", a, b, step)
+            if build_both(model) == ["report", "report"]:
+                assert not _doubling_facts(model, doubled), (a, b, step)
+                unseen_by_other_facts += (
+                    age_duality_check(model) is None
+                    and grading_check(model, doubled, bijection) is None
+                )
+            assert_checks_match_scans(model, doubled, bijection)
+    assert unseen_by_other_facts
+
+
 def test_decomposition_runs_its_pass_where_only_age_duality_fails():
     # On z3-11 (n = 2, ages over 6): fixed dimensions 3, 0, 0, subspace pair
     # dimensions [[4, 1], [1, 0]] and ages 0, 2, 2, with the doubled arrays
@@ -276,9 +322,12 @@ def test_decomposition_raises_at_a_negative_excess_behind_equal_sides():
     # row e make every excess rank of that row -1 while excess + k is 0, the
     # doubled rank; so only the sign of the excess flags the row.
     model, doubled, bijection = derived_pair(spec_of("z3-11"), False)
+    # e fixes subspace 0 and g1, g2 fix subspace 1; only line 0 of the table
+    # changes, so p(g1, e) stays 0
     model.geometry.fixed[0] = 4
-    row = model.geometry.pair_row(0)
-    row[0], row[1], row[2] = 5, 1, 1
+    model.geometry.subspace_pairs[0][:] = [5, 1]
+    assert [model.fixed_dim_pair(0, h) for h in range(3)] == [5, 1, 1]
+    assert model.fixed_dim_pair(1, 0) == 0
     expected = ("error", "excess rank at (e, e) is -1, expected a nonnegative integer")
     assert outcome(decomposition_scan, model, doubled, bijection) == expected
     assert outcome(decomposition_check, model, doubled, bijection) == expected
@@ -488,8 +537,10 @@ def test_checks_match_scans_with_a_group_datum_corrupted(data, name, kind, theor
     built, alg = outcome(model.algebra, theory)
     if built == "report":
         assert verify_algebra(alg) == cube_report(alg)
-    # with both builds made, as in verify, the doubling facts are decided too
+    # with both builds made, as in verify, the doubling facts are decided
+    # too, and fail with the group fact
     build_both(model)
+    assert not _doubling_facts(model, doubled)
     assert_checks_match_scans(model, doubled, tuple(range(model.order)))
 
 
@@ -617,9 +668,9 @@ def test_verify_builds_no_class_ring(spec, forget):
 @contextlib.contextmanager
 def counted_builds_and_pair_rows():
     """Records (model, theory) per constant-table build in builds, and the
-    geometry of each pair_row read outside a build in reads."""
+    geometry of each subspace_rows gather outside a build in reads."""
     builds, reads, depth = [], [], [0]
-    real_rows, real_pair_row = OrbifoldModel._constant_rows, SectorGeometry.pair_row
+    real_rows, real_gather = OrbifoldModel._constant_rows, SectorGeometry.subspace_rows
 
     def counted_rows(model, theory):
         builds.append((model, theory))
@@ -629,14 +680,14 @@ def counted_builds_and_pair_rows():
         finally:
             depth[0] -= 1
 
-    def counted_pair_row(geometry, g):
+    def counted_gather(geometry):
         if not depth[0]:
             reads.append(geometry)
-        return real_pair_row(geometry, g)
+        return real_gather(geometry)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(OrbifoldModel, "_constant_rows", counted_rows)
-        patch.setattr(SectorGeometry, "pair_row", counted_pair_row)
+        patch.setattr(SectorGeometry, "subspace_rows", counted_gather)
         yield builds, reads
 
 
@@ -644,7 +695,8 @@ def counted_builds_and_pair_rows():
 def test_verify_builds_two_constant_tables(forget):
     # rank-oracles, bundle-decomposition and the main theorem's constants are
     # decided by proof: verify builds the cr and virt tables of the original
-    # alone, no check runs its pair pass, and no doubled pair row is built
+    # alone, no check runs its pair pass, and neither geometry keeps a row
+    # store beside its subspace_pairs table
     pairs = []
     real_cotangent_model = OrbifoldModel.cotangent_model
 
@@ -661,20 +713,23 @@ def test_verify_builds_two_constant_tables(forget):
     assert builds == [(model, CR), (model, VIRT)]
     assert reads == []
     assert doubled.built(CR) is None
-    assert "_subspace_rows" not in vars(doubled.geometry)
+    for geometry in (model.geometry, doubled.geometry):
+        assert set(vars(geometry)) == {
+            "table", "forget", "n", "scale", "_element_arrays", "subspace_pairs"
+        }
 
 
 @pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
 def test_standalone_doubling_checks_run_their_pair_pass(forget):
     # a fresh pair holds no cr or virt build, so (F5) fails: decomposition
-    # reads each doubled pair row in its pass, and the main theorem builds
-    # the doubled cr table and compares it
+    # gathers each geometry's rows once for its pass, and the main theorem
+    # builds the doubled cr table and compares it
     spec = gmpn_spec(2, 1, 3)
     model, doubled, bijection = derived_pair(spec, forget)
     with counted_builds_and_pair_rows() as (builds, reads):
         assert decomposition_check(model, doubled, bijection) is None
     assert builds == []
-    assert reads.count(model.geometry) == reads.count(doubled.geometry) == model.order
+    assert reads == [model.geometry, doubled.geometry]
     model, doubled, bijection = derived_pair(spec, forget)
     with counted_builds_and_pair_rows() as (builds, reads):
         assert main_theorem_check(model, doubled, bijection) is None
