@@ -186,12 +186,13 @@ def rank_oracle_check(model: OrbifoldModel) -> dict | None:
     ages, fixed, scale = geometry.ages, geometry.fixed, geometry.scale
     inverse = table.inverse_index
     n = model.n
-    ids, pair_rows = geometry.subspace_ids, geometry.subspace_rows()
+    ids, pairs = geometry.subspace_ids, geometry.subspace_pairs
     # one plain loop beats C-level map chains per row plus a rescan on CPython 3.11.7:
     # G(5,1,3) in process, this check 245 -> 158 ms, decomposition_check 341 -> 200 ms
     for g in range(model.order):
-        age_g = ages[g]
-        for h, (gh, p) in enumerate(zip(table.row(g), pair_rows[ids[g]])):
+        age_g, line = ages[g], pairs[ids[g]]
+        for h, (gh, sid) in enumerate(zip(table.row(g), ids)):
+            p = line[sid]
             shared = age_g + ages[h] + scale * p
             direct = shared - ages[gh] - scale * fixed[gh]
             dual = shared + ages[inverse[gh]] - scale * n
@@ -289,13 +290,13 @@ def decomposition_check(
     fixed = geometry.fixed
     doubled_ages, doubled_fixed = doubled_geometry.ages, doubled_geometry.fixed
     ids, doubled_ids = geometry.subspace_ids, doubled_geometry.subspace_ids
-    pair_rows, doubled_pair_rows = geometry.subspace_rows(), doubled_geometry.subspace_rows()
+    pairs, doubled_pairs = geometry.subspace_pairs, doubled_geometry.subspace_pairs
     for g in range(model.order):
         age_g = doubled_ages[g]
         codimension = model.n - fixed[g]
-        for h, (gh, p, q) in enumerate(
-            zip(model.table.row(g), pair_rows[ids[g]], doubled_pair_rows[doubled_ids[g]])
-        ):
+        line, doubled_line = pairs[ids[g]], doubled_pairs[doubled_ids[g]]
+        for h, (gh, sid, doubled_sid) in enumerate(zip(model.table.row(g), ids, doubled_ids)):
+            p, q = line[sid], doubled_line[doubled_sid]
             left = age_g + doubled_ages[h] - doubled_ages[gh]
             left += scale * (q - doubled_fixed[gh])
             excess = codimension - fixed[h] + p
@@ -454,7 +455,7 @@ def _doubling_facts(model: OrbifoldModel, doubled: OrbifoldModel) -> bool:
            and h, and p' = 2p;
       (F4) the group fact, and g^-1 has g's subspace id;
       (F5) model holds its cr and virt algebras, both built without error.
-    O(|G| + S^2) steps for S distinct subspaces; no pair row is gathered.
+    O(|G| + S^2) steps for S distinct subspaces.
     """
     geometry, doubled_geometry = model.geometry, doubled.geometry
     ids, pairs = geometry.subspace_ids, geometry.subspace_pairs

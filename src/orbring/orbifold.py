@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from ._record import Record
 from .cyclotomic import RationalPhase
 from .errors import InputError, ResourceCapError
-from .monomial import DEFAULT_GROUP_ORDER_CAP, GroupTable, MonomialMap
+from .monomial import DEFAULT_GROUP_ORDER_CAP, DIMENSION_CAP, GroupTable, MonomialMap
 
 __all__ = ["OrbifoldSpec", "cotangent_double"]
 
@@ -37,8 +37,12 @@ class OrbifoldSpec(Record):
         generators = tuple(generators)
         if not isinstance(name, str) or not name:
             raise InputError(f"spec name must be a nonempty string, got {name!r}")
+        if any("\ud800" <= c <= "\udfff" for c in name):  # the code points UTF-8 cannot encode
+            raise InputError(f"spec name {name!r} cannot be encoded as UTF-8")
         if type(dimension) is not int or dimension < 0:
             raise InputError(f"dimension must be a nonnegative integer, got {dimension!r}")
+        if dimension > DIMENSION_CAP:
+            raise ResourceCapError(f"dimension {dimension} exceeds the cap {DIMENSION_CAP}")
         if type(max_group_order) is not int or max_group_order < 1:
             raise InputError(
                 f"max_group_order must be a positive integer, got {max_group_order!r}"

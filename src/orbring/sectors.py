@@ -9,17 +9,16 @@ Per pair: the dimension of V^g meet V^h depends only on the two subspaces,
 so it is counted once per pair of distinct subspaces, by a walk over the
 orbits of the pair of representatives on the coordinates with potentials
 in Z/N (no subgroup closure, no cyclotomic arithmetic), into one S x S
-table for S distinct subspaces, the only store of pair dimensions.  A pass
-over all pairs gathers each subspace's row over all elements from that
-table through the ids, afresh, and every element that fixes the subspace
-reads that row.  The tests' oracle for that count is the trace of the
-averaging projector of the generated subgroup, exact in Q(zeta_N), summed
-from SectorGeometry.trace.
+table for S distinct subspaces, the only store of pair dimensions.  Every
+reader takes dim(V^g meet V^h) from that table through the two ids; a pass
+over all pairs takes g's line once and reads it at the id of each h.  The
+tests' oracle for that count is the trace of the averaging projector of
+the generated subgroup, exact in Q(zeta_N), summed from
+SectorGeometry.trace.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
@@ -51,9 +50,8 @@ class SectorGeometry:
     from 0 in order of first appearance.  subspace_pairs[a][b] is the
     dimension of the meet of the subspaces with ids a and b, so that of
     V^g meet V^h is subspace_pairs[ids[g]][ids[h]], read from the table as
-    it stands; subspace_rows() gathers the table's lines into rows over
-    all elements and keeps none of them.  The lists are built on first use
-    and must not be mutated by callers.
+    it stands.  The lists are built on first use and must not be mutated
+    by callers.
     """
 
     def __init__(self, table: GroupTable, forget: bool = False):
@@ -188,13 +186,6 @@ class SectorGeometry:
             for b in range(a, len(representatives)):
                 small[a][b] = small[b][a] = self._common_fixed_dim(g, representatives[b])
         return small
-
-    def subspace_rows(self) -> list[array]:
-        """dim of V_a meet V^h for h = 0..order-1, one row per subspace id a:
-        line a of subspace_pairs gathered through the current subspace_ids,
-        built afresh on each call, one C-level gather per row."""
-        ids = self.subspace_ids
-        return [array("I", map(line.__getitem__, ids)) for line in self.subspace_pairs]
 
     def _common_fixed_dim(self, g: int, h: int) -> int:
         """The number of consistent orbits of <g, h> on the coordinates.

@@ -431,8 +431,9 @@ def closure_sanity_scan(model):
 def pair_row_scan(geometry, g):
     """Row g of pair fixed dimensions by one orbit walk per pair (g, h).
 
-    The rows of SectorGeometry.subspace_rows walk only pairs of distinct
-    fixed subspaces; this walks every pair and is their oracle.
+    SectorGeometry.subspace_pairs walks only pairs of distinct fixed
+    subspaces; this walks every pair and is the oracle for that table read
+    through subspace_ids.
     """
     return array("I", [geometry._common_fixed_dim(g, h) for h in range(geometry.table.order)])
 

@@ -161,16 +161,40 @@ def test_conductor_cap_exits_3(capsys, tmp_path):
         ("inspect", 257, 3),
         ("verify", 128, 0),
         ("verify", 129, 3),  # the doubled dimension 258 is over the cap
+        ("cotangent", 128, 0),
+        ("cotangent", 129, 3),  # it would write a spec of dimension 258
         ("inspect", 2000000, 3),
         ("ring", 2000000, 3),
         ("verify", 2000000, 3),
+        ("cotangent", 2000000, 3),
     ],
 )
 def test_dimension_cap_exits_3(capsys, tmp_path, command, dimension, expected):
     path = write_spec(tmp_path, {"name": "wide", "dimension": dimension, "generators": []})
-    code, _out, err = run(capsys, command, path)
+    code, out, err = run(capsys, command, path)
     assert code == expected
     assert ("exceeds the cap 256" in err) == (expected == 3)
+    if expected == 3:
+        assert out == ""
+
+
+def test_cotangent_over_the_dimension_cap_writes_no_file(capsys, tmp_path):
+    path = write_spec(tmp_path, {"name": "wide", "dimension": 129, "generators": []})
+    output = tmp_path / "doubled.json"
+    code, out, err = run(capsys, "cotangent", path, "-o", str(output))
+    assert (code, out) == (3, "")
+    assert "dimension 258 exceeds the cap 256" in err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("command", ["inspect", "ring", "verify", "cotangent"])
+def test_spec_name_that_utf8_cannot_encode_is_input_error(capsys, tmp_path, command):
+    # "\ud800" is valid JSON for a lone surrogate, which no UTF-8 output can hold
+    path = write_spec(tmp_path, {"name": "\ud800", "dimension": 1, "generators": []})
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert "cannot be encoded as UTF-8" in err
 
 
 @pytest.mark.parametrize("command", ["inspect", "ring", "verify", "cotangent"])

@@ -1,13 +1,13 @@
-"""Pair rows keyed by fixed subspace against the per-pair orbit walk.
+"""Pair dimensions keyed by fixed subspace against the per-pair orbit walk.
 
 SectorGeometry gives each element the id of its fixed subspace and walks one
 pair of representatives per pair of distinct subspaces into the S x S table
-subspace_pairs; an element's pair row is its subspace's line of that table,
-gathered through the ids by subspace_rows().  Here the rows are compared with
-pair_row_scan (one walk per pair) and, up to order 50, with the averaging
-projector of the generated subgroup.  The ids must be canonical, the walks
-must number exactly S(S+1)/2 for S distinct subspaces, subspace_rows() must
-give one row per subspace, and the geometry must keep none of them.
+subspace_pairs; dim(V^g meet V^h) is subspace_pairs[ids[g]][ids[h]].  Here
+the table read through the ids is compared with pair_row_scan (one walk per
+pair) and, up to order 50, with the averaging projector of the generated
+subgroup.  The ids must be canonical, the walks must number exactly
+S(S+1)/2 for S distinct subspaces, and the table must have one line per
+subspace.
 """
 
 import functools
@@ -43,11 +43,13 @@ def models(spec):
 def assert_rows_match_scan(model):
     geometry = model.geometry
     table = model.table
-    rows, ids = geometry.subspace_rows(), geometry.subspace_ids
+    pairs, ids = geometry.subspace_pairs, geometry.subspace_ids
     projected = {}
     for g in range(model.order):
         scan = pair_row_scan(geometry, g)
-        assert rows[ids[g]] == scan, g
+        # as the pair passes read it: g's line once, at the id of each h
+        line = pairs[ids[g]]
+        assert [line[sid] for sid in ids] == list(scan), g
         assert [model.fixed_dim_pair(g, h) for h in range(model.order)] == list(scan), g
         if model.order <= PROJECTOR_ORDER:
             for h in range(g, model.order):
@@ -118,8 +120,8 @@ def test_filling_every_row_walks_each_pair_of_subspaces_at_most_once(monkeypatch
     for target in (model, model.cotangent_model()):
         geometry = target.geometry
         calls.clear()
-        geometry.subspace_rows()
-        geometry.subspace_rows()
+        geometry.subspace_pairs
+        geometry.subspace_pairs
         subspaces = len(set(geometry.subspace_ids))
         assert subspaces < target.order
         assert len(calls) == subspaces * (subspaces + 1) // 2
@@ -130,16 +132,10 @@ def test_filling_every_row_walks_each_pair_of_subspaces_at_most_once(monkeypatch
 
 @pytest.mark.parametrize("dw", [False, True], ids=["geometric", "dw"])
 def test_elements_with_one_subspace_share_one_row(dw):
-    # every element reads row ids[g]; each call gathers the rows afresh and
-    # the geometry keeps none, so subspace_pairs is the one store
+    # every element reads line ids[g] of subspace_pairs, one line per subspace
     model = OrbifoldModel(gmpn_spec(2, 1, 4), forget_geometry=dw)
     for target in (model, model.cotangent_model()):
         geometry = target.geometry
-        rows = geometry.subspace_rows()
-        assert len(rows) == len(set(geometry.subspace_ids))
-        assert (len(rows) == 1) == dw
-        kept = dict(vars(geometry))
-        again = geometry.subspace_rows()
-        assert again == rows
-        assert not {id(row) for row in again} & {id(row) for row in rows}
-        assert vars(geometry) == kept
+        lines = geometry.subspace_pairs
+        assert len(lines) == len(set(geometry.subspace_ids))
+        assert (len(lines) == 1) == dw

@@ -16,7 +16,7 @@ check_group's induction reads corrupted (a left-table entry, a search parent
 at or after its child, two whole rows exchanged), check_group must answer
 False, and closure sanity, the axiom report and every check must give their
 scans' outcomes.  verify builds the cr and virt constant tables of the model
-alone, and gathers no pair row outside them.
+alone, and no check runs a pair pass of its own.
 Pair dimensions are stored once, in subspace_pairs, so a pair bump at (g, h)
 edits the cell of the ids of g and h: it changes p at every pair with those
 ids, in that order only, and leaves the table asymmetric where they differ.
@@ -33,6 +33,7 @@ import contextlib
 import functools
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -665,38 +666,39 @@ def test_verify_builds_no_class_ring(spec, forget):
     assert calls == [0]
 
 
+PAIR_PASSES = ("rank_oracle_check", "decomposition_check")
+
+
 @contextlib.contextmanager
-def counted_builds_and_pair_rows():
-    """Records (model, theory) per constant-table build in builds, and the
-    geometry of each subspace_rows gather outside a build in reads."""
-    builds, reads, depth = [], [], [0]
-    real_rows, real_gather = OrbifoldModel._constant_rows, SectorGeometry.subspace_rows
+def counted_builds_and_pair_passes():
+    """Records (model, theory) per constant-table build in builds, and in
+    passes the name of the check for each product row that a check's own
+    pair pass reads (a GroupTable.row call from one of PAIR_PASSES)."""
+    builds, passes = [], []
+    real_rows, real_row = OrbifoldModel._constant_rows, GroupTable.row
 
     def counted_rows(model, theory):
         builds.append((model, theory))
-        depth[0] += 1
-        try:
-            return real_rows(model, theory)
-        finally:
-            depth[0] -= 1
+        return real_rows(model, theory)
 
-    def counted_gather(geometry):
-        if not depth[0]:
-            reads.append(geometry)
-        return real_gather(geometry)
+    def counted_row(table, i):
+        caller = sys._getframe(1).f_code.co_name
+        if caller in PAIR_PASSES:
+            passes.append(caller)
+        return real_row(table, i)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(OrbifoldModel, "_constant_rows", counted_rows)
-        patch.setattr(SectorGeometry, "subspace_rows", counted_gather)
-        yield builds, reads
+        patch.setattr(GroupTable, "row", counted_row)
+        yield builds, passes
 
 
 @pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
 def test_verify_builds_two_constant_tables(forget):
     # rank-oracles, bundle-decomposition and the main theorem's constants are
     # decided by proof: verify builds the cr and virt tables of the original
-    # alone, no check runs its pair pass, and neither geometry keeps a row
-    # store beside its subspace_pairs table
+    # alone, no check runs its pair pass, and neither geometry keeps a store
+    # of pair dimensions beside its subspace_pairs table
     pairs = []
     real_cotangent_model = OrbifoldModel.cotangent_model
 
@@ -705,13 +707,13 @@ def test_verify_builds_two_constant_tables(forget):
         pairs.append((model, doubled))
         return doubled
 
-    with counted_builds_and_pair_rows() as (builds, reads), pytest.MonkeyPatch.context() as patch:
+    with counted_builds_and_pair_passes() as (builds, passes), pytest.MonkeyPatch.context() as patch:
         patch.setattr(OrbifoldModel, "cotangent_model", recording_cotangent_model)
         report = run_full_verification(gmpn_spec(2, 1, 3), forget_geometry=forget)
     assert report.all_passed
     ((model, doubled),) = pairs
     assert builds == [(model, CR), (model, VIRT)]
-    assert reads == []
+    assert passes == []
     assert doubled.built(CR) is None
     for geometry in (model.geometry, doubled.geometry):
         assert set(vars(geometry)) == {
@@ -722,16 +724,16 @@ def test_verify_builds_two_constant_tables(forget):
 @pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
 def test_standalone_doubling_checks_run_their_pair_pass(forget):
     # a fresh pair holds no cr or virt build, so (F5) fails: decomposition
-    # gathers each geometry's rows once for its pass, and the main theorem
-    # builds the doubled cr table and compares it
+    # runs its pass over every product row, and the main theorem builds the
+    # doubled cr table and compares it
     spec = gmpn_spec(2, 1, 3)
     model, doubled, bijection = derived_pair(spec, forget)
-    with counted_builds_and_pair_rows() as (builds, reads):
+    with counted_builds_and_pair_passes() as (builds, passes):
         assert decomposition_check(model, doubled, bijection) is None
     assert builds == []
-    assert reads == [model.geometry, doubled.geometry]
+    assert passes == ["decomposition_check"] * model.order
     model, doubled, bijection = derived_pair(spec, forget)
-    with counted_builds_and_pair_rows() as (builds, reads):
+    with counted_builds_and_pair_passes() as (builds, passes):
         assert main_theorem_check(model, doubled, bijection) is None
     assert builds == [(model, VIRT), (doubled, CR)]
 
