@@ -34,7 +34,6 @@ class OrbifoldSpec(Record):
         generators: Iterable[MonomialMap],
         max_group_order: int = DEFAULT_GROUP_ORDER_CAP,
     ):
-        generators = tuple(generators)
         if not isinstance(name, str) or not name:
             raise InputError(f"spec name must be a nonempty string, got {name!r}")
         if any("\ud800" <= c <= "\udfff" for c in name):  # the code points UTF-8 cannot encode
@@ -51,6 +50,8 @@ class OrbifoldSpec(Record):
             raise ResourceCapError(
                 f"group order cap {max_group_order} exceeds the cap {DEFAULT_GROUP_ORDER_CAP}"
             )
+        # made only now, so that a spec over a cap parses none of its generators
+        generators = tuple(generators)
         for i, gen in enumerate(generators):
             if not isinstance(gen, MonomialMap):
                 raise InputError(f"generator {i} is not a monomial map")
@@ -82,13 +83,11 @@ class OrbifoldSpec(Record):
         raw_gens = data["generators"]
         if not isinstance(raw_gens, list):
             raise InputError("generators must be a list")
-        generators = []
-        for i, entry in enumerate(raw_gens):
-            generators.append(_parse_generator(entry, i, dimension))
+        generators = (_parse_generator(entry, i, dimension) for i, entry in enumerate(raw_gens))
         kwargs = {}
         if "max_group_order" in data:
             kwargs["max_group_order"] = data["max_group_order"]
-        return cls(name=name, dimension=dimension, generators=tuple(generators), **kwargs)
+        return cls(name=name, dimension=dimension, generators=generators, **kwargs)
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "OrbifoldSpec":

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 from json.encoder import encode_basestring_ascii as _quote
-from operator import mul
+from operator import add, eq, gt, mul
 
 from ._record import Record
 from .errors import ConsistencyError, InputError
@@ -402,21 +402,38 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     Checks associativity, grading, unit laws, Frobenius compatibility of the
     trace form, nondegeneracy of the sector pairing, and equivariance of the
     constants under simultaneous conjugation.  Failures are reported with the
-    first counterexample in lexicographic order, never raised.
-
-    The three axioms stated over triples are decided in about |G|^2 work by
-    exact reductions, each equivalent to the |G|^3 scan it replaces (proofs
-    below and in _frobenius_reduced and _associativity_reduced), and each
-    pass reports the scan's lex-first counterexample itself.  Grading is
-    checked in one pass on ints over the nonzero entries, and nondegeneracy
-    in O(|G|) on inverse_index (_nondegeneracy_by_inverses).  The tests
+    first counterexample in lexicographic order, never raised.  The tests
     compare this report against the |G|^3 and per-pair scans of the tests'
-    support module.
+    support module.  Unit and nondegeneracy are O(|G|) passes and always
+    run; nondegeneracy reads inverse_index alone (_nondegeneracy_by_inverses).
 
-    Every constant is 0 or 1, so associativity compares supports as int
-    bitmasks, derived once per algebra, and _associativity_reduced proves
-    that equivalent to comparing the values.  Frobenius compatibility is
-    decided by associativity unless that fails (_frobenius_reduced).
+    On a group table (table.is_group_table()), the other four axioms are
+    first decided by degree additivity (_degree_additive), in |G|^2 work
+    at C level.  Write s for the degrees scaled to ints over their common
+    denominator and D(g, h) = s_g + s_h - s_gh.  The criterion asks that
+    s be invariant under each generator conjugation, that c[g][h] = [D(g, h)
+    = 0] on every row, and that D(g, h) >= 0 on the rows of the class
+    representatives.  When it holds, the four axioms pass by proof:
+    - D >= 0 everywhere, and equivariance.  By the group fact each
+      generator conjugation is an automorphism; it keeps s, so it keeps D
+      and with it c = [D = 0], and every generator is a symmetry (below).
+      Such conjugations carry each g to its class representative r, and
+      (g, h) to some (r, h'), so D(g, h) = D(r, h') >= 0.
+    - Associativity.  By (gh)k = g(hk), D(g, h) + D(gh, k) = s_g + s_h +
+      s_k - s_ghk = D(h, k) + D(g, hk).  Both sides are sums of two
+      nonnegative terms, so one side's terms are both 0 exactly when the
+      other's are, that is c[g][h] c[gh][k] = c[h][k] c[g][hk].
+    - Grading.  c[g][h] = 1 means D(g, h) = 0, which is deg g + deg h =
+      deg gh.
+    - Frobenius compatibility follows from associativity
+      (_frobenius_reduced).
+    When it fails, each axiom is decided by its exact-order scan, with the
+    scan's counterexample: associativity with g over the class
+    representatives when the constants are equivariant
+    (_associativity_reduced), Frobenius by the triple scan only when
+    associativity fails, grading in one pass on ints over the nonzero
+    entries (_grading_by_rows), and equivariance by the transported-row
+    scan under each generator conjugation (_equivariance).
 
     Equivariance is checked for conjugation by the table's generators only.
     Call k a symmetry when c[k^-1 g k][k^-1 h k] = c[g][h] for all g, h.
@@ -431,28 +448,32 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     Every element below the least non-symmetric generator is therefore e or
     a symmetric generator, and that generator is the cube's k.
 
-    The three reductions assume a group table whose inverse_index and
-    generator_conjugations are its inverses and conjugations, which
-    table.is_group_table() decides once per table.  Where it does not hold,
-    each defect shape has its one exact-order scan: the triple scan
-    _first_defect_by_rows over every g, on the constants for associativity
-    and on the trace rows for Frobenius, and _equivariance's transported-row
-    scan under conjugation by every element.
+    The criterion and the reductions assume a group table whose
+    inverse_index and generator_conjugations are its inverses and
+    conjugations, which table.is_group_table() decides once per table.
+    Where it does not hold, each defect shape has its one exact-order scan:
+    the triple scan _first_defect_by_rows over every g, on the constants
+    for associativity and on the trace rows for Frobenius, and
+    _equivariance's transported-row scan under conjugation by every
+    element.
     """
     table = alg.table
-    if table.is_group_table():
-        masks = _binary_masks(alg)
-        equivariance = _equivariance(alg, zip(table.gens, table.generator_conjugations), masks)
-        associativity = _associativity_reduced(alg, equivariance.passed, masks)
-        frobenius = _frobenius_reduced(alg, associativity.passed)
+    group = table.is_group_table()
+    if group and _degree_additive(alg):
+        names = ("associativity", "grading", "frobenius", "equivariance")
+        associativity, grading, frobenius, equivariance = (AxiomCheck(n, True) for n in names)
     else:
-        conjugators = ((k, table.conjugation_permutation(k)) for k in range(alg.order))
-        equivariance = _equivariance(alg, conjugators, None)
-        associativity = _associativity_reduced(alg, False, None)
-        frobenius = _frobenius_by_triples(alg)
+        if group:
+            conjugators = zip(table.gens, table.generator_conjugations)
+        else:
+            conjugators = ((k, table.conjugation_permutation(k)) for k in range(alg.order))
+        equivariance = _equivariance(alg, conjugators)
+        associativity = _associativity_reduced(alg, group and equivariance.passed)
+        grading = _grading_by_rows(alg)
+        frobenius = _frobenius_reduced(alg, group and associativity.passed)
     checks = (
         associativity,
-        _grading_by_rows(alg),
+        grading,
         _check_unit(alg),
         frobenius,
         _nondegeneracy_by_inverses(alg),
@@ -461,7 +482,39 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     return AlgebraReport(checks)
 
 
-def _associativity_reduced(alg: SectorAlgebra, equivariant: bool, masks) -> AxiomCheck:
+def _scaled_degrees(alg: SectorAlgebra) -> tuple[int, ...]:
+    """The degrees as ints over their common denominator."""
+    scale = math.lcm(*(d.denominator for d in alg.degrees))
+    return tuple(d.numerator * (scale // d.denominator) for d in alg.degrees)
+
+
+def _degree_additive(alg: SectorAlgebra) -> bool:
+    """Whether s is invariant under each generator conjugation, c[g][h] = [D(g, h) = 0]
+    on every row, and D(g, h) >= 0 on the rows of the class representatives.
+
+    s is _scaled_degrees and D(g, h) = s_g + s_h - s_gh (see verify_algebra).
+    Each row g is compared at C level: the sums s_g + s_h against s
+    gathered through row g, the s_gh.  The rows are taken in order of s_g,
+    so the sums are made once per degree.  About |G|^2 steps plus
+    |G| * |gens| for the invariance.
+    """
+    table, rows = alg.table, alg.constants
+    s = _scaled_degrees(alg)
+    if any(_gatherer(conj)(s) != s for conj in table.generator_conjugations):
+        return False
+    representatives = set(table.conjugacy_classes().representatives)
+    for degree, same in groupby(sorted(range(alg.order), key=s.__getitem__), s.__getitem__):
+        sums = tuple(map(add, repeat(degree), s))
+        for g in same:
+            products = _gatherer(table.row(g))(s)
+            if rows[g] != bytes(map(eq, sums, products)):
+                return False
+            if g in representatives and any(map(gt, products, sums)):
+                return False
+    return True
+
+
+def _associativity_reduced(alg: SectorAlgebra, equivariant: bool) -> AxiomCheck:
     """Associativity with g over class representatives when the constants are equivariant.
 
     The defect at (g, h, k) is the pair c[g][h] c[gh][k], c[h][k] c[g][hk].
@@ -469,107 +522,25 @@ def _associativity_reduced(alg: SectorAlgebra, equivariant: bool, masks) -> Axio
     equals c[g][h] the defect at (g^x, h^x, k^x) equals the defect at
     (g, h, k).  Every triple is conjugate to one whose g is the
     representative of its class, so those triples decide the axiom.  Without
-    equivariance g ranges over the whole group and this is the cube itself.
+    equivariance, or on a table not known to be a group's, g ranges over
+    the whole group and this is the cube itself.
 
-    Each (g, h) is decided for all k at once.  With values 0 and 1 both
-    sides are 0 or 1, so they agree for every k exactly when the k where
-    each side is 1 form the same set, and, k -> hk being a bijection, when
-    the images of those sets under it are equal.  The right side is 1 where
-    c[h][k] = 1 and c[g][hk] = 1, with image P_h & S_g, where S_g is row g's
-    support and P_h = {hk : c[h][k] = 1}.  The left side is 0 for every k
-    when c[g][h] = 0; when c[g][h] = 1 it is c[gh][k], with image the
-    translate {hk : c[gh][k] = 1} = g^-1 P_gh of row gh by h.  When row gh
-    has more ones than zeros, that translate is the complement of
-    {hk : c[gh][k] = 0} (the same bijection), so it is built from the
-    smaller side: an all-ones or all-zeros row costs nothing, and a sparse
-    row its ones (_binary_masks, _first_defect_by_masks).
-
-    The pass also reports the cube's lex-first counterexample.  The cube
+    Each (g, h) is decided for all k at once by _first_defect_by_rows, which
+    compares two rows at C level: |firsts| * |G|^2 entries when no defect
+    is found.  It reports the cube's lex-first counterexample.  The cube
     meets triples in lex order, so its first counterexample has the least
     defective g, then that g's least defective h, then the least k with a
     defect at (g, h).  Without equivariance every g is visited, so that is
     the cube's g.  With equivariance the defective g form whole classes,
     since a defect at (g, h, k) is one at (g^x, h^x, k^x); a class is a
     sorted tuple whose least member is its representative, so the least
-    defective g is the least defective representative.  Both searches visit
-    g in increasing order and h in increasing order and stop at the first
-    defect, and at that (g, h) the k loop is the cube's own.
-
-    The masks need each row h of the table to be a permutation, so that
-    k -> hk is a bijection; on a table not known to be a group's the
-    caller passes None, and every g has its rows compared.  Either way the
-    triple scan _first_defect_by_rows names the counterexample, with masks
-    over the one g they found, where it meets the same least h.
+    defective g is the least defective representative.
     """
     firsts = alg.table.conjugacy_classes().representatives if equivariant else range(alg.order)
-    if masks is not None:
-        g = _first_defect_by_masks(alg, firsts, masks)
-        if g is None:
-            return AxiomCheck("associativity", True)
-        firsts = (g,)
     found = _first_defect_by_rows(alg, alg.constants, firsts)
     if found is None:
         return AxiomCheck("associativity", True)
     return AxiomCheck("associativity", False, _triple_payload(alg, *found))
-
-
-_SWAP_BITS = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
-def _binary_masks(alg: SectorAlgebra):
-    """(supports, sides, bits) of an algebra's 0/1 rows.
-
-    bits[i] is 1 << i and supports[g] the int whose bit h is c[g][h].
-    sides[m] is (gather, flip): gather picks out the k of the smaller of row
-    m's ones and zeros, or is None if there are none, and flip is 0 for the
-    ones or the all-ones mask for the zeros.  The translate {xk : c[m][k] = 1} is
-    then sum(bits[x*k] for the k picked) ^ flip.  A support is read from
-    the row's hex digits: the last digit of each byte's pair, taken from the
-    end, spells the row's bits from h = |G| - 1 down to 0.
-    """
-    order = alg.order
-    indices = tuple(range(order))  # shared ints for the sides to point at
-    full = (1 << order) - 1
-    bits = [1 << i for i in indices]
-    supports, sides = [], []
-    for flags in alg.constants:
-        support = int(flags.hex()[::-2], 2)
-        supports.append(support)
-        flip = 0
-        if 2 * support.bit_count() > order:
-            flags, flip = flags.translate(_SWAP_BITS), full
-        side = tuple(compress(indices, flags))
-        sides.append((_gatherer(side) if side else None, flip))
-    return supports, sides, bits
-
-
-def _first_defect_by_masks(alg: SectorAlgebra, firsts, masks) -> int | None:
-    """The least g in firsts with a defect at some (g, h), decided on a 0/1 algebra's masks.
-
-    images[h] is the mask of P_h = {hk : c[h][k] = 1}, the translate of row h by h.
-    """
-    supports, sides, bits = masks
-    bit = bits.__getitem__
-    table = alg.table
-    images = [
-        sum(map(bit, gather(table.row(h)))) ^ flip if gather else flip
-        for h, (gather, flip) in enumerate(sides)
-    ]
-    product_rows = [table.row(h) for h in range(alg.order)]
-    for g in firsts:
-        support = supports[g]
-        entries = zip(alg.constants[g], table.row(g), images, product_rows)
-        for c, gh, image, row_h in entries:
-            both = image & support
-            if c:
-                gather, translate = sides[gh]
-                if gather:
-                    translate ^= sum(map(bit, gather(row_h)))
-                if both != translate:
-                    return g
-            elif both:
-                return g
-    return None
 
 
 def _first_defect_by_rows(alg: SectorAlgebra, rows, firsts) -> tuple | None:
@@ -595,34 +566,22 @@ def _first_defect_by_rows(alg: SectorAlgebra, rows, firsts) -> tuple | None:
 
 
 def _frobenius_reduced(alg: SectorAlgebra, associative: bool) -> AxiomCheck:
-    """Frobenius compatibility, checked at the one k per pair where it can fail.
+    """Frobenius compatibility, with no scan when associative says the algebra is.
 
     trace_form(x, k) vanishes unless xk = e, that is k = x^-1.  At (g, h, k)
     the left side c[g][h] * trace_form(gh, k) is therefore 0 unless
     k = (gh)^-1, and the right side trace_form(g, hk) * c[h][k] is 0 unless
     g hk = e, which is the same k; every other triple reads 0 = 0.  At that k,
-    hk = g^-1, so the sides are c[g][h] c[gh][k] and c[g][g^-1] c[h][k].  Each
-    (g, h) has at most one failing k, so scanning the pairs in lex order meets
-    the cube's first counterexample first, with the same printed values.
-
-    Those two sides are the associativity defect at (g, h, k), with
-    hk = g^-1: Frobenius compatibility is associativity on the triples with
-    ghk = e.  An associative algebra therefore passes with no scan.
+    hk = g^-1, so the sides are c[g][h] c[gh][k] and c[g][hk] c[h][k], the
+    associativity defect at (g, h, k): Frobenius compatibility is
+    associativity on the triples with ghk = e.  An associative algebra on
+    a group table therefore passes; the caller passes associative False on
+    any other table, and the triple scan names the cube's counterexample
+    (_frobenius_by_triples).
     """
     if associative:
         return AxiomCheck("frobenius", True)
-    rows = alg.constants
-    inverse = alg.table.inverse_index
-    for g in range(alg.order):
-        row_g = rows[g]
-        back = row_g[inverse[g]]
-        for h, gh in enumerate(alg.table.row(g)):
-            k = inverse[gh]
-            lhs = row_g[h] * rows[gh][k]
-            rhs = back * rows[h][k]
-            if lhs != rhs:
-                return AxiomCheck("frobenius", False, _triple_payload(alg, g, h, k, lhs, rhs))
-    return AxiomCheck("frobenius", True)
+    return _frobenius_by_triples(alg)
 
 
 def _frobenius_by_triples(alg: SectorAlgebra) -> AxiomCheck:
@@ -643,28 +602,18 @@ def _frobenius_by_triples(alg: SectorAlgebra) -> AxiomCheck:
     return AxiomCheck("frobenius", False, _triple_payload(alg, *found))
 
 
-def _equivariance(alg: SectorAlgebra, conjugators, masks) -> AxiomCheck:
+def _equivariance(alg: SectorAlgebra, conjugators) -> AxiomCheck:
     """The first (g, h) where c[k^-1 g k][k^-1 h k] differs from c[g][h], over (k, conj) pairs.
 
     conj[x] is k^-1 x k; for each k in turn the rows are compared in g
     order, and the first h where they differ is reported
-    (_first_moved_defect).  Given the algebra's masks (with every conj a
-    permutation), k is first tested on the supports: it is a symmetry
-    exactly when conj carries the support of each row g onto the support of
-    row conj[g].  That image is built from row g's smaller side, its ones,
-    or its zeros with the mask complemented, so an all-ones or all-zeros
-    row costs nothing.  Only a k that fails has its rows compared.
+    (_first_moved_defect): |G|^2 entries at C level per k.  verify_algebra
+    reaches it only where degree additivity fails or the table is not known
+    to be a group's; it then passes the generators' conjugations on a group
+    table and every element's otherwise.
     """
     rows = alg.constants
-    if masks is not None:
-        supports, sides, bits = masks
-        bit = bits.__getitem__
     for k, conj in conjugators:
-        if masks is not None and all(
-            (sum(map(bit, gather(conj))) ^ flip if gather else flip) == support
-            for (gather, flip), support in zip(sides, map(supports.__getitem__, conj))
-        ):
-            continue
         found = _first_moved_defect(rows, conj)
         if found is not None:
             g, h = found
@@ -711,8 +660,7 @@ def _grading_by_rows(alg: SectorAlgebra) -> AxiomCheck:
     is walked over its support alone, the h with c[g][h] nonzero, in row
     order, so the first failing pair is reported.
     """
-    scale = math.lcm(*(d.denominator for d in alg.degrees))
-    degrees = [d.numerator * (scale // d.denominator) for d in alg.degrees]
+    degrees = _scaled_degrees(alg)
     indices = range(alg.order)
     for g, row in enumerate(alg.constants):
         products = alg.table.row(g)

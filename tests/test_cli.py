@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import budget
-from orbring import OrbifoldModel, cli
+from orbring import OrbifoldModel, RationalPhase, cli
 from support import CORPUS_NAMES, built_rows, corpus_path, gmpn_spec
 
 
@@ -176,6 +176,20 @@ def test_dimension_cap_exits_3(capsys, tmp_path, command, dimension, expected):
     assert ("exceeds the cap 256" in err) == (expected == 3)
     if expected == 3:
         assert out == ""
+
+
+@pytest.mark.parametrize("phase", ["0", "not a phase"])
+def test_dimension_cap_exits_3_before_any_phase_is_parsed(capsys, tmp_path, monkeypatch, phase):
+    # the cap is checked before the generators are parsed, so a spec over it
+    # exits 3 even when a generator is malformed
+    dimension = 200000
+    generator = {"perm": list(range(dimension)), "phases": [phase] * dimension}
+    path = write_spec(tmp_path, {"name": "wide", "dimension": dimension, "generators": [generator]})
+    parsed = []
+    monkeypatch.setattr(RationalPhase, "parse", parsed.append)
+    code, out, err = run(capsys, "inspect", path)
+    assert (code, out, parsed) == (3, "", [])
+    assert "dimension 200000 exceeds the cap 256" in err
 
 
 def test_cotangent_over_the_dimension_cap_writes_no_file(capsys, tmp_path):

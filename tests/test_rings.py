@@ -4,7 +4,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbring import (
@@ -311,49 +311,95 @@ def g412_point_model():
     return OrbifoldModel(gmpn_spec(4, 1, 2), forget_geometry=True)
 
 
+def cyclic_spec(order):
+    """Z_order acting on C by its primitive character."""
+    generator = {"perm": [0], "phases": [f"1/{order}"]}
+    return OrbifoldSpec.from_dict({"name": f"Z_{order}", "dimension": 1, "generators": [generator]})
+
+
 @functools.cache
 def z12_model():
-    spec = {"name": "Z_12", "dimension": 1, "generators": [{"perm": [0], "phases": ["1/12"]}]}
-    return OrbifoldModel(OrbifoldSpec.from_dict(spec))
+    return OrbifoldModel(cyclic_spec(12))
 
 
 # corrupted corpus algebras, in both modes, plus two models of their own:
-# point-mode G(4,1,2) is all ones; on Z_12 every element is its own class and
-# cr is about half dense, so both smaller sides of a row are met
-BINARY_ROUTE_MODELS = {"G(4,1,2) point mode": g412_point_model, "Z_12 on C": z12_model}
+# point-mode G(4,1,2) is all ones, and on Z_12 every element is its own
+# class, so associativity runs over every g once the criterion fails
+CORRUPTION_MODELS = {"G(4,1,2) point mode": g412_point_model, "Z_12 on C": z12_model}
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     data=st.data(),
-    source=st.sampled_from([*CORPUS_NAMES, *BINARY_ROUTE_MODELS]),
+    source=st.sampled_from([*CORPUS_NAMES, *CORRUPTION_MODELS]),
     theory=st.sampled_from(THEORIES),
     forget=st.booleans(),
 )
 def test_verifier_matches_cube_on_binary_corruptions(data, source, theory, forget):
-    if source in BINARY_ROUTE_MODELS:
-        model = BINARY_ROUTE_MODELS[source]()
+    if source in CORRUPTION_MODELS:
+        model = CORRUPTION_MODELS[source]()
     else:
         model = corpus_model(source, forget=forget)
     alg = data.draw(corrupted(model.algebra(theory)))
     assert verify_algebra(alg) == cube_report(alg)
 
 
-def test_every_corpus_algebra_takes_the_bitmask_route(monkeypatch):
-    calls = {"_first_defect_by_masks": 0, "_first_defect_by_rows": 0}
-    for name in calls:
+SCANS = ("_first_defect_by_rows", "_first_moved_defect", "_grading_by_rows")
 
-        def counted(*args, name=name, search=getattr(rings, name)):
+
+def test_every_model_algebra_is_decided_by_degree_additivity(monkeypatch):
+    # OrbifoldModel's algebras meet the criterion, so no exact-order scan runs
+    calls = dict.fromkeys(SCANS, 0)
+    for name in SCANS:
+
+        def counted(*args, name=name, scan=getattr(rings, name)):
             calls[name] += 1
-            return search(*args)
+            return scan(*args)
 
         monkeypatch.setattr(rings, name, counted)
-    for name in CORPUS_NAMES:
+    specs = [*map(corpus_spec, CORPUS_NAMES), gmpn_spec(4, 1, 2), cyclic_spec(12)]
+    for spec in specs:
         for forget in (False, True):
-            model = OrbifoldModel(corpus_spec(name), forget_geometry=forget)
+            model = OrbifoldModel(spec, forget_geometry=forget)
             for theory in THEORIES:
                 assert verify_algebra(model.algebra(theory)).passed
-    assert calls == {"_first_defect_by_masks": 4 * len(CORPUS_NAMES), "_first_defect_by_rows": 0}
+    assert calls == dict.fromkeys(SCANS, 0)
+
+
+def degree_defect_algebra(model, degrees):
+    """The algebra on model's table with c[g][h] = [deg g + deg h = deg gh]."""
+    table = model.table
+    rows = tuple(
+        bytes(degrees[g] + d_h == degrees[gh] for d_h, gh in zip(degrees, table.row(g)))
+        for g in range(model.order)
+    )
+    return SectorAlgebra(
+        theory=CR, table=table, degrees=degrees, constants=rows, labels=model.labels
+    )
+
+
+@functools.cache
+def z4_model():
+    return OrbifoldModel(cyclic_spec(4))
+
+
+DEFECT_MODELS = {"Z_4": z4_model, "S_3": lambda: corpus_model("s3-perm")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    source=st.sampled_from(sorted(DEFECT_MODELS)),
+    halves=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+)
+@example(source="Z_4", halves=[0, 0, 0, 1, 0, 0])  # D(g, g^2) = -1/2
+@example(source="S_3", halves=[0, 0, 1, 1, 0, 0])  # degrees not constant on classes
+def test_verifier_matches_cube_on_degree_defect_algebras(source, halves):
+    # constants [D = 0] meet the criterion's row clause for any degrees, so
+    # only its other clauses can tell a D < 0 or degrees that are not a class
+    # function, where the axioms may fail
+    model = DEFECT_MODELS[source]()
+    alg = degree_defect_algebra(model, tuple(Fraction(k, 2) for k in halves[: model.order]))
+    assert verify_algebra(alg) == cube_report(alg)
 
 
 ROW_SWAP_MODELS = {

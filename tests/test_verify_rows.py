@@ -741,19 +741,21 @@ def test_standalone_doubling_checks_run_their_pair_pass(forget):
 @pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
 def test_verify_decides_each_equivariance_once(forget, monkeypatch):
     # the class stage's guard reads the virtual equivariance from the report
-    # that algebra-axioms-virt made, so only the two axiom checks decide it
-    theories = []
-    real = rings._equivariance
+    # that algebra-axioms-virt made, so only the two axiom checks decide it,
+    # each by degree additivity, and no transported-row scan runs
+    calls = {"_degree_additive": [], "_equivariance": []}
+    for name, theories in calls.items():
 
-    def counted(alg, conjugators, masks):
-        theories.append(alg.theory)
-        return real(alg, conjugators, masks)
+        def counted(alg, *args, theories=theories, real=getattr(rings, name)):
+            theories.append(alg.theory)
+            return real(alg, *args)
 
-    monkeypatch.setattr(rings, "_equivariance", counted)
+        monkeypatch.setattr(rings, name, counted)
     for spec in CLASS_STAGE_SPECS:
-        theories.clear()
+        for theories in calls.values():
+            theories.clear()
         assert run_full_verification(spec, forget_geometry=forget).all_passed
-        assert theories == [CR, VIRT], spec.name
+        assert calls == {"_degree_additive": [CR, VIRT], "_equivariance": []}, spec.name
 
 
 def class_stage_outcomes(build):
