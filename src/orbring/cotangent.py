@@ -336,30 +336,17 @@ def main_theorem_check(
     doubled cr build would read, p(g, h) as subspace_pairs[id g][id h] from
     its geometry's table as it stands: the tables _doubling_facts compared.
 
-    The class stage passes without building either class ring when
-    _class_stage_follows holds.  Its guard asks that
-      (i) the algebras be built on the pair's own tables and the doubled cr
-          degrees equal the virtual ones;
-      (ii) the virtual degrees and constants be invariant under each
-          conjugation in table.generator_conjugations;
-      (iii) table.is_group_table() hold, so that each of those
-          conjugations is conjugation by a generator in a group.
-    Proof.  By the contract, (i) and the constants stage, the doubled cr
-    algebra has the virtual algebra's degrees and constant rows over the
-    same rows and classes, so invariant_ring builds the same ring from both,
-    or raises the same error; the stage passes exactly when the virtual ring
-    is built.  It raises in two places.  The classes are the orbits of the
-    generator conjugations, so degrees invariant under each are constant on
-    each class.  The coefficient of x_k in
-    y_a y_b is S(k), the sum of c[g][h] over g in C_a, h in C_b, gh = k.
-    A generator conjugation sigma is, by (iii), an automorphism of the
-    table that maps each class onto itself, so (g, h) -> (sigma g, sigma h)
-    is a bijection of C_a x C_b with sigma(g) sigma(h) = sigma(gh), which
-    carries the terms of S(k) onto those of S(sigma k); by (ii) the
-    constants agree term by term, so S(sigma k) = S(k).  Invariant under
-    each generator conjugation, S is constant on each class, so the class
-    sums are class-constant and the ring is built.  When the guard fails,
-    both class rings are built and compared.
+    The class stage compares the virtual algebra with the doubled cr one,
+    whose degrees are 2 (n - dim V^g) by the grading lemma where it is not
+    built.  invariant_ring reads an algebra's degrees, constant rows,
+    product rows and classes.  After the constants stage the two algebras
+    share all but the degrees, so where the degrees agree too they build
+    the same ring, or raise the same error, and the stage passes exactly
+    when the virtual ring builds: by proof when _class_stage_follows holds,
+    else by building it.  Where the degrees differ, both rings are built,
+    as the scan builds them; if both build, each algebra's degrees are
+    constant on classes, so the class of an element whose degrees differ
+    has differing class degrees, and the first such class is reported.
     """
     mismatch = grading_check(model, doubled, bijection)
     if mismatch is not None:
@@ -369,7 +356,9 @@ def main_theorem_check(
     cr_doubled = doubled.built(CR)
     if cr_doubled is None and not _doubling_facts(model, doubled):
         cr_doubled = doubled.algebra(CR)
-    if cr_doubled is not None:
+    if cr_doubled is None:
+        doubled_degrees = tuple(2 * (model.n - f) for f in model.geometry.fixed)
+    else:
         for g, (row, doubled_row) in enumerate(zip(virt.constants, cr_doubled.constants)):
             if row != doubled_row:
                 h = next(h for h, (x, y) in enumerate(zip(row, doubled_row)) if x != y)
@@ -379,62 +368,56 @@ def main_theorem_check(
                     "doubled_cr": str(doubled_row[h]),
                     "virtual": str(row[h]),
                 }
-    doubled_table = doubled.table if cr_doubled is None else cr_doubled.table
-    for g, (x, y) in enumerate(zip(virt.table.inverse_index, doubled_table.inverse_index)):
+        doubled_degrees = cr_doubled.degrees
+    for g, (x, y) in enumerate(zip(model.table.inverse_index, doubled.table.inverse_index)):
         partners = [h for h in (x, y) if h in range(model.order)] if x != y else None
         if partners:
             return {"stage": "pairings", "pair": [model.label(g), model.label(min(partners))]}
 
-    if _class_stage_follows(model, doubled, virt, cr_doubled):
+    if doubled_degrees == virt.degrees:
+        if not _class_stage_follows(model, virt):
+            virt.invariant_ring()
         return None
     inv_virt = virt.invariant_ring()
     inv_doubled = doubled.algebra(CR).invariant_ring()
-    for a in range(inv_virt.order):
-        if inv_virt.degrees[a] != inv_doubled.degrees[a]:
-            return {
-                "stage": "invariant-ring",
-                "class": inv_virt.labels[a],
-                "virtual_degree": str(inv_virt.degrees[a]),
-                "doubled_degree": str(inv_doubled.degrees[a]),
-            }
-    if inv_virt.constants != inv_doubled.constants:
-        for key in sorted(set(inv_virt.constants) | set(inv_doubled.constants)):
-            if inv_virt.constants.get(key) != inv_doubled.constants.get(key):
-                return {
-                    "stage": "invariant-ring",
-                    "classes": [inv_doubled.labels[i] for i in key],
-                    "virtual": str(inv_virt.constants.get(key, 0)),
-                    "doubled_cr": str(inv_doubled.constants.get(key, 0)),
-                }
-    return None
+    degree_pairs = enumerate(zip(inv_virt.degrees, inv_doubled.degrees))
+    a = next(a for a, (x, y) in degree_pairs if x != y)
+    return {
+        "stage": "invariant-ring",
+        "class": inv_virt.labels[a],
+        "virtual_degree": str(inv_virt.degrees[a]),
+        "doubled_degree": str(inv_doubled.degrees[a]),
+    }
 
 
-def _class_stage_follows(
-    model: OrbifoldModel,
-    doubled: OrbifoldModel,
-    virt: SectorAlgebra,
-    cr_doubled: SectorAlgebra | None,
-) -> bool:
-    """main_theorem_check's guard for its class stage.
+def _class_stage_follows(model: OrbifoldModel, virt: SectorAlgebra) -> bool:
+    """Whether virt = model.algebra(VIRT) builds its class ring, decided without building it.
 
-    Where cr_doubled is None (not built), its degrees would be the doubled
-    ages' 2 age, which the grading lemma found equal to 2 (n - dim V^g), so
-    (i) compares virt's degrees with those.  Condition (ii) for the constants is
-    the equivariance check of the virtual algebra's axiom report, which on
-    a group table is decided under the generator conjugations alone.  In
-    verify, algebra-axioms-virt has already derived that report and
-    closure_sanity_check the group-table fact, so the guard costs about
-    |gens|*|G| more; called on its own, it derives the report first.
+    The guard asks that
+      (i) the virtual degrees and constants be invariant under each
+          conjugation in table.generator_conjugations;
+      (ii) table.is_group_table() hold, so that each of those
+          conjugations is conjugation by a generator in a group.
+    Proof.  invariant_ring raises in two places.  The classes are the
+    orbits of the generator conjugations, so degrees invariant under each
+    are constant on each class.  The coefficient of x_k in y_a y_b is
+    S(k), the sum of c[g][h] over g in C_a, h in C_b, gh = k.  A generator
+    conjugation sigma is, by (ii), an automorphism of the table that maps
+    each class onto itself, so (g, h) -> (sigma g, sigma h) is a bijection
+    of C_a x C_b with sigma(g) sigma(h) = sigma(gh), which carries the
+    terms of S(k) onto those of S(sigma k); by (i) the constants agree
+    term by term, so S(sigma k) = S(k).  Invariant under each generator
+    conjugation, S is constant on each class, so the class sums are
+    class-constant and the ring is built.
+
+    Condition (i) for the constants is the equivariance check of the
+    virtual algebra's axiom report, which on a group table is decided under
+    the generator conjugations alone.  In verify, algebra-axioms-virt has
+    already derived that report and closure_sanity_check the group-table
+    fact, so the guard costs about |gens|*|G| more; called on its own, it
+    derives the report first.
     """
     table = model.table
-    if cr_doubled is None:
-        doubled_degrees = tuple(2 * (model.n - f) for f in model.geometry.fixed)
-    elif cr_doubled.table is doubled.table:
-        doubled_degrees = cr_doubled.degrees
-    else:
-        return False
-    if not (virt.table is table and doubled_degrees == virt.degrees):
-        return False
     degrees = virt.degrees
     if any(_gatherer(conj)(degrees) != degrees for conj in table.generator_conjugations):
         return False

@@ -294,12 +294,6 @@ class CyclotomicNumber(Record):
             return NotImplemented
         return self + (-rhs)
 
-    def __rsub__(self, other) -> "CyclotomicNumber":
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs + (-self)
-
     def __mul__(self, other) -> "CyclotomicNumber":
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return CyclotomicNumber(self.conductor, tuple(c * other for c in self.coeffs))
@@ -332,9 +326,6 @@ class CyclotomicNumber(Record):
         if any(self.coeffs[1:]):
             return None
         return self.coeffs[0]
-
-    def to_json_dict(self) -> dict:
-        return {"conductor": self.conductor, "coefficients": [str(c) for c in self.coeffs]}
 
     def __repr__(self) -> str:
         coeffs = ", ".join(str(c) for c in self.coeffs)

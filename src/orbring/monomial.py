@@ -413,9 +413,6 @@ class GroupTable:
     def order(self) -> int:
         return len(self.codes)
 
-    def __len__(self) -> int:
-        return len(self.codes)
-
     def mult(self, i: int, j: int) -> int:
         return self.row(i)[j]
 

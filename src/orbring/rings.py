@@ -425,15 +425,23 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
       other's are, that is c[g][h] c[gh][k] = c[h][k] c[g][hk].
     - Grading.  c[g][h] = 1 means D(g, h) = 0, which is deg g + deg h =
       deg gh.
-    - Frobenius compatibility follows from associativity
-      (_frobenius_reduced).
+    - Frobenius compatibility is associativity on the triples with ghk = e
+      (_frobenius_by_pairs).
     When it fails, each axiom is decided by its exact-order scan, with the
-    scan's counterexample: associativity with g over the class
-    representatives when the constants are equivariant
-    (_associativity_reduced), Frobenius by the triple scan only when
-    associativity fails, grading in one pass on ints over the nonzero
-    entries (_grading_by_rows), and equivariance by the transported-row
-    scan under each generator conjugation (_equivariance).
+    scan's counterexample: equivariance by the transported-row scan under
+    each generator conjugation (_equivariance), associativity per pair
+    (g, h) at C level (_associativity), Frobenius at the one k = (gh)^-1 of
+    each pair (_frobenius_by_pairs), and grading in one pass on ints over
+    the nonzero entries (_grading_by_rows).  Where the constants are
+    equivariant, associativity and Frobenius take g over the class
+    representatives alone.  Proof.  Conjugation by x is an automorphism,
+    so with equivariant constants it carries the defect at (g, h, k) to an
+    equal one at (g^x, h^x, k^x), for the trace form too, since ghk = e iff
+    g^x h^x k^x = e.  So the defective g form whole classes.  The cube
+    meets triples in lex order, so its first counterexample has the least
+    defective g, then its least defective h and k; a class is a sorted
+    tuple whose least member is its representative, so that g is the least
+    defective representative.
 
     Equivariance is checked for conjugation by the table's generators only.
     Call k a symmetry when c[k^-1 g k][k^-1 h k] = c[g][h] for all g, h.
@@ -451,11 +459,11 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     The criterion and the reductions assume a group table whose
     inverse_index and generator_conjugations are its inverses and
     conjugations, which table.is_group_table() decides once per table.
-    Where it does not hold, each defect shape has its one exact-order scan:
-    the triple scan _first_defect_by_rows over every g, on the constants
-    for associativity and on the trace rows for Frobenius, and
-    _equivariance's transported-row scan under conjugation by every
-    element.
+    Where it does not hold, each defect shape has its one exact-order scan
+    over every g: the triple scan _first_defect_by_rows, on the constants
+    for associativity and on the trace rows for Frobenius
+    (_frobenius_by_triples), and _equivariance's transported-row scan under
+    conjugation by every element.
     """
     table = alg.table
     group = table.is_group_table()
@@ -468,9 +476,12 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
         else:
             conjugators = ((k, table.conjugation_permutation(k)) for k in range(alg.order))
         equivariance = _equivariance(alg, conjugators)
-        associativity = _associativity_reduced(alg, group and equivariance.passed)
+        firsts = range(alg.order)
+        if group and equivariance.passed:
+            firsts = table.conjugacy_classes().representatives
+        associativity = _associativity(alg, firsts)
         grading = _grading_by_rows(alg)
-        frobenius = _frobenius_reduced(alg, group and associativity.passed)
+        frobenius = _frobenius_by_pairs(alg, firsts) if group else _frobenius_by_triples(alg)
     checks = (
         associativity,
         grading,
@@ -514,29 +525,14 @@ def _degree_additive(alg: SectorAlgebra) -> bool:
     return True
 
 
-def _associativity_reduced(alg: SectorAlgebra, equivariant: bool) -> AxiomCheck:
-    """Associativity with g over class representatives when the constants are equivariant.
+def _associativity(alg: SectorAlgebra, firsts) -> AxiomCheck:
+    """Associativity over the triples whose g is in firsts, with the cube's counterexample.
 
-    The defect at (g, h, k) is the pair c[g][h] c[gh][k], c[h][k] c[g][hk].
-    Conjugation by x is a group automorphism, so when every c[g^x][h^x]
-    equals c[g][h] the defect at (g^x, h^x, k^x) equals the defect at
-    (g, h, k).  Every triple is conjugate to one whose g is the
-    representative of its class, so those triples decide the axiom.  Without
-    equivariance, or on a table not known to be a group's, g ranges over
-    the whole group and this is the cube itself.
-
-    Each (g, h) is decided for all k at once by _first_defect_by_rows, which
-    compares two rows at C level: |firsts| * |G|^2 entries when no defect
-    is found.  It reports the cube's lex-first counterexample.  The cube
-    meets triples in lex order, so its first counterexample has the least
-    defective g, then that g's least defective h, then the least k with a
-    defect at (g, h).  Without equivariance every g is visited, so that is
-    the cube's g.  With equivariance the defective g form whole classes,
-    since a defect at (g, h, k) is one at (g^x, h^x, k^x); a class is a
-    sorted tuple whose least member is its representative, so the least
-    defective g is the least defective representative.
+    verify_algebra passes every g, or the class representatives when the
+    constants are equivariant on a group table.  Each (g, h) is decided
+    for all k at once by _first_defect_by_rows, which compares two rows at
+    C level: |firsts| * |G|^2 entries when no defect is found.
     """
-    firsts = alg.table.conjugacy_classes().representatives if equivariant else range(alg.order)
     found = _first_defect_by_rows(alg, alg.constants, firsts)
     if found is None:
         return AxiomCheck("associativity", True)
@@ -565,27 +561,34 @@ def _first_defect_by_rows(alg: SectorAlgebra, rows, firsts) -> tuple | None:
     return None
 
 
-def _frobenius_reduced(alg: SectorAlgebra, associative: bool) -> AxiomCheck:
-    """Frobenius compatibility, with no scan when associative says the algebra is.
+def _frobenius_by_pairs(alg: SectorAlgebra, firsts) -> AxiomCheck:
+    """Frobenius compatibility on a group table, at the one k = (gh)^-1 of each pair.
 
     trace_form(x, k) vanishes unless xk = e, that is k = x^-1.  At (g, h, k)
     the left side c[g][h] * trace_form(gh, k) is therefore 0 unless
     k = (gh)^-1, and the right side trace_form(g, hk) * c[h][k] is 0 unless
-    g hk = e, which is the same k; every other triple reads 0 = 0.  At that k,
-    hk = g^-1, so the sides are c[g][h] c[gh][k] and c[g][hk] c[h][k], the
-    associativity defect at (g, h, k): Frobenius compatibility is
-    associativity on the triples with ghk = e.  An associative algebra on
-    a group table therefore passes; the caller passes associative False on
-    any other table, and the triple scan names the cube's counterexample
-    (_frobenius_by_triples).
+    g hk = e, which is the same k; every other triple reads 0 = 0.  At that
+    k, hk = g^-1, so the sides are c[g][h] c[gh][k] and c[g][g^-1] c[h][k],
+    the associativity defect at (g, h, k): Frobenius compatibility is
+    associativity on the triples with ghk = e, and an associative algebra
+    passes.  The cube's first counterexample is the first pair (g, h),
+    g in firsts, whose sides differ, at that k.  |firsts| * |G| steps.
     """
-    if associative:
-        return AxiomCheck("frobenius", True)
-    return _frobenius_by_triples(alg)
+    table, rows = alg.table, alg.constants
+    inverse = table.inverse_index
+    for g in firsts:
+        row_g = rows[g]
+        c_inverse = row_g[inverse[g]]
+        for h, (c, gh) in enumerate(zip(row_g, table.row(g))):
+            k = inverse[gh]
+            lhs, rhs = c * rows[gh][k], c_inverse * rows[h][k]
+            if lhs != rhs:
+                return AxiomCheck("frobenius", False, _triple_payload(alg, g, h, k, lhs, rhs))
+    return AxiomCheck("frobenius", True)
 
 
 def _frobenius_by_triples(alg: SectorAlgebra) -> AxiomCheck:
-    """Frobenius compatibility over every triple, in the scan's order, for any table.
+    """Frobenius compatibility over every triple, in the scan's order, where the group fact fails.
 
     trace_form(x, y) is c[x][y] where xy = e and 0 elsewhere, one row per
     x.  The sides at (g, h, k) are c[g][h] trace_form(gh, k) and

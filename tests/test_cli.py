@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import budget
-from orbring import OrbifoldModel, RationalPhase, cli
+from orbring import CR, OrbifoldModel, RationalPhase, cli
 from support import CORPUS_NAMES, built_rows, corpus_path, gmpn_spec
 
 
@@ -403,6 +403,37 @@ def test_verify_dw_mode(capsys):
     assert "all 8 checks passed" in out
 
 
+def test_verify_with_a_flipped_cr_constant_exits_1(capsys, monkeypatch):
+    # c[g1][g2] set to 1 in the cr algebra of z3-11 alone breaks associativity
+    # (and degree additivity, so the axioms run their scans); the doubled cr
+    # algebra is never built, so every other check still passes
+    real = OrbifoldModel._constant_rows
+
+    def flipped(model, theory):
+        rows = real(model, theory)
+        if theory != CR or model.spec.name != "z3-11":
+            return rows
+        row = bytearray(rows[1])
+        row[2] ^= 1
+        return (rows[0], bytes(row), *rows[2:])
+
+    monkeypatch.setattr(OrbifoldModel, "_constant_rows", flipped)
+    spec = str(corpus_path("z3-11"))
+    code, out, err = run(capsys, "verify", spec, "--format", "json")
+    assert (code, err) == (1, "")
+    entries = {entry["name"]: entry for entry in json.loads(out)["checks"]}
+    failed = [name for name, entry in entries.items() if entry["status"] == "fail"]
+    assert failed == ["algebra-axioms-cr"]
+    counterexample = entries["algebra-axioms-cr"]["counterexample"]
+    assert counterexample["axiom"] == "associativity"
+    assert all("counterexample" not in entries[name] for name in entries if name not in failed)
+    code, out, err = run(capsys, "verify", spec)
+    assert (code, err) == (1, "")
+    assert "  FAIL algebra-axioms-cr (" in out
+    assert f"       counterexample: {json.dumps(counterexample)}\n" in out
+    assert out.endswith("\n1 of 8 checks failed\n")
+
+
 def test_bad_max_group_order_rejected(capsys, tmp_path):
     path = write_spec(
         tmp_path,
@@ -418,6 +449,72 @@ def test_negative_dimension_rejected(capsys, tmp_path):
     code, _out, err = run(capsys, "inspect", path)
     assert code == 2
     assert "dimension" in err
+
+
+GENERATOR = {"perm": [0], "phases": ["0"]}
+
+
+def spec_with(**changes):
+    """A valid one-generator spec on C with the given keys replaced (None removes one)."""
+    data = {"name": "z", "dimension": 1, "generators": [GENERATOR], **changes}
+    return {key: value for key, value in data.items() if value is not None}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (spec_with(name=""), "spec name must be a nonempty string, got ''"),
+        ([GENERATOR], "spec must be a JSON object"),
+        (spec_with(dimension=None), "spec is missing required key 'dimension'"),
+        (spec_with(name=3), "spec name must be a string, got 3"),
+        (spec_with(dimension=1.0), "dimension must be an integer, got 1.0"),
+        (spec_with(generators=GENERATOR), "generators must be a list"),
+        (spec_with(generators=[[0]]), "generator 0 must be an object with 'perm' and 'phases'"),
+        (
+            spec_with(generators=[{**GENERATOR, "sign": 1}]),
+            "generator 0 has unknown keys: ['sign']",
+        ),
+        (
+            spec_with(generators=[{"perm": [0]}]),
+            "generator 0 must provide both 'perm' and 'phases'",
+        ),
+        (
+            spec_with(generators=[{"perm": [True], "phases": ["0"]}]),
+            "generator 0: perm must be a list of integers",
+        ),
+        (
+            spec_with(generators=[{"perm": [0], "phases": "0"}]),
+            "generator 0: phases must be a list of strings",
+        ),
+        (
+            spec_with(generators=[{"perm": [0, 1], "phases": ["0"]}]),
+            "generator 0: perm has length 2, expected 1",
+        ),
+        (
+            spec_with(generators=[{"perm": [0], "phases": [0]}]),
+            "generator 0: phase must be a string, got 0",
+        ),
+    ],
+    ids=[
+        "empty name",
+        "not an object",
+        "missing key",
+        "name not a string",
+        "dimension not an int",
+        "generators not a list",
+        "generator not an object",
+        "generator with an unknown key",
+        "generator without phases",
+        "perm not a list of ints",
+        "phases not a list",
+        "wrong perm length",
+        "phase not a string",
+    ],
+)
+def test_invalid_spec_is_one_line_input_error(capsys, tmp_path, data, message):
+    code, out, err = run(capsys, "verify", write_spec(tmp_path, data))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 # --- one parser per process ---

@@ -463,6 +463,54 @@ def test_associativity_reports_the_least_defective_g_not_the_first_met():
     assert associativity.counterexample["triple"] == ["g1", "g1", "e"]
 
 
+def test_frobenius_failing_off_the_class_representatives():
+    # In point mode on s3-perm, zeroing c[g3][g2] breaks equivariance, and the
+    # cube's first Frobenius defect has g = g3, outside the class
+    # representatives, at the one k with g3 g2 k = e: the pair scan must let
+    # g range over the whole group and read k = (gh)^-1.
+    model = corpus_model("s3-perm", forget=True)
+    alg = with_constant(model.algebra(CR), 3, 2, 0)
+    report = verify_algebra(alg)
+    assert report == cube_report(alg)
+    frobenius, equivariance = report.checks[3], report.checks[5]
+    assert frobenius.name == "frobenius" and not frobenius.passed and not equivariance.passed
+    assert frobenius.counterexample["triple"] == ["g3", "g2", "g4"]
+    table = model.table
+    assert 3 not in table.conjugacy_classes().representatives
+    assert table.mult(table.mult(3, 2), 4) == 0
+
+
+def test_frobenius_on_a_group_table_scans_no_triple(monkeypatch):
+    # Frobenius compatibility is associativity on the triples with ghk = e,
+    # so on a group table each pair (g, h) is read at its one k, even where
+    # associativity fails; the triple scan is left to tables that are not
+    # known to be a group's
+    calls = []
+    real = rings._frobenius_by_triples
+
+    def counted(alg):
+        calls.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(rings, "_frobenius_by_triples", counted)
+    associativity_failures = 0
+    for name in CORPUS_NAMES:
+        for forget in (False, True):
+            model = corpus_model(name, forget=forget)
+            last = model.order - 1
+            if last == 0:  # the trivial group has no entry to flip but e's
+                continue
+            for theory in THEORIES:
+                alg = model.algebra(theory)
+                for g, h in ((1, last), (last, 1)):
+                    flipped = with_constant(alg, g, h, 1 - alg.constants[g][h])
+                    report = verify_algebra(flipped)
+                    assert report == cube_report(flipped)
+                    associativity_failures += not report.checks[0].passed
+    assert calls == []
+    assert associativity_failures > 0
+
+
 def test_constants_are_ints():
     # each built row is bytes of length |G| over {0, 1}, so every entry reads as an int
     for name in CORPUS_NAMES:

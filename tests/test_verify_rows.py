@@ -26,7 +26,9 @@ The per-entry rank and gate forms live in support, so the package cannot
 call them.  verify builds no class
 ring; where main_theorem_check's guard fails (constants that are not
 equivariant, degrees that are not class-constant, doubled degrees that
-differ from the virtual ones), it must give the scan's outcome.
+differ from the virtual ones), it must give the scan's outcome, building
+the virtual class ring alone where the doubled degrees equal the virtual
+ones.
 """
 
 import contextlib
@@ -48,6 +50,7 @@ from orbring import (
     SectorAlgebra,
     SectorGeometry,
     cli,
+    cotangent,
     cotangent_double,
     rings,
     verify_algebra,
@@ -635,7 +638,7 @@ def test_checks_reach_no_per_entry_path_with_a_bumped_array_entry(
     assert_checks_match_scans_without_per_entry_paths(build)
 
 
-# --- main_theorem_check decides its class stage by proof, or builds both class rings ---
+# --- main_theorem_check decides its class stage by proof, or builds the class rings it needs ---
 
 @contextlib.contextmanager
 def counted_invariant_rings():
@@ -756,6 +759,27 @@ def test_verify_decides_each_equivariance_once(forget, monkeypatch):
             theories.clear()
         assert run_full_verification(spec, forget_geometry=forget).all_passed
         assert calls == {"_degree_additive": [CR, VIRT], "_equivariance": []}, spec.name
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+def test_class_stage_without_its_guard_builds_the_virtual_ring_alone(forget, monkeypatch):
+    # with the guard forced False and the doubled degrees equal to the
+    # virtual ones, the doubled cr algebra would give invariant_ring the
+    # virtual algebra's data, so the virtual class ring alone is built, and
+    # the doubled cr table is not
+    def build():
+        model, doubled, bijection = derived_pair(gmpn_spec(2, 1, 3), forget)
+        build_both(model)
+        return model, doubled, bijection
+
+    scanned = outcome(main_theorem_scan, *build())
+    model, doubled, bijection = build()
+    monkeypatch.setattr(cotangent, "_class_stage_follows", lambda *args: False)
+    with counted_invariant_rings() as calls, counted_builds_and_pair_passes() as (builds, _):
+        checked = outcome(main_theorem_check, model, doubled, bijection)
+    assert checked == scanned == ("report", None)
+    assert calls == [1]
+    assert builds == []
 
 
 def class_stage_outcomes(build):
