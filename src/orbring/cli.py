@@ -29,14 +29,16 @@ def _emit(text: str) -> None:
 
     Under PYTHONUNBUFFERED=1 that layer is a raw file that may take only part
     of a write, and the text layer would drop the rest; writing it again makes
-    a pipe closed mid-write raise BrokenPipeError.
+    a pipe closed mid-write raise BrokenPipeError.  A character that the
+    encoding lacks (a spec name under an ASCII locale) is written as its
+    backslash escape, as Python writes standard error.
     """
     stdout = sys.stdout
     if not hasattr(stdout, "buffer"):  # a text-only stream such as io.StringIO
         stdout.write(text)
         return
     stdout.flush()
-    data = memoryview(text.encode(stdout.encoding, stdout.errors))
+    data = memoryview(text.encode(stdout.encoding, "backslashreplace"))
     while data:
         taken = stdout.buffer.write(data)
         data = data[taken:]

@@ -9,7 +9,9 @@ the main theorem's constants by proof from facts about the two geometries
 (_doubling_facts), the class-level comparison by proof from the sector-level
 one, and the rest, or any of these where its facts fail, by exact scans.
 The doubling checks take a model with its cotangent_model(), whose table is
-derived from the model's, and refuse any other pair.
+derived from the model's and shares its product rows, inverses and classes,
+so the two sides' sector pairings and class maps agree by construction; they
+refuse any other pair.
 """
 
 from __future__ import annotations
@@ -221,7 +223,7 @@ def _require_derived_pair(
     model: OrbifoldModel, doubled: OrbifoldModel, bijection: tuple[int, ...]
 ) -> None:
     """The doubling checks' contract: doubled's table is derived from model's
-    (GroupTable.doubled, sharing its rows and classes) and bijection is the
+    (GroupTable.doubled, sharing its rows, inverses and classes) and bijection is the
     identity, as run_full_verification passes them; ValueError otherwise.
     """
     if not (
@@ -319,12 +321,11 @@ def main_theorem_check(
 
     doubled and bijection must be model.cotangent_model() and the identity
     (ValueError otherwise), so the two sides share one index, one set of
-    product rows and one set of classes, under the identity class map.
-    Constants are compared row by row as bytes.  The pairing at (g, h) is 1
-    exactly when h is g's inverse in that algebra's table, so row g of the
-    pairings agrees exactly when the two inverse_index entries at g agree;
-    otherwise the pair scan's first differing h is the lesser of the two
-    that lies in range.
+    product rows, one inverse table and one set of classes, under the
+    identity class map.  Constants are compared row by row as bytes.  The
+    pairing at (g, h) is 1 exactly when h is g's inverse in that algebra's
+    table, and both tables read the one inverse_index, so the pairings
+    agree by construction, as the classes do.
 
     The constants stage passes without building the doubled cr algebra when
     doubled holds none and _doubling_facts holds (the degrees stage has
@@ -369,10 +370,6 @@ def main_theorem_check(
                     "virtual": str(row[h]),
                 }
         doubled_degrees = cr_doubled.degrees
-    for g, (x, y) in enumerate(zip(model.table.inverse_index, doubled.table.inverse_index)):
-        partners = [h for h in (x, y) if h in range(model.order)] if x != y else None
-        if partners:
-            return {"stage": "pairings", "pair": [model.label(g), model.label(min(partners))]}
 
     if doubled_degrees == virt.degrees:
         if not _class_stage_follows(model, virt):

@@ -6,16 +6,19 @@ generators and stored as index tables, which keeps every later computation a
 table lookup.  The closure runs on integer codes of the maps (perm and phases
 mod the generators' conductor packed into one tuple of ints), not on
 MonomialMap objects, a block of the search queue at a time, and records
-left and right multiplication by each generator.  Inverses are derived from
-the search's parents on first read.  Product rows are gathered from those
-on first use, and the conjugacy classes are walked through per-generator
-conjugation tables.
+left and right multiplication by each generator.  Product rows are gathered
+from those on first use, inverses are derived from the search's parents on
+first read, conjugation by an element is one gather of two product tables,
+and the conjugacy classes are walked through per-generator conjugation
+tables.
 The table of the doubled maps g (+) conjugate(g) is derived from a closed
-table rather than closed again, and shares its index tables.
+table rather than closed again: a view that owns only its codes and what is
+decoded from them, and shares every index table and cache of the group.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
@@ -170,9 +173,9 @@ class GroupTable:
     Everything else is built on first read and then kept: the product rows
     (one way at every order, see row), the decoded elements and their index,
     inverse_index, the conjugation tables, the classes and the verdict of
-    check_group.  A table and its doubled table (see doubled) share all of
-    these but the decoded elements and inverse_index, which each derives
-    from the search parents they share.
+    check_group.  All but the decoded elements are facts of the group, not
+    of its codes, and a table and its doubled table (see doubled) share them,
+    each derived once per group.
     """
 
     # Read by no code in orbring; kept only because perfbench/layers.py reads
@@ -206,8 +209,8 @@ class GroupTable:
         self._gathers = [_gatherer(lg) for lg in left]
         self._rows: list[Sequence[int] | None] = [None] * len(codes)
         self._rows[0] = tuple(range(len(codes)))
-        # "conjugations", "classes" and "group", each set on first use; the
-        # rows and this dict are shared with every table derived by doubled
+        # "inverses", "conjugations", "classes" and "group", each set on first
+        # use; the rows and this dict are shared with every doubled table
         self._shared: dict = {}
 
     @cached_property
@@ -224,7 +227,7 @@ class GroupTable:
     def index(self) -> dict[MonomialMap, int]:
         return {element: i for i, element in enumerate(self.elements)}
 
-    @cached_property
+    @property
     def inverse_index(self) -> tuple[int, ...]:
         """Index of each element's inverse, derived from the search's parents on first read.
 
@@ -232,8 +235,11 @@ class GroupTable:
         with left_s[y] = p^-1.  So the inverse of x is the inverse of p read
         through the inverse permutation of left_s.  Each parent precedes its
         child, so the inverses fill in index order from the identity's, 0.
-        Assigning the attribute replaces the derived tuple.
+        Kept as "inverses" in the shared caches, so every table of the group
+        reads the one tuple.
         """
+        if "inverses" in self._shared:
+            return self._shared["inverses"]
         # row 0 is the identity permutation; its ints are reused, not made afresh
         indices = self.row(0)
         undo = []
@@ -245,7 +251,8 @@ class GroupTable:
         inverse = [0]
         for p, k in islice(self._parent_gen, 1, None):
             inverse.append(undo[k][inverse[p]])
-        return tuple(inverse)
+        self._shared["inverses"] = tuple(inverse)
+        return self._shared["inverses"]
 
     @classmethod
     def close(
@@ -376,8 +383,9 @@ class GroupTable:
 
         Doubling is an injective homomorphism, so element i's double is
         element i of the doubled group, and every index table here is the
-        doubled group's too.  The derived table shares them, product rows
-        included, and holds only its own codes.  generators are the doubled
+        doubled group's too.  The derived table is a view that owns only its
+        codes, their dimension and what it decodes from them, and shares
+        every other attribute, caches included.  generators are the doubled
         spec's.  Doubling keeps their sorted order, so GroupTable.close of
         them gives this same table.  Sorted, their codes must be the doubled
         codes of gens (MonomialMap.double against _double), code 0 the
@@ -396,17 +404,10 @@ class GroupTable:
             raise ConsistencyError("doubled generators are not the doubles of the table's")
         if codes[0] != tuple(range(2 * n)) or not self._composes_along(codes, 2 * n):
             raise ConsistencyError("doubled codes do not compose along the search parents")
-        table = GroupTable(
-            dimension=2 * n,
-            conductor=conductor,
-            codes=codes,
-            gens=self.gens,
-            parent_gen=self._parent_gen,
-            right=self._right,
-            left=self._left,
-        )
-        table._rows = self._rows
-        table._shared = self._shared
+        table = copy.copy(self)
+        table.dimension, table.codes = 2 * n, codes
+        for decoded in ("elements", "index"):
+            vars(table).pop(decoded, None)
         return table
 
     @property
@@ -441,16 +442,19 @@ class GroupTable:
             rows[i] = built
         return rows[i]
 
-    def cycles(self, i: int) -> list[tuple[int, int]]:
-        """(L, s) per permutation cycle of element i: its length and its phase sum s/N mod 1.
+    def element_order(self, i: int) -> int:
+        """Least m >= 1 with i^m = e, read from the permutation cycles of element i's code.
 
-        N is the conductor and 0 <= s < N; the L-th power of the element is
-        the scalar zeta^s on the cycle's coordinates.
+        On a cycle of length L whose phases sum to s/N mod 1, N the
+        conductor, i^L is the scalar zeta^s.  So i^m moves the cycle's
+        coordinates unless L divides m, and i^(tL) is zeta^(st) there, which
+        is 1 exactly when N/gcd(s, N) divides t: m is the lcm over the cycles
+        of L*N/gcd(s, N).
         """
-        n = self.dimension
+        n, modulus = self.dimension, self.conductor
         code = self.codes[i]
         seen = [False] * n
-        out = []
+        order = 1
         for start in range(n):
             s = length = 0
             j = start
@@ -460,25 +464,16 @@ class GroupTable:
                 s += a
                 length += 1
             if length:
-                out.append((length, s % self.conductor))
-        return out
-
-    def element_order(self, i: int) -> int:
-        """Least m >= 1 with i^m = e: the lcm over cycles (L, s) of L*N/gcd(s, N).
-
-        i^m moves a cycle's coordinates unless L divides m, and i^(tL) is
-        zeta^(st) there, which is 1 exactly when N/gcd(s, N) divides t.
-        """
-        cycles = self.cycles(i)
-        modulus = self.conductor
-        return math.lcm(*(length * modulus // math.gcd(s, modulus) for length, s in cycles))
-
-    def conjugate(self, g: int, by: int) -> int:
-        """Index of by^-1 * g * by."""
-        return self.mult(self.mult(self.inverse_index[by], g), by)
+                order = math.lcm(order, length * modulus // math.gcd(s, modulus))
+        return order
 
     def conjugation_permutation(self, by: int) -> tuple[int, ...]:
-        return tuple(self.conjugate(g, by) for g in range(self.order))
+        """g -> index of by^-1 * g * by: column by (x -> x * by) read through row by^-1, one gather.
+
+        Builds every product row.
+        """
+        column = tuple(map(itemgetter(by), map(self.row, range(self.order))))
+        return _gatherer(self.row(self.inverse_index[by]))(column)
 
     @property
     def generator_conjugations(self) -> tuple[tuple[int, ...], ...]:
@@ -569,12 +564,11 @@ class GroupTable:
         return verdict
 
     def _conjugations_hold(self) -> bool:
-        """inverse_index inverts each row (all stored now), and conjugation by s is s^-1 x s."""
-        inverse, rows = self.inverse_index, self._rows
-        return not any(map(getitem, rows, inverse)) and all(
-            _gatherer(rows[inverse[s]])(tuple(map(itemgetter(s), rows))) == conj
-            for s, conj in zip(self.gens, self.generator_conjugations)
-        )
+        """inverse_index, in range, inverts each row (all stored now); s conjugates as s^-1 x s."""
+        inverse, indices = self.inverse_index, range(self.order)
+        if not all(map(indices.__contains__, inverse)) or any(map(getitem, self._rows, inverse)):
+            return False
+        return tuple(map(self.conjugation_permutation, self.gens)) == self.generator_conjugations
 
     def _composes_by_generators(self) -> bool:
         """Whether elements[mult(i, j)] = elements[i] * elements[j] for all i, j follows from

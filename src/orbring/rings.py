@@ -175,7 +175,7 @@ class OrbifoldModel:
 
         Its table is derived from this one (GroupTable.doubled), not closed
         again: element i is the double of element i, and the two tables
-        share one set of product rows and classes.
+        share one set of product rows, inverses and classes.
         """
         if self._cotangent is None:
             spec = cotangent_double(self.spec)

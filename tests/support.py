@@ -284,6 +284,11 @@ def invariant_expansion_oracle(alg):
 # The package computes each of these only as whole arrays; these one-entry
 # forms, which it cannot call, are their references.
 
+def conjugate(table, g: int, by: int) -> int:
+    """Index of by^-1 * g * by, from two products."""
+    return table.mult(table.mult(table.inverse_index[by], g), by)
+
+
 def eigen_phases(m: MonomialMap) -> tuple[RationalPhase, ...]:
     """Sorted multiset of rotation numbers of a monomial map.
 
@@ -624,7 +629,7 @@ def frobenius_scan(alg):
 def equivariance_scan(alg):
     order = alg.order
     for k in range(order):
-        conj = alg.table.conjugation_permutation(k)
+        conj = [conjugate(alg.table, g, k) for g in range(order)]
         for g in range(order):
             row = alg.constants[g]
             conj_row = alg.constants[conj[g]]

@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -209,6 +211,72 @@ def test_spec_name_that_utf8_cannot_encode_is_input_error(capsys, tmp_path, comm
     assert (code, out) == (2, "")
     assert err.count("\n") == 1
     assert "cannot be encoded as UTF-8" in err
+
+
+# a spec name that ASCII cannot encode, and every output that can carry it
+NON_ASCII_SPEC = {
+    "name": "z\u00e93",
+    "dimension": 1,
+    "generators": [{"perm": [0], "phases": ["1/3"]}],
+}
+OUTPUTS = [
+    ["inspect"],
+    ["ring"],
+    ["ring", "--format", "json"],
+    ["cotangent"],
+    ["verify"],
+    ["verify", "--format", "json"],
+]
+
+
+# verify's timings, the one part of an output that differs from run to run
+TIMINGS = re.compile(rb'\([0-9.]+ ms\)|"millis": [-+0-9.eE]+')
+
+
+def main_into(encoding, argv):
+    """cli.main with standard output a strict text stream of the encoding: (exit code, bytes)."""
+    written = io.BytesIO()
+    stream = io.TextIOWrapper(written, encoding=encoding)
+    stdout, sys.stdout = sys.stdout, stream
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.stdout = stdout
+    stream.flush()
+    return code, TIMINGS.sub(b"", written.getvalue())
+
+
+@pytest.mark.parametrize("argv", OUTPUTS, ids=" ".join)
+def test_ascii_stdout_escapes_the_spec_name(tmp_path, argv):
+    # each character ASCII lacks is written as its backslash escape, and the
+    # exit code is the command's own; JSON is ASCII already, so it is unchanged
+    path = write_spec(tmp_path, NON_ASCII_SPEC)
+    code, ascii_out = main_into("ascii", [argv[0], path, *argv[1:]])
+    utf8_code, utf8_out = main_into("utf-8", [argv[0], path, *argv[1:]])
+    assert code == utf8_code == 0
+    assert ascii_out.decode("ascii") == utf8_out.decode("utf-8").replace("\u00e9", "\\xe9")
+    if "json" in argv or argv[0] == "cotangent":
+        assert ascii_out == utf8_out
+    if argv in (["inspect"], ["verify"]):
+        assert b"z\\xe93" in ascii_out
+
+
+@pytest.mark.parametrize("command", ["inspect", "ring", "verify", "cotangent"])
+def test_ascii_locale_runs_every_command_on_a_non_ascii_name(tmp_path, command):
+    path = write_spec(tmp_path, NON_ASCII_SPEC)
+    runs = {}
+    for encoding in ("ascii", "utf-8"):
+        done = subprocess.run(
+            [sys.executable, "-m", "orbring.cli", command, path],
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING=encoding),
+            capture_output=True,
+            timeout=120,
+        )
+        out = TIMINGS.sub(b"", done.stdout).decode(encoding)
+        runs[encoding] = done.returncode, out, done.stderr
+    code, out, err = runs["ascii"]
+    assert (code, err) == (0, b"")
+    assert runs["utf-8"] == (0, out.replace("\\xe9", "\u00e9"), b"")
 
 
 @pytest.mark.parametrize("command", ["inspect", "ring", "verify", "cotangent"])

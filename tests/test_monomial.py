@@ -1,6 +1,7 @@
 import math
 import random
 from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from orbring import (
     InputError,
     MonomialMap,
     OrbifoldModel,
+    OrbifoldSpec,
     RationalPhase,
     ResourceCapError,
     monomial,
@@ -21,6 +23,7 @@ from support import (
     CORPUS_NAMES,
     built_rows,
     closure_oracle,
+    conjugate,
     corpus_model,
     corpus_spec,
     element_order_scan,
@@ -123,6 +126,66 @@ def test_zero_dimensional_identity():
     assert e.trace() == 0
 
 
+# each public constructor's refusal: the error type and its whole message
+INVALID_INPUTS = [
+    (lambda: OrbifoldSpec("s", 2, ["e0 -> e1"]), InputError, "generator 0 is not a monomial map"),
+    (
+        lambda: OrbifoldSpec("s", 3, [Z3_GEN]),
+        InputError,
+        "generator 0 has dimension 2, spec says 3",
+    ),
+    (lambda: GroupTable.close([], 257), ResourceCapError, "dimension 257 exceeds the cap 256"),
+    (
+        lambda: GroupTable.close([Z3_GEN], 2, cap=0),
+        InputError,
+        "group order cap must be a positive integer, got 0",
+    ),
+    (
+        lambda: GroupTable.close([Z3_GEN], 2, cap=True),
+        InputError,
+        "group order cap must be a positive integer, got True",
+    ),
+    (
+        lambda: GroupTable.close([Z3_GEN], 2, cap=10001),
+        ResourceCapError,
+        "group order cap 10001 exceeds the cap 10000",
+    ),
+    (
+        lambda: GroupTable.close([Z3_GEN], 3),
+        InputError,
+        "generator of dimension 2 in a dimension-3 orbifold",
+    ),
+    (
+        lambda: MonomialMap((0,), (Fraction(1, 3),)),
+        InputError,
+        "phases must be RationalPhase values, got Fraction(1, 3)",
+    ),
+    (
+        lambda: MonomialMap.identity(-1),
+        InputError,
+        "dimension must be a nonnegative integer, got -1",
+    ),
+    (
+        lambda: GroupTable.close([Z3_GEN], 2).subgroup_closure((1, 3)),
+        InputError,
+        "element index 3 out of range",
+    ),
+    (
+        lambda: RationalPhase(1.5),
+        InputError,
+        "phase components must be integers, got 1.5/1",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, error, message", INVALID_INPUTS)
+def test_public_constructors_refuse_invalid_input(make, error, message):
+    with pytest.raises(error) as raised:
+        make()
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
 # --- traces ---
 
 def test_trace_examples():
@@ -136,7 +199,7 @@ def test_trace_is_class_function():
     table = model.table
     for g in range(table.order):
         for k in range(table.order):
-            assert table.elements[table.conjugate(g, k)].trace() == table.elements[g].trace()
+            assert table.elements[conjugate(table, g, k)].trace() == table.elements[g].trace()
 
 
 # --- closure ---
@@ -305,7 +368,7 @@ def test_s3_class_sizes():
     table = corpus_model("s3-perm").table
     for cls in part.classes:
         for g in cls:
-            orbit = {table.conjugate(g, k) for k in range(table.order)}
+            orbit = {conjugate(table, g, k) for k in range(table.order)}
             assert orbit == set(cls)
 
 
@@ -328,7 +391,7 @@ def test_partition_covers_everything():
 def conjugation_partition(table):
     """Classes straight from the definition: conjugate by every element."""
     classes = {
-        tuple(sorted({table.conjugate(g, k) for k in range(table.order)}))
+        tuple(sorted({conjugate(table, g, k) for k in range(table.order)}))
         for g in range(table.order)
     }
     return tuple(sorted(classes))
@@ -498,8 +561,32 @@ def test_generator_conjugation_tables(spec, lazy):
             table.row(i)
     conjugations = table.generator_conjugations
     assert built_rows(table) == ([0] if lazy else list(range(table.order)))
-    assert conjugations == tuple(table.conjugation_permutation(s) for s in table.gens)
+    assert conjugations == tuple(
+        tuple(conjugate(table, x, s) for x in range(table.order)) for s in table.gens
+    )
     assert table.generator_conjugations is conjugations
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
+def test_check_group_refuses_an_inverse_out_of_range(spec):
+    # at g, the inverse of the last element, -1 reads row g's last entry,
+    # g * last = e, so only a range check tells it from the true inverse
+    for value in (-1, spec.close().order):
+        table = spec.close()
+        inverses = table.inverse_index
+        g = inverses[table.order - 1]
+        table._shared["inverses"] = inverses[:g] + (value,) + inverses[g + 1 :]
+        assert table.check_group() is False
+        assert table.is_group_table() is False
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
+def test_conjugation_permutation_matches_two_products(spec):
+    table = spec.close()
+    for k in range(table.order):
+        assert table.conjugation_permutation(k) == tuple(
+            conjugate(table, x, k) for x in range(table.order)
+        )
 
 
 def test_close_lazy_mult_and_classes_form_no_monomial_products(monkeypatch):
@@ -518,7 +605,7 @@ def test_inspect_derives_no_inverses_and_formats_only_representative_labels():
     model = OrbifoldModel(gmpn_spec(2, 1, 3))
     text = _inspect_text(model)
     assert "conjugacy classes: 10" in text
-    assert "inverse_index" not in model.table.__dict__
+    assert "inverses" not in model.table._shared
     assert "labels" not in model.__dict__
     assert model.labels[:3] == ("e", "g1", "g2") and len(model.labels) == model.order
 

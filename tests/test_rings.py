@@ -24,6 +24,7 @@ from support import (
     CORPUS_NAMES,
     SMALL_NAMES,
     class_convolution_oracle,
+    conjugate,
     corpus_model,
     corpus_spec,
     cube_report,
@@ -94,7 +95,7 @@ def test_ranks_are_conjugation_invariant(name):
     for k in range(model.order):
         for g in range(model.order):
             for h in range(model.order):
-                cg, ch = table.conjugate(g, k), table.conjugate(h, k)
+                cg, ch = conjugate(table, g, k), conjugate(table, h, k)
                 assert obstruction_rank(model, cg, ch) == obstruction_rank(model, g, h)
                 assert excess_rank(model, cg, ch) == excess_rank(model, g, h)
 
@@ -226,7 +227,7 @@ def test_constants_symmetric_under_twisted_swap(name):
         alg = model.algebra(theory)
         for g in range(model.order):
             for h in range(model.order):
-                twisted = table.conjugate(g, h)
+                twisted = conjugate(table, g, h)
                 assert table.mult(h, twisted) == table.mult(g, h)
                 assert alg.constant(g, h) == alg.constant(h, twisted)
 
@@ -294,13 +295,13 @@ def corrupted(draw, alg):
         if kind == "pair":
             pairs = {(g, h)}
         elif kind == "orbit":
-            pairs = {(table.conjugate(g, k), table.conjugate(h, k)) for k in range(alg.order)}
+            pairs = {(conjugate(table, g, k), conjugate(table, h, k)) for k in range(alg.order)}
         else:
             s = table.gens[0] if table.gens else 0
             pairs = set()
             while (g, h) not in pairs:
                 pairs.add((g, h))
-                g, h = table.conjugate(g, s), table.conjugate(h, s)
+                g, h = conjugate(table, g, s), conjugate(table, h, s)
         for a, b in sorted(pairs):
             alg = with_constant(alg, a, b, value)
     return alg
@@ -536,19 +537,40 @@ def test_verifier_matches_cube_on_lazy_table():
         assert verify_algebra(alg).passed and not verify_algebra(broken).passed
 
 
+def with_inverses(alg, inverses):
+    """alg on a copy of its table whose inverse_index reads inverses.
+
+    The copy gets its own copy of the shared caches, so the cached model's
+    table and its doubled table keep their inverses.
+    """
+    table = copy.copy(alg.table)
+    table._shared = {**table._shared, "inverses": tuple(inverses)}
+    return SectorAlgebra(alg.theory, table, alg.degrees, alg.constants, alg.labels)
+
+
+@pytest.mark.parametrize("name", ["z3-11", "s3-perm", "q8"])
+def test_nondegeneracy_fails_at_an_inverse_out_of_range(name):
+    # a row whose inverse is no index of the algebra has no partner, and the
+    # O(|G|) pass returns there, before it collects any column
+    alg = corpus_model(name).algebra(CR)
+    intact = alg.table.inverse_index
+    for g in range(alg.order):
+        for value in (alg.order, -1):
+            broken = with_inverses(alg, intact[:g] + (value,) + intact[g + 1 :])
+            expected = AxiomCheck(
+                "nondegeneracy", False, {"sector": alg.labels[g], "partners": []}
+            )
+            assert nondegeneracy_scan(broken) == expected
+            assert rings._nondegeneracy_by_inverses(broken) == expected
+    assert alg.table.inverse_index is intact
+    assert rings._nondegeneracy_by_inverses(alg) == AxiomCheck("nondegeneracy", True)
+
+
 def test_nondegeneracy_fails_when_inverse_index_is_not_a_permutation():
     # Every row of this pairing has its one partner e, so only the columns
     # can fail: column e has all six sectors, and the pairing has rank 1.
     alg = corpus_model("s3-perm").algebra(CR)
-    table = copy.copy(alg.table)
-    table.inverse_index = (0,) * table.order
-    broken = SectorAlgebra(
-        theory=alg.theory,
-        table=table,
-        degrees=alg.degrees,
-        constants=alg.constants,
-        labels=alg.labels,
-    )
+    broken = with_inverses(alg, (0,) * alg.order)
     expected = AxiomCheck(
         "nondegeneracy", False, {"sector": "e", "partners": list(alg.labels)}
     )
