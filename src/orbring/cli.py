@@ -80,8 +80,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_ring(args: argparse.Namespace) -> int:
     model = OrbifoldModel(OrbifoldSpec.load(args.spec), forget_geometry=args.dw)
-    algebra = model.algebra(args.theory)
-    ring = algebra.invariant_ring() if args.basis == "class" else algebra
+    ring = model.class_ring(args.theory) if args.basis == "class" else model.algebra(args.theory)
     _emit(ring.to_json() if args.format == "json" else ring.to_text())
     return EXIT_OK
 

@@ -117,7 +117,8 @@ def closure_sanity_check(model: OrbifoldModel) -> dict | None:
     maps, a group, so each element order, read from its code, divides |G|
     (Lagrange), and products agree with composition; it also reads
     mult(i, inverse_index[i]) = 0.  Only a False verdict runs the loops
-    below, in order, to name the first failure.
+    below, in order, to name the first failure; an inverse that is no
+    index of the table is reported as a broken inverse table.
     """
     table = model.table
     if table.check_group():
@@ -126,7 +127,8 @@ def closure_sanity_check(model: OrbifoldModel) -> dict | None:
         return {"problem": "index 0 is not the identity"}
     order = table.order
     for i in range(order):
-        if table.mult(i, table.inverse_index[i]) != 0:
+        inverse = table.inverse_index[i]
+        if inverse not in range(order) or table.mult(i, inverse) != 0:
             return {"problem": "inverse table broken", "element": model.label(i)}
         if order % table.element_order(i) != 0:
             return {

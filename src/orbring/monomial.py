@@ -172,10 +172,11 @@ class GroupTable:
 
     Everything else is built on first read and then kept: the product rows
     (one way at every order, see row), the decoded elements and their index,
-    inverse_index, the conjugation tables, the classes and the verdict of
-    check_group.  All but the decoded elements are facts of the group, not
-    of its codes, and a table and its doubled table (see doubled) share them,
-    each derived once per group.
+    the cycles of each element asked about, inverse_index, the conjugation
+    tables, the classes and the verdict of check_group.  All but the decoded
+    elements and the cycles are facts of the group, not of its codes, and a
+    table and its doubled table (see doubled) share them, each derived once
+    per group.
     """
 
     # Read by no code in orbring; kept only because perfbench/layers.py reads
@@ -226,6 +227,11 @@ class GroupTable:
     @cached_property
     def index(self) -> dict[MonomialMap, int]:
         return {element: i for i, element in enumerate(self.elements)}
+
+    @cached_property
+    def _cycles(self) -> dict[int, tuple]:
+        """The kept cycles of the elements asked about, by index (see cycles)."""
+        return {}
 
     @property
     def inverse_index(self) -> tuple[int, ...]:
@@ -406,7 +412,7 @@ class GroupTable:
             raise ConsistencyError("doubled codes do not compose along the search parents")
         table = copy.copy(self)
         table.dimension, table.codes = 2 * n, codes
-        for decoded in ("elements", "index"):
+        for decoded in ("elements", "index", "_cycles"):
             vars(table).pop(decoded, None)
         return table
 
@@ -442,6 +448,17 @@ class GroupTable:
             rows[i] = built
         return rows[i]
 
+    def cycles(self, i: int) -> tuple:
+        """Element i's permutation cycles (see _code_cycles), walked on first read and kept.
+
+        element_order and SectorGeometry.sector both read them, so inspect
+        walks each class representative once.
+        """
+        walked = self._cycles.get(i)
+        if walked is None:
+            walked = self._cycles[i] = _code_cycles(self.codes[i], self.dimension)
+        return walked
+
     def element_order(self, i: int) -> int:
         """Least m >= 1 with i^m = e, read from the permutation cycles of element i's code.
 
@@ -451,21 +468,9 @@ class GroupTable:
         is 1 exactly when N/gcd(s, N) divides t: m is the lcm over the cycles
         of L*N/gcd(s, N).
         """
-        n, modulus = self.dimension, self.conductor
-        code = self.codes[i]
-        seen = [False] * n
-        order = 1
-        for start in range(n):
-            s = length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                a, j = divmod(code[j], n)  # code a*n + k: e_j -> zeta^a e_k
-                s += a
-                length += 1
-            if length:
-                order = math.lcm(order, length * modulus // math.gcd(s, modulus))
-        return order
+        modulus = self.conductor
+        cycles = self.cycles(i)
+        return math.lcm(*(len(steps) * modulus // math.gcd(s, modulus) for steps, s in cycles))
 
     def conjugation_permutation(self, by: int) -> tuple[int, ...]:
         """g -> index of by^-1 * g * by: column by (x -> x * by) read through row by^-1, one gather.
@@ -539,6 +544,10 @@ class GroupTable:
     def shares_group_with(self, other: "GroupTable") -> bool:
         """Whether other reads this table's product rows and shared facts (see doubled)."""
         return self._rows is other._rows and self._shared is other._shared
+
+    def _known_group(self) -> bool:
+        """Whether check_group has already answered True for these rows; decides nothing."""
+        return self._shared.get("group") is True
 
     def is_group_table(self) -> bool:
         """check_group's kept verdict, decided on first call; check_group again after a change."""
@@ -642,6 +651,30 @@ class GroupTable:
                     members.add(y)
                     queue.append(y)
         return tuple(sorted(members))
+
+
+def _code_cycles(code: Sequence[int], n: int) -> tuple:
+    """The permutation cycles of a code on C^n, each as (steps, s), from their least coordinates up.
+
+    steps lists (j, p_j) for each coordinate j of the cycle in walk order
+    from its least coordinate m, where p_j is the sum of the phase weights
+    a (code a*n + k: e_j -> zeta^a e_k) along the walk from m to j, and s is
+    the sum all the way round; neither is reduced mod the conductor.
+    """
+    seen = [False] * n
+    cycles = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        steps = []
+        s, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            steps.append((j, s))
+            a, j = divmod(code[j], n)
+            s += a
+        cycles.append((tuple(steps), s))
+    return tuple(cycles)
 
 
 def _encode(m: MonomialMap, n: int, conductor: int) -> tuple[int, ...] | None:

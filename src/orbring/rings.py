@@ -13,6 +13,8 @@ conjugation-invariant subring are nonnegative ints.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, groupby, repeat
@@ -103,20 +105,74 @@ class OrbifoldModel:
         _check_theory(theory)
         alg = self._algebras.get(theory)
         if alg is None:
-            geometry = self.geometry
-            if theory == CR:
-                degrees = tuple(Fraction(2 * a, geometry.scale) for a in geometry.ages)
-            else:
-                degrees = tuple(Fraction(2 * (self.n - f)) for f in geometry.fixed)
             alg = SectorAlgebra(
                 theory=theory,
                 table=self.table,
-                degrees=degrees,
+                degrees=self._degrees(theory, range(self.order)),
                 constants=self._constant_rows(theory),
                 labels=self.labels,
             )
             self._algebras[theory] = alg
         return alg
+
+    def _degrees(self, theory: str, elements) -> tuple[Fraction, ...]:
+        """The theory's degrees of the given elements: twice the age for cr, twice the
+        codimension for virt."""
+        geometry = self.geometry
+        if theory == CR:
+            return tuple(Fraction(2 * geometry.ages[i], geometry.scale) for i in elements)
+        return tuple(Fraction(2 * (self.n - geometry.fixed[i])) for i in elements)
+
+    def class_ring(self, theory: str) -> "InvariantRing":
+        """algebra(theory).invariant_ring(), read off the class representatives' rows.
+
+        Under the guard (table.is_group_table(), decided here if it is not
+        yet, and _conjugation_invariant), write r_a for the representative
+        of class C_a and
+            T_abc = #{h in C_b : c[r_a][h] = 1 and r_a h in C_c},
+        counted from row r_a of the exact loop (_exact_rows) and row r_a of
+        the products.  Then the coefficient of y_c in y_a y_b is
+            N_abc = |C_a| T_abc / |C_c|.
+        Proof.  Each generator conjugation is a table automorphism that
+        keeps the constants (_constant_rows) and maps every class onto
+        itself, and the classes are the orbits of those conjugations, so
+        every g in C_a is phi(r_a) for such an automorphism phi; h -> phi(h)
+        is a bijection of C_b with c[g][phi h] = c[r_a][h] and g phi(h) =
+        phi(r_a h) in C_c exactly when r_a h is.  So the pairs (g, h) in
+        C_a x C_b with c[g][h] = 1 and gh in C_c number |C_a| T_abc.  The
+        coefficient of x_k in y_a y_b, the number of those pairs with gh =
+        k, is the same at every k in C_c (see cotangent._class_stage_follows),
+        so those pairs also number |C_c| N_abc, and the division is exact.
+        Neither ConsistencyError of invariant_ring can fire: the degrees,
+        unchanged by each generator conjugation, are constant on its orbits,
+        the classes, and the class sums' products are class-constant by the
+        same argument.  The exact loop on the representatives raises the
+        full build's first error (_constant_rows).  Where the guard fails,
+        the sector algebra is built and invariant_ring, the tests' oracle,
+        regroups it.
+        """
+        _check_theory(theory)
+        table = self.table
+        if not (table.is_group_table() and self._conjugation_invariant()):
+            return self.algebra(theory).invariant_ring()
+        part = table.conjugacy_classes()
+        class_of, representatives = part.class_of, part.representatives
+        sizes = tuple(map(len, part.classes))
+        constants = {}
+        rows = self._exact_rows(theory, representatives)
+        for a, (r, row) in enumerate(zip(representatives, rows)):
+            # the classes of h and of r h, for each h with c[r][h] = 1
+            landing = _gatherer(table.row(r))(class_of)
+            counts = Counter(zip(compress(class_of, row), compress(landing, row)))
+            for (b, c), count in counts.items():
+                constants[(a, b, c)] = sizes[a] * count // sizes[c]
+        return InvariantRing(
+            theory=theory,
+            labels=tuple(f"[{self.label(r)}]" for r in representatives),
+            class_sizes=sizes,
+            degrees=self._degrees(theory, representatives),
+            constants=constants,
+        )
 
     def built(self, theory: str) -> "SectorAlgebra | None":
         """The theory's algebra if algebra() has built it, else None; builds nothing."""
@@ -131,7 +187,54 @@ class OrbifoldModel:
         return kept[1]
 
     def _constant_rows(self, theory: str) -> tuple[bytes, ...]:
-        """The theory's structure constants as one bytes row per g, from the int arrays.
+        """The theory's structure constants as one bytes row per g.
+
+        The exact loop (_exact_rows) runs on the class representatives' rows
+        alone where the table's group verdict is already known to be True
+        (the build never decides it) and _conjugation_invariant holds; every
+        other row is then filled by one C-level gather along a walk of its
+        class: row sigma x is row x gathered through sigma^-1, for each
+        generator conjugation sigma.  Elsewhere the exact loop runs on every
+        row.
+
+        Proof.  Under the guard each sigma is conjugation by a generator in a
+        group, a table automorphism: sigma(gh) = sigma(g) sigma(h).  It keeps
+        the ages and fixed dimensions, so d and top, and p(sigma g, sigma h)
+        = pairs[tau id g][tau id h] = pairs[id g][id h].  So the scaled rank
+        and the codimension gate at (sigma g, sigma h) are those at (g, h):
+        c[sigma g][sigma h] = c[g][h], and the entry fails checked_rank
+        exactly when (g, h) does.  Row sigma x at sigma h is row x at h,
+        which is the gather above.  The classes are the orbits of the
+        generator conjugations, so the walks from the representatives fill
+        every row.  The failing entries form orbits under simultaneous
+        conjugation, so the class representative of the least failing g
+        fails too; it is the least member of its class, so it is g.  The
+        representatives are taken in increasing order and each row in full
+        order, so the loop raises the full build's ConsistencyError at the
+        same (g, h).
+        """
+        table, order = self.table, self.order
+        if not (table._known_group() and self._conjugation_invariant()):
+            return tuple(self._exact_rows(theory, range(order)))
+        conjugations = table.generator_conjugations
+        # sorting the indices by sigma's images inverts sigma
+        back = [_gatherer(sorted(range(order), key=conj.__getitem__)) for conj in conjugations]
+        rows: list[bytes | None] = [None] * order
+        representatives = table.conjugacy_classes().representatives
+        for r, row in zip(representatives, self._exact_rows(theory, representatives)):
+            rows[r] = row
+            stack = [r]
+            while stack:
+                x = stack.pop()
+                for conj, gather in zip(conjugations, back):
+                    y = conj[x]
+                    if rows[y] is None:
+                        rows[y] = bytes(gather(rows[x]))
+                        stack.append(y)
+        return tuple(rows)
+
+    def _exact_rows(self, theory: str, elements) -> Iterator[bytes]:
+        """The theory's constant row of each given g, in order, from the int arrays.
 
         Entry h of row g, the coefficient of x_{gh} in x_g * x_h, is 1 iff
         both gates pass.  The rank gate asks that the bundle rank vanish.
@@ -144,7 +247,8 @@ class OrbifoldModel:
         codimension gate asks that V^g meet V^h be V^gh, that is, have its
         dimension.  An entry whose rank is not a nonnegative integer raises
         the rank's ConsistencyError through checked_rank.  The tests keep a
-        one-entry form of the two gates as the oracle for every entry.
+        one-entry form of the two gates as the oracle for every entry, and
+        this loop over every g as the oracle of _constant_rows.
         """
         geometry = self.geometry
         fixed = geometry.fixed
@@ -154,10 +258,9 @@ class OrbifoldModel:
             d, scale, kind = [self.n - f for f in fixed], 1, "excess"
         top = [x + scale * f for x, f in zip(d, fixed)]
         ids, pairs = geometry.subspace_ids, geometry.subspace_pairs
-        rows = []
         # one plain loop: C-level map chains per row are about 2x slower on CPython
         # 3.11.7, 2 shared cores: G(6,1,3) in process, cr 215 -> 520 ms, virt 192 -> 405 ms
-        for g in range(self.order):
+        for g in elements:
             row = bytearray(self.order)
             d_g, line = d[g], pairs[ids[g]]
             for h, (gh, sid) in enumerate(zip(self.table.row(g), ids)):
@@ -167,8 +270,36 @@ class OrbifoldModel:
                     self.checked_rank(kind, g, h, scaled, scale)
                 if scaled == 0 and p == fixed[gh]:
                     row[h] = 1
-            rows.append(bytes(row))
-        return tuple(rows)
+            yield bytes(row)
+
+    def _conjugation_invariant(self) -> bool:
+        """Whether each generator conjugation sigma keeps the ages and fixed dimensions,
+        x -> sigma x maps subspace ids to subspace ids as one map tau, and
+        subspace_pairs is invariant under tau.
+
+        sigma permutes the elements, so tau maps the ids that occur onto
+        themselves, a bijection.  O(|G| |gens| + S^2 |gens|) steps for S
+        distinct subspaces.
+        """
+        geometry = self.geometry
+        ages, fixed, ids, pairs = (
+            geometry.ages, geometry.fixed, geometry.subspace_ids, geometry.subspace_pairs
+        )
+        for conj in self.table.generator_conjugations:
+            if list(map(ages.__getitem__, conj)) != ages:
+                return False
+            if list(map(fixed.__getitem__, conj)) != fixed:
+                return False
+            moved = list(map(ids.__getitem__, conj))
+            tau = dict(zip(ids, moved))
+            if list(map(tau.__getitem__, ids)) != moved:
+                return False
+            for a, image in tau.items():
+                if list(map(pairs[image].__getitem__, tau.values())) != list(
+                    map(pairs[a].__getitem__, tau)
+                ):
+                    return False
+        return True
 
     def cotangent_model(self) -> "OrbifoldModel":
         """Model of the doubled orbifold, in the same geometry mode.

@@ -19,13 +19,12 @@ SectorGeometry.trace.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
 from ._record import Record
 from .cyclotomic import CyclotomicNumber
-from .monomial import GroupTable
+from .monomial import GroupTable, _code_cycles
 
 __all__ = ["SectorData", "SectorGeometry"]
 
@@ -73,11 +72,11 @@ class SectorGeometry:
     def subspace_ids(self) -> list[int]:
         return self._element_arrays[2]
 
-    def _walk(self, code: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
-        """Age (times scale), fixed dimension and subspace key of one code.
+    def _walk(self, cycles) -> tuple[int, int, tuple[int, ...]]:
+        """Age (times scale), fixed dimension and subspace key from one code's cycles.
 
-        One walk over the permutation cycles of the code gives all three.
-        A cycle of length L whose phases sum to s/N (0 <= s < N) has the
+        cycles is the code's _code_cycles: (steps, s) per cycle.  A cycle
+        of length L whose phases sum to s/N (0 <= s < N) has the
         eigen-phases (s/N + t)/L, t = 0..L-1, since the element's L-th power
         is the scalar e^(2 pi i s/N) on the cycle's span.  They sum
         to s/N + (L-1)/2, which is (2s + (L-1)N) over 2N, and one of them
@@ -98,42 +97,32 @@ class SectorGeometry:
         are proportional over V^g (on different cycles the line of j's
         cycle has v_j = 1 and v_k = 0); and v_j / v_m = zeta^p_j fixes p_j
         mod N, zeta being a primitive N-th root.  So equal keys mean equal
-        fixed subspaces.  With n = 0 (forget mode) the walk gives
-        (0, 0, ()).
+        fixed subspaces.  With n = 0 (forget mode) there are no cycles,
+        and the walk gives (0, 0, ()).
         """
-        n = self.n
         modulus = self.table.conductor
-        killed = n * modulus  # no entry m * N + p, with m < n and p < N, equals it
-        key = [-1] * n  # -1 until the walk reaches the coordinate
+        killed = self.n * modulus  # no entry m * N + p, with m < n and p < N, equals it
+        key = [killed] * self.n
         age = dim = 0
-        for start in range(n):
-            if key[start] >= 0:
-                continue
-            base = start * modulus
-            s = 0
-            cycle = []
-            j = start
-            while key[j] < 0:
-                key[j] = base + s % modulus
-                cycle.append(j)
-                a, j = divmod(code[j], n)  # code a*n + k: e_j -> zeta^a e_k
-                s += a
+        for steps, s in cycles:
             s %= modulus
-            age += 2 * s + (len(cycle) - 1) * modulus
-            if s:
-                for j in cycle:
-                    key[j] = killed
-            else:
+            age += 2 * s + (len(steps) - 1) * modulus
+            if not s:
                 dim += 1
+                base = steps[0][0] * modulus
+                for j, p in steps:
+                    key[j] = base + p % modulus
         return age, dim, tuple(key)
 
     @cached_property
     def _element_arrays(self) -> tuple[list[int], list[int], list[int], list[int]]:
         """Ages (times scale), fixed dimensions, subspace ids and their representatives.
 
-        One _walk per code gives the age, the fixed dimension and the key.
-        The ids number the distinct keys in order of first appearance, and
-        the representative of an id is its least element.
+        One _walk per code gives the age, the fixed dimension and the key;
+        the cycles are walked here and not kept (GroupTable.cycles keeps
+        those it is asked for).  The ids number the distinct keys in order
+        of first appearance, and the representative of an id is its least
+        element.
         """
         ages = []
         fixed = []
@@ -141,7 +130,7 @@ class SectorGeometry:
         representatives = []
         id_of_key: dict[tuple[int, ...], int] = {}
         for i, code in enumerate(self.table.codes):
-            age, dim, key = self._walk(code)
+            age, dim, key = self._walk(_code_cycles(code, self.n))
             ages.append(age)
             fixed.append(dim)
             sid = id_of_key.setdefault(key, len(representatives))
@@ -154,16 +143,16 @@ class SectorGeometry:
         """Age, fixed dimension and degree shifts of element i.
 
         Read from the arrays once they exist, so a change to ages or fixed
-        shows here.  Before that, one _walk of element i's code gives the
-        same numbers and builds no array: inspect reads only the class
-        representatives.  The virtual shift is twice the codimension and
-        the cr shift twice the age.
+        shows here.  Before that, one _walk of the table's kept cycles of
+        element i gives the same numbers and builds no array: inspect reads
+        only the class representatives.  The virtual shift is twice the
+        codimension and the cr shift twice the age.
         """
         arrays = self.__dict__.get("_element_arrays")
         if arrays is not None:
             age, dim = arrays[0][i], arrays[1][i]
         else:
-            age, dim, _key = self._walk(self.table.codes[i])
+            age, dim, _key = self._walk(self.table.cycles(i) if self.n else ())
         age = Fraction(age, self.scale)
         return SectorData(age, dim, 2 * (self.n - dim), 2 * age)
 

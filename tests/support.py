@@ -3,6 +3,10 @@ independent oracles."""
 
 from __future__ import annotations
 
+import importlib.util
+import math
+import random
+import sys
 from array import array
 from collections import deque
 from fractions import Fraction
@@ -84,6 +88,30 @@ def gmpn_spec(m: int, p: int, n: int) -> OrbifoldSpec:
         phases = [str(entries.get(j, Fraction(0)) % 1) for j in range(n)]
         gens.append({"perm": list(range(n)), "phases": phases})
     return OrbifoldSpec.from_dict({"name": f"G({m},{p},{n})", "dimension": n, "generators": gens})
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded from its path (it imports the standard library alone)."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        found = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+        module = importlib.util.module_from_spec(found)
+        sys.modules[name] = module  # dataclasses look their module up while the body runs
+        found.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def basis_changed_spec(spec: OrbifoldSpec, seed: int) -> OrbifoldSpec:
+    """spec under a seeded monomial change of basis, by perfbench's workloads.change_basis:
+    a coordinate permutation and a diagonal of m-th roots of unity, m the lcm of the
+    generators' phase denominators."""
+    rng = random.Random(seed)
+    n = spec.dimension
+    m = math.lcm(1, *(p.denominator for g in spec.generators for p in g.phases))
+    sigma = rng.sample(range(n), n)
+    shifts = [rng.randrange(m) for _ in range(n)]
+    data = _perfbench_workloads().change_basis(spec.to_dict(), sigma, shifts, m)
+    return OrbifoldSpec.from_dict({**data, "name": f"{spec.name} seed {seed}"})
 
 
 def diagonal_spec(generators):
@@ -414,7 +442,8 @@ def closure_sanity_scan(model):
         return {"problem": "index 0 is not the identity"}
     order = table.order
     for i in range(order):
-        if table.mult(i, table.inverse_index[i]) != 0:
+        inverse = table.inverse_index[i]
+        if not 0 <= inverse < order or table.mult(i, inverse) != 0:
             return {"problem": "inverse table broken", "element": model.label(i)}
         if order % table.element_order(i) != 0:
             return {

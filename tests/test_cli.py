@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import budget
-from orbring import CR, OrbifoldModel, RationalPhase, cli
+from orbring import CR, OrbifoldModel, RationalPhase, cli, monomial
 from support import CORPUS_NAMES, built_rows, corpus_path, gmpn_spec
 
 
@@ -326,6 +326,25 @@ def test_inspect_walks_only_class_representatives(family, dw):
     cli._inspect_text(model)
     assert "_element_arrays" not in model.geometry.__dict__
     assert built_rows(model.table) == [0]
+
+
+@pytest.mark.parametrize("dw", [False, True], ids=["geometric", "dw"])
+@pytest.mark.parametrize("family", [(3, 1, 3), (2, 1, 4)], ids=lambda f: "G({},{},{})".format(*f))
+def test_inspect_walks_each_class_representative_once(family, dw, monkeypatch):
+    # the age, fixed dimension and element order all come from the table's
+    # kept cycles of the representative
+    walked = []
+    real = monomial._code_cycles
+
+    def counted(code, n):
+        walked.append(code)
+        return real(code, n)
+
+    monkeypatch.setattr(monomial, "_code_cycles", counted)
+    model = OrbifoldModel(gmpn_spec(*family), forget_geometry=dw)
+    cli._inspect_text(model)
+    representatives = model.table.conjugacy_classes().representatives
+    assert walked == [model.table.codes[r] for r in representatives]
 
 
 def test_inspect_s3(capsys):

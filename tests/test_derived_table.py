@@ -34,6 +34,7 @@ from support import (
     built_rows,
     closure_sanity_scan,
     corpus_spec,
+    element_order_scan,
     gmpn_spec,
     monomial_generator_sets,
     monomial_maps,
@@ -220,3 +221,26 @@ def test_closure_sanity_with_a_phase_off_the_conductor_matches_scan():
     }
     assert closure_sanity_check(model) == expected
     assert not model.table.is_group_table()
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+def test_a_derived_table_walks_the_cycles_of_its_own_codes(spec):
+    # the original's kept cycles are read first, so a view that shared them
+    # would report the original's orders and sectors
+    model = OrbifoldModel(spec)
+    table = model.table
+    for i in range(table.order):
+        table.element_order(i)
+        model.sector(i)
+    doubled = model.cotangent_model()
+    derived = doubled.table
+    assert [derived.element_order(i) for i in range(derived.order)] == [
+        element_order_scan(derived, i) for i in range(derived.order)
+    ]
+    walked = [doubled.sector(i) for i in range(derived.order)]
+    for i in range(derived.order):
+        assert sum(len(steps) for steps, _ in derived.cycles(i)) == 2 * spec.dimension
+    doubled.geometry.ages  # from here on sector reads the arrays
+    assert walked == [doubled.sector(i) for i in range(derived.order)]
+    closed = OrbifoldModel(cotangent_double(spec))
+    assert walked == [closed.sector(j) for j in sector_bijection(table, closed.table)]

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import functools
 import json
@@ -19,13 +20,15 @@ from orbring import (
     SectorAlgebra,
     verify_algebra,
 )
-from orbring import rings
+from orbring import cli, rings
 from support import (
     CORPUS_NAMES,
     SMALL_NAMES,
+    basis_changed_spec,
     class_convolution_oracle,
     conjugate,
     corpus_model,
+    corpus_path,
     corpus_spec,
     cube_report,
     excess_rank,
@@ -785,3 +788,193 @@ def test_theory_tag_validated():
         model.algebra("weird")
     with pytest.raises(InputError):
         structure_constant(model, "weird", 0, 0)
+
+
+# --- the representative route: constant rows and the class ring from the classes' rows ---
+
+ROUTE_SPECS = [
+    *(corpus_spec(name) for name in CORPUS_NAMES),
+    *(gmpn_spec(m, p, n) for m, p, n in ((4, 1, 2), (2, 1, 3), (3, 1, 3), (2, 1, 4))),
+    basis_changed_spec(gmpn_spec(4, 1, 2), 1),
+]
+
+
+@contextlib.contextmanager
+def counted_exact_rows():
+    """Records in rows every g whose row the exact loop (OrbifoldModel._exact_rows) is asked for."""
+    rows = []
+    real = OrbifoldModel._exact_rows
+
+    def counted(model, theory, elements):
+        rows.extend(elements)
+        return real(model, theory, elements)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OrbifoldModel, "_exact_rows", counted)
+        yield rows
+
+
+def outcome(build):
+    try:
+        return "built", build()
+    except ConsistencyError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=lambda spec: spec.name)
+def test_representative_rows_equal_the_full_loop(spec, forget):
+    model = OrbifoldModel(spec, forget_geometry=forget)
+    assert model.table.check_group() and model._conjugation_invariant()
+    representatives = model.table.conjugacy_classes().representatives
+    for theory in THEORIES:
+        with counted_exact_rows() as rows:
+            built = model._constant_rows(theory)
+        assert rows == list(representatives)
+        assert built == tuple(model._exact_rows(theory, range(model.order)))
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+@pytest.mark.parametrize("spec", ROUTE_SPECS, ids=lambda spec: spec.name)
+def test_class_ring_equals_the_invariant_ring_of_the_sector_algebra(spec, forget):
+    for theory in THEORIES:
+        model = OrbifoldModel(spec, forget_geometry=forget)
+        with counted_exact_rows() as rows:
+            ring = model.class_ring(theory)
+        part = model.table.conjugacy_classes()
+        assert rows == list(part.representatives)
+        assert model.built(theory) is None
+        expected = OrbifoldModel(spec, forget_geometry=forget).algebra(theory).invariant_ring()
+        assert ring.to_json() == expected.to_json()
+        assert ring.to_text() == expected.to_text()
+        assert (ring.labels, ring.class_sizes, ring.degrees, ring.constants) == (
+            expected.labels,
+            expected.class_sizes,
+            expected.degrees,
+            expected.constants,
+        )
+
+
+def test_class_ring_validates_the_theory():
+    from orbring import InputError
+
+    with pytest.raises(InputError):
+        corpus_model("z3-11").class_ring("weird")
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+def test_sector_build_leaves_the_group_verdict_undecided(forget, capsys, monkeypatch):
+    # ring --basis sector runs the exact loop on every row: deciding the
+    # verdict there would cost more than the rows it saves at small orders
+    models = []
+
+    class Recorded(OrbifoldModel):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            models.append(self)
+
+    monkeypatch.setattr(cli, "OrbifoldModel", Recorded)
+    path = str(corpus_path("s4-perm"))
+    for theory in THEORIES:
+        argv = ["ring", path, "--theory", theory, "--format", "json"]
+        with counted_exact_rows() as rows:
+            assert cli.main(argv + (["--dw"] if forget else [])) == 0
+        capsys.readouterr()
+        model = models[-1]
+        assert rows == list(range(model.order))
+        assert "group" not in model.table._shared
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+def test_an_ages_edit_that_breaks_invariance_takes_the_full_loop(theory):
+    # one transposition's age moves by a whole unit: every rank stays an
+    # integer, but the ages are no longer a class function
+    spec = gmpn_spec(2, 1, 3)
+    model = OrbifoldModel(spec)
+    assert model.table.check_group()
+    geometry = model.geometry
+    tau = transpositions_of(model)[0]
+    geometry.ages[tau] += geometry.scale
+    assert not model._conjugation_invariant()
+    full = outcome(lambda: tuple(model._exact_rows(theory, range(model.order))))
+    with counted_exact_rows() as rows:
+        assert outcome(lambda: model._constant_rows(theory)) == full
+    assert rows == list(range(model.order))
+    edited = OrbifoldModel(spec)
+    edited.geometry.ages[tau] += edited.geometry.scale
+    old_route = outcome(lambda: edited.algebra(theory).invariant_ring().to_json())
+    assert outcome(lambda: model.class_ring(theory).to_json()) == old_route
+
+
+def edit_one_entry(model, kind, g, step):
+    geometry = model.geometry
+    if kind == "shared id":
+        # g's class representative takes g's id: conjugation then carries one
+        # id to two, where the two fixed subspaces differ
+        part = model.table.conjugacy_classes()
+        ids = geometry.subspace_ids
+        ids[part.representatives[part.class_of[g]]] = ids[g]
+    elif kind == "id":
+        ids = geometry.subspace_ids
+        ids[g] = (ids[g] + step) % len(geometry.subspace_pairs)
+    elif kind == "pair":
+        ids = geometry.subspace_ids
+        geometry.subspace_pairs[ids[g]][ids[0]] += step
+    else:
+        getattr(geometry, kind)[g] += step
+
+
+# q8 has two fixed subspaces, each kept by every conjugation, so a pair
+# cell edit keeps the guard there
+ONE_ENTRY_EDITS = [
+    (spec, kind)
+    for spec in (corpus_spec("s3-perm"), corpus_spec("q8"), gmpn_spec(4, 1, 2))
+    for kind in ("ages", "fixed", "id", "shared id", "pair")
+    if (spec.name, kind) not in (("q8", "pair"), ("q8", "shared id"))
+]
+
+
+@pytest.mark.parametrize("step", [1, -1])
+@pytest.mark.parametrize("spec, kind", ONE_ENTRY_EDITS, ids=lambda x: getattr(x, "name", x))
+def test_one_entry_edited_off_the_representatives_takes_the_full_loop(spec, kind, step):
+    # the last member of the largest class is no representative, so its row
+    # is one the representative route would gather rather than compute
+    def edited():
+        model = OrbifoldModel(spec)
+        classes = model.table.conjugacy_classes().classes
+        g = max(classes, key=len)[-1]
+        edit_one_entry(model, kind, g, step * (model.geometry.scale if kind == "ages" else 1))
+        return model
+
+    for theory in THEORIES:
+        model = edited()
+        assert model.table.check_group() and not model._conjugation_invariant()
+        full = outcome(lambda: tuple(model._exact_rows(theory, range(model.order))))
+        with counted_exact_rows() as rows:
+            assert outcome(lambda: model._constant_rows(theory)) == full
+        assert rows == list(range(model.order))
+        old_route = outcome(lambda: edited().algebra(theory).invariant_ring().to_json())
+        assert outcome(lambda: edited().class_ring(theory).to_json()) == old_route
+
+
+@pytest.mark.parametrize("theory", THEORIES)
+@pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
+def test_a_non_group_table_takes_the_full_loop(theory, forget):
+    # two entries of one product row swapped: check_group answers False, so
+    # neither route may assume conjugation symmetry
+    def broken():
+        model = OrbifoldModel(gmpn_spec(4, 1, 2), forget_geometry=forget)
+        row = list(model.table.row(5))
+        row[3], row[7] = row[7], row[3]
+        model.table._rows[5] = tuple(row)
+        return model
+
+    model = broken()
+    assert not model.table.check_group()
+    with counted_exact_rows() as rows:
+        built = outcome(lambda: model._constant_rows(theory))
+    assert rows == list(range(model.order))
+    assert built == outcome(lambda: tuple(model._exact_rows(theory, range(model.order))))
+    old_route = outcome(lambda: broken().algebra(theory).invariant_ring().to_json())
+    assert outcome(lambda: broken().class_ring(theory).to_json()) == old_route
+

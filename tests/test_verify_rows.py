@@ -28,7 +28,9 @@ ring; where main_theorem_check's guard fails (constants that are not
 equivariant, degrees that are not class-constant, doubled degrees that
 differ from the virtual ones), it must give the scan's outcome, building
 the virtual class ring alone where the doubled degrees equal the virtual
-ones.
+ones.  With arrays bumped after the group fact is decided, the constant
+build's representative route and the class ring must give the full loop's
+rows, the ring regrouped from them, or the full loop's first error.
 """
 
 import contextlib
@@ -474,6 +476,22 @@ def test_closure_sanity_reads_no_element_order_on_an_intact_table(forget, monkey
         assert run_full_verification(spec, forget_geometry=forget).all_passed, spec.name
 
 
+def test_closure_sanity_reports_an_inverse_out_of_range():
+    # the fallback reads the inverse before it multiplies by it, so an
+    # inverse that is no index is a broken inverse table, not an IndexError
+    model = OrbifoldModel(corpus_spec("s3-perm"))
+    table = model.table
+    shared = table._shared
+    inverses = list(table.inverse_index)
+    inverses[2] = 6
+    table._shared = {**shared, "inverses": tuple(inverses)}
+    expected = ("report", {"problem": "inverse table broken", "element": "g2"})
+    assert outcome(closure_sanity_check, model) == expected
+    assert outcome(closure_sanity_scan, model) == expected
+    assert table._shared["group"] is False
+    assert "group" not in shared and shared["inverses"][2] != 6
+
+
 def test_closure_sanity_compares_products_with_composition_beyond_order_64():
     # G(3,1,3) has order 162; swapping two decoded elements leaves the
     # product table a group table, so only the composition test can see it
@@ -897,3 +915,88 @@ def test_class_stage_matches_scan_with_only_the_doubled_degrees_replaced():
     }
     assert checked == scanned == ("report", expected)
     assert rings == 2
+
+
+# --- the representative route: the build and the class ring under bumped arrays ---
+
+# the class kinds bump a class function or a whole orbit of pair cells, so
+# the build's conjugation guard holds and its representative route runs;
+# the single-entry kinds break the guard, and take the full loop, wherever
+# the entry's class or orbit has more than one member
+ROUTE_KINDS = ["class age", "class fixed", "orbit pair", "age", "fixed", "id", "pair"]
+
+
+def id_maps(model):
+    """For each generator conjugation, the map it induces on the subspace ids."""
+    ids = model.geometry.subspace_ids
+    return [
+        dict(zip(ids, map(ids.__getitem__, conj)))
+        for conj in model.table.generator_conjugations
+    ]
+
+
+def bump_for_route(data, model, kind):
+    geometry = model.geometry
+    if kind in ("age", "pair"):
+        apply_bump(model, kind, *draw_bump(data, model, kind))
+    elif kind in ("fixed", "id"):
+        g = data.draw(st.integers(0, model.order - 1))
+        if kind == "fixed":
+            geometry.fixed[g] += data.draw(st.sampled_from([1, -1, 2, -2]))
+        else:
+            ids = geometry.subspace_ids
+            ids[g] = (ids[g] + data.draw(st.integers(1, 3))) % len(geometry.subspace_pairs)
+    elif kind == "orbit pair":
+        count = len(geometry.subspace_pairs)
+        start = (data.draw(st.integers(0, count - 1)), data.draw(st.integers(0, count - 1)))
+        maps = id_maps(model)
+        orbit, stack = {start}, [start]
+        while stack:
+            a, b = stack.pop()
+            for tau in maps:
+                image = (tau[a], tau[b])
+                if image not in orbit:
+                    orbit.add(image)
+                    stack.append(image)
+        a, b = start
+        step = 1 if geometry.subspace_pairs[a][b] == 0 or data.draw(st.booleans()) else -1
+        for a, b in orbit:
+            geometry.subspace_pairs[a][b] += step
+    else:
+        classes = model.table.conjugacy_classes().classes
+        members = classes[data.draw(st.integers(0, len(classes) - 1))]
+        if kind == "class age":
+            scale = geometry.scale
+            step, values = data.draw(st.sampled_from([1, -1, scale, -scale])), geometry.ages
+        else:
+            step, values = data.draw(st.sampled_from([1, -1, 2, -2])), geometry.fixed
+        for x in members:
+            values[x] += step
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(NAMES),
+    forget=st.booleans(),
+    kind=st.sampled_from(ROUTE_KINDS),
+)
+def test_routes_match_the_full_loop_with_bumped_arrays(data, name, forget, kind):
+    # the build and the class ring must give the full loop's first error at
+    # the same entry, or its rows and the ring regrouped from them
+    model = OrbifoldModel(spec_of(name), forget_geometry=forget)
+    assert model.table.check_group()
+    for _ in range(data.draw(st.integers(1, 2))):
+        bump_for_route(data, model, kind)
+    if kind in ("class age", "class fixed", "orbit pair"):
+        assert model._conjugation_invariant()
+    order = model.order
+    for theory in (CR, VIRT):
+        full = outcome(lambda: tuple(model._exact_rows(theory, range(order))))
+        assert outcome(model._constant_rows, theory) == full
+        expected = full
+        if full[0] == "report":
+            degrees = model._degrees(theory, range(order))
+            alg = SectorAlgebra(theory, model.table, degrees, full[1], model.labels)
+            expected = outcome(lambda: alg.invariant_ring().to_json())
+        assert outcome(lambda: model.class_ring(theory).to_json()) == expected
