@@ -111,14 +111,14 @@ def closure_sanity_check(model: OrbifoldModel) -> dict | None:
     """Identity, inverses, element orders, and products against composition.
 
     Decided by the group fact: table.check_group(), kept for verify_algebra
-    and main_theorem_check, implies every part.  Its induction along the
-    search parents starts from the re-encoded elements[0], the identity
-    code, and makes phi(i) = elements[i] an injective homomorphism onto |G|
-    maps, a group, so each element order, read from its code, divides |G|
-    (Lagrange), and products agree with composition; it also reads
-    mult(i, inverse_index[i]) = 0.  Only a False verdict runs the loops
-    below, in order, to name the first failure; an inverse that is no
-    index of the table is reported as a broken inverse table.
+    and main_theorem_check, implies every part.  It makes phi(i), the map
+    of codes[i], an injective homomorphism onto |G| maps, a group, with
+    phi(0) the identity and the decoded elements, if read, equal to phi; so
+    each element order, read from its code, divides |G| (Lagrange),
+    products agree with composition, and inverse_index holds the inverses.
+    Only a False verdict runs the loops below, in order, to name the first
+    failure; an inverse that is no index of the table is reported as a
+    broken inverse table.
     """
     table = model.table
     if table.check_group():

@@ -2,18 +2,16 @@
 
 A monomial map on C^n sends the basis vector e_j to a root-of-unity multiple
 of e_{perm[j]}.  Groups are closed by breadth-first search from sorted
-generators and stored as index tables, which keeps every later computation a
-table lookup.  The closure runs on integer codes of the maps (perm and phases
-mod the generators' conductor packed into one tuple of ints), not on
-MonomialMap objects, a block of the search queue at a time, and records
-left and right multiplication by each generator.  Product rows are gathered
-from those on first use, inverses are derived from the search's parents on
-first read, conjugation by an element is one gather of two product tables,
-and the conjugacy classes are walked through per-generator conjugation
-tables.
-The table of the doubled maps g (+) conjugate(g) is derived from a closed
-table rather than closed again: a view that owns only its codes and what is
-decoded from them, and shares every index table and cache of the group.
+generators, on integer codes of the maps (perm and phases mod the
+generators' conductor packed into one tuple of ints), a block of the queue
+at a time, and stored as index tables of left and right multiplication by
+each generator.  Product rows are gathered from those on first use, the
+inverses are derived from the search's parents, the conjugacy classes are
+walked through per-generator conjugation tables, and the group fact is
+decided on the codes and those tables alone.  The table of the doubled maps
+g (+) conjugate(g) is derived from a closed table rather than closed again:
+a view that owns only its codes and what is decoded from them, and shares
+every index table and cache of the group.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import math
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 from itertools import chain, compress, cycle, islice, repeat
-from operator import add, getitem, is_, itemgetter, mod, sub
+from operator import add, getitem, is_, itemgetter, lt, mod
 
 from ._record import Record
 from .cyclotomic import DEFAULT_CONDUCTOR_CAP, CyclotomicNumber, RationalPhase
@@ -395,9 +393,10 @@ class GroupTable:
         spec's.  Doubling keeps their sorted order, so GroupTable.close of
         them gives this same table.  Sorted, their codes must be the doubled
         codes of gens (MonomialMap.double against _double), code 0 the
-        identity, and each code its parent's times its generator's.  As
-        phi(i) = phi(p) phi(s_k) (see _composes_by_generators) and doubling
-        is a homomorphism, induction on i makes each code that of
+        identity, and the codes must compose through the right tables
+        (_composes).  Each i > 0 is right_k[p] (check_group's clause (b)), so
+        code i is code p times code gens[k], here as in this table; doubling
+        is a homomorphism, so by induction on i each code is that of
         elements[i].double().  A mismatch raises ConsistencyError.
         """
         n = self.dimension
@@ -408,7 +407,7 @@ class GroupTable:
         given = sorted(set(generators), key=MonomialMap.sort_key)
         if [_encode(g, 2 * n, conductor) for g in given] != [codes[s] for s in self.gens]:
             raise ConsistencyError("doubled generators are not the doubles of the table's")
-        if codes[0] != tuple(range(2 * n)) or not self._composes_along(codes, 2 * n):
+        if codes[0] != tuple(range(2 * n)) or not self._composes(codes, 2 * n):
             raise ConsistencyError("doubled codes do not compose along the search parents")
         table = copy.copy(self)
         table.dimension, table.codes = 2 * n, codes
@@ -432,20 +431,17 @@ class GroupTable:
         so row i is row p gathered through left[k], one C-level gather.  Row
         0 is the identity permutation, and each parent precedes its child in
         the search, so walking parents from i reaches a built row (at the
-        latest row 0); the gathers back down yield row i.  Only row i is
-        kept, so a caller reading rows in index order pays one gather each.
+        latest row 0); the gathers back down yield row i and every row on
+        the walk, each kept, so each row is gathered once in any read order.
         """
         rows = self._rows
         if rows[i] is None:
-            steps = []
-            x = i
-            while rows[x] is None:
-                x, k = self._parent_gen[x]
-                steps.append(k)
-            built = rows[x]
-            for k in reversed(steps):
-                built = self._gathers[k](built)
-            rows[i] = built
+            walk = [i]
+            while rows[walk[-1]] is None:
+                walk.append(self._parent_gen[walk[-1]][0])
+            for x in reversed(walk[:-1]):
+                p, k = self._parent_gen[x]
+                rows[x] = self._gathers[k](rows[p])
         return rows[i]
 
     def cycles(self, i: int) -> tuple:
@@ -555,82 +551,86 @@ class GroupTable:
         return self.check_group() if verdict is None else verdict
 
     def check_group(self) -> bool:
-        """Whether the rows are a group's table, inverse_index its inverses, and
-        generator_conjugations its conjugations by the generators.
+        """Whether every product row, built now or later by row, is a group's
+        table, inverse_index its inverses, and generator_conjugations its
+        conjugations by the generators.
 
-        Decided afresh and kept for is_group_table and every table sharing
-        the rows.  _composes_by_generators proves phi(mult(i, j)) = phi(i)
-        phi(j) for the injective phi(i) = elements[i], along the search
-        parents, so the rows multiply the set phi(G), which they close: a
-        group, isomorphic to the table.  In a group mult(i, t) = 0 makes t
-        the inverse of i, and then mult(mult(t, x), s) for t = inverse_index[s]
-        is conjugation by s.  verify_algebra's reductions and
-        main_theorem_check's class stage assume a True verdict; a False one
-        decides nothing.
+        Decided afresh, with no element decoded and no row built, and kept
+        for is_group_table and every table sharing the rows.  Write phi(i)
+        for the map of codes[i] (see GroupTable), s_k for phi(gens[k]) and
+        (p, k) for the parent of i > 0.  Each clause is a table identity:
+          (a) codes[0] is the identity's, no code repeats, and the residues
+              mod n of each generator's code are a permutation;
+          (b) parents and left and right tables hold indices, p < i, i =
+              right_k[p], and codes[right_k[x]] codes phi(x) s_k (_composes);
+          (c) left_k[0] = gens[k] and left_k[i] = right_k'[left_k[p]] for i
+              of parent (p, k'), the recurrence close builds left_k by;
+          (d) row 0 is the identity, each _gathers[k] gathers it to left_k,
+              and each built row is its parent's (built, see row) gathered
+              through left_k;
+          (e) inverse_index holds indices, inverse[0] = 0 and
+              left_k[inverse[i]] = inverse[p];
+          (f) the conjugations hold indices and left_k[conj_k[x]] = right_k[x];
+          (g) the decoded elements, if any, re-encode to the codes.
+        Proof.  By (b) each code past the first is a product code, reduced
+        mod n*conductor, so by (a) each s_k is invertible, by induction on i
+        so is every phi(i), and phi is injective.  Its image H holds the
+        identity and x -> x s_k is a bijection of the finite H, so H s_k^-1
+        = H: H is the group the generators generate.  By (c) and induction
+        on i, phi(left_k[i]) = s_k phi(p) s_k' = s_k phi(i).  So a row
+        gathered from its parent's through left_k, which (d) makes every
+        row, now and later, holds the products, by induction on i:
+        phi(mult(i, j)) = phi(p) phi(left_k[j]) = phi(p) s_k phi(j) =
+        phi(i) phi(j).  By (e) and induction, phi(inverse[i]) = s_k^-1
+        phi(p)^-1 = phi(i)^-1; by (f), phi(conj_k[x]) = s_k^-1 phi(x) s_k;
+        by (g), closure_sanity_check and the scans may read the elements as
+        phi.  verify_algebra's reductions and main_theorem_check's class
+        stage assume a True verdict; a False one decides nothing.
         """
-        verdict = self._composes_by_generators() and self._conjugations_hold()
+        order, n, codes, rows = self.order, self.dimension, self.codes, self._rows
+        lefts, rights, gathers = self._left, self._right, self._gathers
+        inside = range(order).__contains__
+        ps, ks = tuple(zip(*self._parent_gen[1:])) or ((), ())
+        decoded = vars(self).get("elements")
+
+        def through(tables, xs):  # tables[k][x] for each parent's k, x in turn
+            return list(map(getitem, map(tables.__getitem__, ks), xs))
+
+        verdict = (
+            codes[0] == tuple(range(n))
+            and len(set(codes)) == order
+            and all(sorted(map(mod, codes[s], repeat(n))) == list(range(n)) for s in self.gens)
+            and all(map(inside, chain(ps, *lefts, *rights)))
+            and all(map(lt, ps, range(1, order)))
+            and through(rights, ps) == list(range(1, order))
+            and self._composes(codes, n)
+            and all(
+                left[0] == s and through(rights, map(left.__getitem__, ps)) == left[1:]
+                for s, left in zip(self.gens, lefts)
+            )
+            and rows[0] == tuple(range(order))
+            and all(gather(rows[0]) == tuple(left) for gather, left in zip(gathers, lefts))
+            and all(r is None or gathers[k](rows[p]) == r for r, p, k in zip(rows[1:], ps, ks))
+            # derived from the tables only now that they hold indices
+            and all(map(inside, chain(self.inverse_index, *self.generator_conjugations)))
+            and self.inverse_index[0] == 0
+            and through(lefts, self.inverse_index[1:]) == [self.inverse_index[p] for p in ps]
+            and all(
+                list(map(left.__getitem__, conj)) == list(right)
+                for conj, left, right in zip(self.generator_conjugations, lefts, rights)
+            )
+            and (decoded is None or [_encode(e, n, self.conductor) for e in decoded] == codes)
+        )
         self._shared["group"] = verdict
         return verdict
 
-    def _conjugations_hold(self) -> bool:
-        """inverse_index, in range, inverts each row (all stored now); s conjugates as s^-1 x s."""
-        inverse, indices = self.inverse_index, range(self.order)
-        if not all(map(indices.__contains__, inverse)) or any(map(getitem, self._rows, inverse)):
-            return False
-        return tuple(map(self.conjugation_permutation, self.gens)) == self.generator_conjugations
-
-    def _composes_by_generators(self) -> bool:
-        """Whether elements[mult(i, j)] = elements[i] * elements[j] for all i, j follows from
-        the search parents, with elements[0] the identity and no element repeated.
-
-        Write phi(i) for elements[i], with phi(0) the identity, s_k for
-        gens[k] and (p, k) for the parent of i > 0, and suppose
-          (a) p < i and phi(i) = phi(p) phi(s_k) for every i > 0;
-          (b) phi(left_k[j]) = phi(s_k) phi(j) for every j and k;
-          (c) row 0 is the identity, and row i is row p gathered through
-              left_k: mult(i, j) = mult(p, left_k[j]).
-        Then phi(mult(i, j)) = phi(i) phi(j), by induction on i.  For i = 0
-        both sides are phi(j).  For i > 0, p < i by (a), and
-          phi(mult(i, j)) = phi(mult(p, left_k[j]))     by (c)
-                          = phi(p) phi(left_k[j])       by induction
-                          = phi(p) phi(s_k) phi(j)      by (b)
-                          = phi(i) phi(j)               by (a).
-        (a) and (b) compose the re-encoded elements' codes (see GroupTable)
-        as the closure does; a decoded phase whose denominator does not
-        divide the conductor has no code, and the answer is False.  (c) is
-        one C-level gather per row: a stored row is compared with it, and a
-        row not yet built is stored as row would build it.  A False answer
-        decides nothing; the caller's scan does.
-        """
-        order, rows = self.order, self._rows
-        n, conductor = self.dimension, self.conductor
-        codes = [_encode(element, n, conductor) for element in self.elements]
-        if None in codes or codes[0] != tuple(range(n)) or len(set(codes)) != order:
-            return False
-        if rows[0] != tuple(range(order)) or not self._composes_along(codes, n):
-            return False
-        # s*x sends the point a*n + q of x's code to s[q] + a*n, for every x at once
-        points = tuple(chain.from_iterable(codes))
-        low = tuple(map(mod, points, repeat(n)))
-        turns, moduli = tuple(map(sub, points, low)), repeat(n * conductor)
-        for s, left in zip(self.gens, self._left):
-            products = map(mod, map(add, map(codes[s].__getitem__, low), turns), moduli)
-            if list(products) != list(chain.from_iterable(map(codes.__getitem__, left))):
-                return False
-        through = [_gatherer(left) for left in self._left]
-        for i, (p, k) in enumerate(islice(self._parent_gen, 1, None), 1):
-            built = through[k](rows[p])
-            if rows[i] is None:
-                rows[i] = built
-            elif rows[i] != built:
-                return False
-        return True
-
-    def _composes_along(self, codes: list[tuple[int, ...]], n: int) -> bool:
-        """Whether p < i and codes[i] = codes[p] * codes[gens[k]] for each parent (p, k) of i."""
-        times = [_composer(codes[s], n, self.conductor) for s in self.gens]
-        parents = enumerate(islice(self._parent_gen, 1, None), 1)
-        return all(0 <= p < i and times[k](codes[p]) == codes[i] for i, (p, k) in parents)
+    def _composes(self, codes: list[tuple[int, ...]], n: int) -> bool:
+        """Whether codes[right_k[x]] is codes[x] times code gens[k], for every x and k."""
+        return all(
+            _products(codes, codes[s], n, self.conductor)
+            == list(chain.from_iterable(map(codes.__getitem__, right)))
+            for s, right in zip(self.gens, self._right)
+        )
 
     # Called by no command; kept because perfbench/layers.py counts the
     # subgroups <g, h> with it for the traced counter sectors.subgroups, and
@@ -688,16 +688,16 @@ def _encode(m: MonomialMap, n: int, conductor: int) -> tuple[int, ...] | None:
     return tuple(code)
 
 
-def _composer(code: tuple[int, ...], n: int, conductor: int) -> Callable[[tuple], tuple]:
-    """x -> code of x*s, for s of the given code.
+def _products(codes: Iterable[tuple], s: tuple[int, ...], n: int, conductor: int) -> list[int]:
+    """The codes of x*s for every x in codes, run into one flat list.
 
     x*s applies s first: e_j goes to the point c = a*n + k of s's code,
     which x sends to x[k] + a*n mod n*conductor, as in GroupTable.close.
+    With the roles exchanged, _products([s], x, n, conductor) is s*x.
     """
-    pick = _gatherer(tuple(c % n for c in code))
-    shift = tuple(c - c % n for c in code)
-    moduli = (n * conductor,) * n
-    return lambda x: tuple(map(mod, map(add, pick(x), shift), moduli))
+    pick, shift = _gatherer(tuple(c % n for c in s)), tuple(c - c % n for c in s)
+    turned = map(add, chain.from_iterable(map(pick, codes)), cycle(shift))
+    return list(map(mod, turned, repeat(n * conductor)))
 
 
 def _double(code: tuple[int, ...], n: int, conductor: int) -> tuple[int, ...]:

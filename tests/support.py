@@ -29,6 +29,7 @@ from orbring import (
     ResourceCapError,
     SectorAlgebra,
 )
+from orbring.monomial import _encode
 from orbring.rings import _check_theory, _check_unit
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -71,6 +72,39 @@ def derived_pair(spec: OrbifoldSpec, forget: bool = False):
 def built_rows(table) -> list[int]:
     """Indices of the product rows the table has built so far."""
     return [i for i, row in enumerate(table._rows) if row is not None]
+
+
+def group_fact_by_rows(table) -> bool:
+    """The group fact decided on decoded elements and every product row: check_group's oracle.
+
+    phi(i) = elements[i] must re-encode to distinct codes, with phi(0) the
+    identity, and compose along the search parents: p < i and phi(i) =
+    phi(p) phi(s_k), and phi(left_k[j]) = phi(s_k) phi(j).  Row 0 must be
+    the identity and every row, read through row, its parent's row gathered
+    through left_k; then phi(mult(i, j)) = phi(i) phi(j) by induction on i.
+    inverse_index, in range, must invert each row, and conjugation_permutation
+    of each generator must be its generator_conjugations table.  Reads, so
+    builds, every product row: callers pass a copy of the table they check.
+    """
+    order, elements, gens = table.order, table.elements, table.gens
+    codes = [_encode(element, table.dimension, table.conductor) for element in elements]
+    if None in codes or codes[0] != tuple(range(table.dimension)) or len(set(codes)) != order:
+        return False
+    for i, (p, k) in enumerate(table._parent_gen[1:], 1):
+        if not (0 <= p < i and elements[i] == elements[p] * elements[gens[k]]):
+            return False
+    for s, left in zip(gens, table._left):
+        if any(elements[x] != elements[s] * elements[j] for j, x in enumerate(left)):
+            return False
+    if table.row(0) != tuple(range(order)):
+        return False
+    for i, (p, k) in enumerate(table._parent_gen[1:], 1):
+        if table.row(i) != tuple(table.row(p)[j] for j in table._left[k]):
+            return False
+    inverse = table.inverse_index
+    if not all(0 <= t < order for t in inverse) or any(map(table.mult, range(order), inverse)):
+        return False
+    return tuple(map(table.conjugation_permutation, gens)) == table.generator_conjugations
 
 
 def gmpn_spec(m: int, p: int, n: int) -> OrbifoldSpec:

@@ -4,19 +4,25 @@ OrbifoldModel.cotangent_model derives the doubled group's table from the
 original's instead of closing the doubled generators again.  An independent
 closure of those generators must hold the same elements, and sector_bijection
 into it must be a bijection, and a derived code that does not compose along
-the search parents must be refused.  check_group composes re-encoded
-elements on integer codes; MonomialMap.__mul__ is the oracle for that
-composition.
+the search parents must be refused.  check_group and doubled compose codes
+with _products; MonomialMap.__mul__ is the oracle for that composition, on
+both sides.  check_group builds no product row, and row keeps every row its
+parent walk builds, so each row is gathered once in any order of reads.
 """
 
+import functools
 import math
+import random
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbring import (
+    CR,
     DIMENSION_CAP,
+    VIRT,
     ConsistencyError,
     GroupTable,
     MonomialMap,
@@ -28,7 +34,7 @@ from orbring import (
 from orbring import monomial
 from orbring.cotangent import closure_sanity_check
 from orbring.cyclotomic import RationalPhase
-from orbring.monomial import _composer, _encode
+from orbring.monomial import _encode, _products
 from support import (
     CORPUS_NAMES,
     built_rows,
@@ -168,8 +174,9 @@ def test_check_group_verdict_is_shared_with_the_derived_table():
 
 
 def test_check_group_builds_no_gatherer_per_row(monkeypatch):
-    # each row is its parent's gathered through a left table built once per
-    # generator, so an intact table needs a few gathers per generator, not per row
+    # the rows are pinned through the left tables and the gathers made from
+    # them once per generator, so check_group gathers no row and builds no
+    # gatherer per row
     table = gmpn_spec(2, 1, 3).close()
     built = []
     gatherer = monomial._gatherer
@@ -180,8 +187,56 @@ def test_check_group_builds_no_gatherer_per_row(monkeypatch):
 
     monkeypatch.setattr(monomial, "_gatherer", counted)
     assert table.check_group()
-    assert built_rows(table) == list(range(table.order))
+    assert built_rows(table) == [0]
     assert len(built) < table.order == 48
+
+
+def counted_gathers(table):
+    """Wraps the table's row gathers; returns the list each gather appends its generator to."""
+    calls = []
+
+    def counting(k, gather):
+        return lambda row: calls.append(k) or gather(row)
+
+    table._gathers = [counting(k, gather) for k, gather in enumerate(table._gathers)]
+    return calls
+
+
+@pytest.mark.parametrize("read", ["reversed", "shuffled"])
+@pytest.mark.parametrize(
+    "spec", [gmpn_spec(4, 1, 2), gmpn_spec(2, 1, 3), gmpn_spec(3, 1, 3)], ids=lambda s: s.name
+)
+def test_rows_read_in_any_order_are_each_gathered_once(spec, read):
+    table = spec.close()
+    intact = spec.close()
+    calls = counted_gathers(table)
+    order = list(range(table.order))
+    if read == "reversed":
+        order.reverse()
+    else:
+        random.Random(table.order).shuffle(order)
+    for i in order:
+        assert table.row(i) == tuple(map(intact.mult, repeat(i), range(intact.order)))
+    assert len(calls) == table.order - 1
+    assert built_rows(table) == list(range(table.order))
+
+
+@pytest.mark.parametrize(
+    "spec", [gmpn_spec(4, 1, 2), gmpn_spec(2, 1, 3)], ids=lambda spec: spec.name
+)
+@pytest.mark.parametrize("theory", [CR, VIRT])
+def test_class_ring_builds_only_the_representatives_walks(spec, theory):
+    # every built row is a class representative's or on its parent walk
+    model = OrbifoldModel(spec)
+    table = model.table
+    model.class_ring(theory)
+    walks = set()
+    for r in table.conjugacy_classes().representatives:
+        while r not in walks:
+            walks.add(r)
+            r = max(table._parent_gen[r][0], 0)
+    assert set(built_rows(table)) <= walks
+    assert len(built_rows(table)) < table.order
 
 
 # --- the integer composition of check_group against MonomialMap.__mul__ ---
@@ -192,14 +247,24 @@ def composable_pairs(draw):
     return draw(monomial_maps(dimension=n)), draw(monomial_maps(dimension=n))
 
 
-@given(composable_pairs(), st.integers(min_value=1, max_value=3))
+@given(
+    st.lists(composable_pairs(), min_size=1, max_size=3), st.integers(min_value=1, max_value=3)
+)
 @settings(max_examples=200, deadline=None)
-def test_integer_composition_equals_monomial_product(pair, multiple):
-    x, s = pair
-    n = x.dimension
-    conductor = math.lcm(1, *(p.denominator for p in x.phases + s.phases)) * multiple
-    product = _composer(_encode(s, n, conductor), n, conductor)(_encode(x, n, conductor))
-    assert product == _encode(x * s, n, conductor)
+def test_integer_composition_equals_monomial_product(pairs, multiple):
+    # x*s for every x of a list, and s*x with the roles exchanged, against
+    # MonomialMap.__mul__
+    s = pairs[0][1]
+    xs = [x for x, _ in pairs if x.dimension == s.dimension]
+    n = s.dimension
+    phases = [p for m in xs + [s] for p in m.phases]
+    conductor = math.lcm(1, *(p.denominator for p in phases)) * multiple
+    code = functools.partial(_encode, n=n, conductor=conductor)
+    assert _products(map(code, xs), code(s), n, conductor) == [
+        c for x in xs for c in code(x * s)
+    ]
+    for x in xs:
+        assert _products([code(s)], code(x), n, conductor) == list(code(s * x))
 
 
 def test_encode_refuses_a_phase_off_the_conductor():

@@ -122,6 +122,16 @@ def test_wreath_class_degrees_follow_goettsche(m, n):
     assert Counter(ring.degrees) == goettsche_degrees(m, n)
 
 
+@pytest.mark.parametrize("m, n", [(2, 5), (4, 4)])
+def test_wreath_class_rings_at_scale_follow_goettsche(m, n):
+    # orders 3840 and 6144: the class ring reads only the representatives'
+    # rows and their parent walks, never every product row
+    doubled = OrbifoldModel(gmpn_spec(m, 1, n)).cotangent_model()
+    ring = doubled.class_ring(CR)
+    assert Counter(ring.degrees) == goettsche_degrees(m, n)
+    assert None in doubled.table._rows
+
+
 def diagonal_closure(generators):
     """Every phase vector a(g) in [0, 1)^n of the group, from the generators' powers alone."""
     orders = [math.lcm(*(a.denominator for a in phases)) for phases in generators]

@@ -12,10 +12,12 @@ algebras, so bumps are also checked with those builds made first, and each
 of FACT_KINDS breaks one of those facts alone.  The doubling checks take
 only a model, its cotangent_model() and the identity bijection, and raise
 ValueError on any other doubled model or bijection.  With one datum that
-check_group's induction reads corrupted (a left-table entry, a search parent
-at or after its child, two whole rows exchanged), check_group must answer
-False, and closure sanity, the axiom report and every check must give their
-scans' outcomes.  verify builds the cr and virt constant tables of the model
+check_group reads corrupted (a left- or right-table entry, a search parent
+at or after its child, two whole rows exchanged, a code, a generator
+conjugation, a decoded element), check_group must answer False, and closure
+sanity, the axiom report and every check must give their scans' outcomes;
+the stored-row oracle (support.group_fact_by_rows) must agree, except on a
+right-table entry, which it never read.  verify builds the cr and virt constant tables of the model
 alone, and no check runs a pair pass of its own.
 Pair dimensions are stored once, in subspace_pairs, so a pair bump at (g, h)
 edits the cell of the ids of g and h: it changes p at every pair with those
@@ -34,6 +36,7 @@ rows, the ring regrouped from them, or the full loop's first error.
 """
 
 import contextlib
+import copy
 import functools
 import itertools
 import json
@@ -71,6 +74,8 @@ from orbring.cotangent import (
 from support import (
     CORPUS_NAMES,
     age_duality_scan,
+    basis_changed_spec,
+    built_rows,
     closure_sanity_scan,
     corpus_path,
     corpus_spec,
@@ -80,6 +85,7 @@ from support import (
     equivariance_scan,
     gmpn_spec,
     grading_check_scan,
+    group_fact_by_rows,
     main_theorem_scan,
     rank_oracle_scan,
     with_constant,
@@ -509,19 +515,30 @@ def test_closure_sanity_compares_products_with_composition_beyond_order_64():
 GROUP_FACT_NAMES = CORPUS_NAMES + ["G(4,1,2)", "G(2,1,3)"]
 
 
+GROUP_KINDS = ["left", "parent", "row", "right", "code", "conjugation", "element"]
+
+
 def corrupt_group_datum(data, table, kind):
-    """Edit one datum that check_group's induction along the search parents reads.
+    """Edit one datum that check_group reads.
 
     The inverses and generator conjugations are derived first, from the
-    intact parents and left tables, so only the induction can see the edit.
+    intact parents and left and right tables, so only the table identities
+    can see an edit to those tables.
     """
     order = table.order
     assert table.inverse_index[0] == 0 and len(table.generator_conjugations) == len(table.gens)
-    if kind == "left":
+    other = st.integers(0, order - 1)
+    if kind in ("left", "right", "conjugation"):
         k = data.draw(st.integers(0, len(table.gens) - 1))
-        j = data.draw(st.integers(0, order - 1))
-        left = table._left[k]
-        left[j] = data.draw(st.integers(0, order - 1).filter(lambda y: y != left[j]))
+        j = data.draw(other)
+        if kind == "conjugation":
+            # an edited copy in the caches shared with the doubled table
+            tables = [list(conj) for conj in table.generator_conjugations]
+            tables[k][j] = data.draw(other.filter(lambda y: y != tables[k][j]))
+            table._shared["conjugations"] = tuple(map(tuple, tables))
+        else:
+            edited = (table._left if kind == "left" else table._right)[k]
+            edited[j] = data.draw(other.filter(lambda y: y != edited[j]))
     elif kind == "parent":
         # rows built first, since row walks the parents up to a built row
         for x in range(order):
@@ -539,18 +556,33 @@ def corrupt_group_datum(data, table, kind):
             i = data.draw(st.integers(1, order - 1))
             p, k = data.draw(st.integers(i, order - 1)), table._parent_gen[i][1]
         table._parent_gen[i] = (p, k)
+    elif kind == "code":
+        # one coordinate's phase turned by 1/conductor, or two images exchanged
+        i, n = data.draw(other), table.dimension
+        code = list(table.codes[i])
+        j = data.draw(st.integers(0, n - 1))
+        if table.conductor > 1:
+            code[j] = (code[j] + n) % (n * table.conductor)
+        else:
+            q = data.draw(st.integers(0, n - 1).filter(lambda q: q != j))
+            code[j], code[q] = code[q], code[j]
+        table.codes[i] = tuple(code)
+    elif kind == "element":
+        elements = table.elements
+        i, j = data.draw(st.lists(other, min_size=2, max_size=2, unique=True))
+        elements[i] = elements[j]
     else:
         # two whole rows exchanged: each is stored, and neither is its
         # parent's row gathered through a left table
-        i, j = data.draw(st.lists(st.integers(0, order - 1), min_size=2, max_size=2, unique=True))
+        i, j = data.draw(st.lists(other, min_size=2, max_size=2, unique=True))
         table._rows[i], table._rows[j] = table.row(j), table.row(i)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     data=st.data(),
     name=st.sampled_from(GROUP_FACT_NAMES),
-    kind=st.sampled_from(["left", "parent", "row"]),
+    kind=st.sampled_from(GROUP_KINDS),
     theory=st.sampled_from([CR, VIRT]),
     forget=st.booleans(),
 )
@@ -564,9 +596,12 @@ def test_checks_match_scans_with_a_group_datum_corrupted(data, name, kind, theor
     if table.order < 2:
         return
     corrupt_group_datum(data, table, kind)
+    # the stored-row oracle decides on a copy, since it builds every row;
+    # it misses only a right-table edit, which no clause of it reads
+    assert group_fact_by_rows(copy.deepcopy(table)) is (kind == "right")
     assert not table.check_group()
     if kind == "left":
-        # the failed check stored no row gathered through the edited table
+        # no row is gathered through the edited table
         intact = model.spec.close()
         assert all(table.row(x) == intact.row(x) for x in range(table.order))
     assert outcome(closure_sanity_check, model) == outcome(closure_sanity_scan, model)
@@ -579,6 +614,16 @@ def test_checks_match_scans_with_a_group_datum_corrupted(data, name, kind, theor
     build_both(model)
     assert not _doubling_facts(model, doubled)
     assert_checks_match_scans(model, doubled, tuple(range(model.order)))
+
+
+@pytest.mark.parametrize("seed", [None, 7])
+@pytest.mark.parametrize("name", CORPUS_NAMES + ["G(4,1,2)", "G(2,1,3)", "G(3,1,3)"])
+def test_group_fact_holds_with_its_stored_row_oracle(name, seed):
+    spec = spec_of(name)
+    table = (spec if seed is None else basis_changed_spec(spec, seed)).close()
+    assert group_fact_by_rows(copy.deepcopy(table))
+    assert table.check_group()
+    assert built_rows(table) == [0]
 
 
 # --- verify and ring decide from the arrays, never through the per-entry path ---
