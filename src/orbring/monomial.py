@@ -557,35 +557,35 @@ class GroupTable:
 
         Decided afresh, with no element decoded and no row built, and kept
         for is_group_table and every table sharing the rows.  Write phi(i)
-        for the map of codes[i] (see GroupTable), s_k for phi(gens[k]) and
+        for the map of codes[i] (see GroupTable), s_j for phi(gens[j]), and
         (p, k) for the parent of i > 0.  Each clause is a table identity:
-          (a) codes[0] is the identity's, no code repeats, and the residues
-              mod n of each generator's code are a permutation;
+          (a) codes[0] is the identity's, and no code repeats;
           (b) parents and left and right tables hold indices, p < i, i =
-              right_k[p], and codes[right_k[x]] codes phi(x) s_k (_composes);
-          (c) left_k[0] = gens[k] and left_k[i] = right_k'[left_k[p]] for i
-              of parent (p, k'), the recurrence close builds left_k by;
-          (d) row 0 is the identity, each _gathers[k] gathers it to left_k,
+              right_k[p], and codes[right_j[x]] codes phi(x) s_j (_composes);
+          (c) left_j[0] = gens[j] and left_j[i] = right_k[left_j[p]], the
+              recurrence close builds the left tables by;
+          (d) row 0 is the identity, each _gathers[j] gathers it to left_j,
               and each built row is its parent's (built, see row) gathered
               through left_k;
           (e) inverse_index holds indices, inverse[0] = 0 and
               left_k[inverse[i]] = inverse[p];
-          (f) the conjugations hold indices and left_k[conj_k[x]] = right_k[x];
+          (f) the conjugations hold indices and left_j[conj_j[x]] = right_j[x];
           (g) the decoded elements, if any, re-encode to the codes.
-        Proof.  By (b) each code past the first is a product code, reduced
-        mod n*conductor, so by (a) each s_k is invertible, by induction on i
-        so is every phi(i), and phi is injective.  Its image H holds the
-        identity and x -> x s_k is a bijection of the finite H, so H s_k^-1
-        = H: H is the group the generators generate.  By (c) and induction
-        on i, phi(left_k[i]) = s_k phi(p) s_k' = s_k phi(i).  So a row
-        gathered from its parent's through left_k, which (d) makes every
-        row, now and later, holds the products, by induction on i:
-        phi(mult(i, j)) = phi(p) phi(left_k[j]) = phi(p) s_k phi(j) =
-        phi(i) phi(j).  By (e) and induction, phi(inverse[i]) = s_k^-1
-        phi(p)^-1 = phi(i)^-1; by (f), phi(conj_k[x]) = s_k^-1 phi(x) s_k;
-        by (g), closure_sanity_check and the scans may read the elements as
-        phi.  verify_algebra's reductions and main_theorem_check's class
-        stage assume a True verdict; a False one decides nothing.
+        Proof.  By (b), phi(i) = phi(p) s_k, so by (c) and induction on i,
+        phi(left_j[i]) = phi(left_j[p]) s_k = s_j phi(i).  By (e) and
+        induction from phi(0), the identity, s_k phi(inverse[i]) =
+        phi(inverse[p]) is invertible, so s_k is, phi(inverse[i]) = s_k^-1
+        phi(p)^-1 = phi(i)^-1, and each phi(i), and so each s_j, is an
+        invertible map.  Codes past the first are product codes, reduced mod
+        n*conductor, so phi is injective.  Its image H holds the identity and
+        x -> x s_j is a bijection of the finite H, so H s_j^-1 = H: H is the
+        group the generators generate.  A row gathered from its parent's
+        through left_k, as (d) makes every row, now and later, holds the
+        products, by induction on i: phi(mult(i, x)) = phi(p) phi(left_k[x])
+        = phi(p) s_k phi(x) = phi(i) phi(x).  By (f), phi(conj_j[x]) = s_j^-1
+        phi(x) s_j; by (g), closure_sanity_check and the scans may read the
+        elements as phi.  verify_algebra's reductions and main_theorem_check's
+        class stage assume a True verdict; a False one decides nothing.
         """
         order, n, codes, rows = self.order, self.dimension, self.codes, self._rows
         lefts, rights, gathers = self._left, self._right, self._gathers
@@ -599,7 +599,6 @@ class GroupTable:
         verdict = (
             codes[0] == tuple(range(n))
             and len(set(codes)) == order
-            and all(sorted(map(mod, codes[s], repeat(n))) == list(range(n)) for s in self.gens)
             and all(map(inside, chain(ps, *lefts, *rights)))
             and all(map(lt, ps, range(1, order)))
             and through(rights, ps) == list(range(1, order))

@@ -10,6 +10,7 @@ both sides.  check_group builds no product row, and row keeps every row its
 parent walk builds, so each row is gathered once in any order of reads.
 """
 
+import copy
 import functools
 import math
 import random
@@ -42,6 +43,7 @@ from support import (
     corpus_spec,
     element_order_scan,
     gmpn_spec,
+    group_fact_by_rows,
     monomial_generator_sets,
     monomial_maps,
     sector_bijection_scan,
@@ -82,6 +84,20 @@ def test_derived_table_holds_the_closed_doubled_group_on_random_groups(generated
     assert [derived.row(i) for i in range(derived.order)] == [
         closed.row(i) for i in range(closed.order)
     ]
+
+
+@given(monomial_generator_sets())
+@settings(max_examples=40, deadline=None)
+def test_check_group_and_its_stored_row_oracle_hold_on_random_groups(generated):
+    n, gens = generated
+    try:
+        table = GroupTable.close(gens, n, cap=64)
+    except ResourceCapError:
+        return
+    derived = table.doubled([g.double() for g in gens])
+    assert group_fact_by_rows(copy.deepcopy(table))
+    assert table.check_group() and derived.check_group()
+    assert built_rows(table) == [0]
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)

@@ -580,6 +580,59 @@ def test_check_group_refuses_an_inverse_out_of_range(spec):
         assert table.is_group_table() is False
 
 
+@pytest.mark.parametrize("tables", ["_left", "_right"])
+@pytest.mark.parametrize(
+    "spec", [spec for spec in ORACLE_SPECS if spec.generators], ids=lambda spec: spec.name
+)
+def test_check_group_refuses_a_table_entry_out_of_range(spec, tables):
+    # an entry past the last index is no element: False, not an IndexError
+    table = spec.close()
+    for edited in getattr(table, tables):
+        edited[-1] = table.order
+    assert table.check_group() is False
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
+def test_check_group_refuses_inverses_shifted_by_an_element(spec):
+    # t * x for each inverse t still steps along the parents as inverses do,
+    # left_k[t_i x] = t_p x; only inverse[0] = x, not 0, is off
+    table = spec.close()
+    x = table.order - 1
+    shifted = tuple(table.mult(t, x) for t in table.inverse_index)
+    assert shifted[0] == x
+    table._shared["inverses"] = shifted
+    assert table.check_group() is (x == 0)
+
+
+@pytest.mark.parametrize("datum", ["code", "row"])
+def test_check_group_refuses_a_trivial_table_whose_identity_is_off(datum):
+    # with no generator, no other clause reads code 0 or row 0
+    table = GroupTable.close([], 2)
+    if datum == "code":
+        table.codes[0] = (1, 0)
+    else:
+        table._rows[0] = (1,)
+    assert table.check_group() is False
+
+
+def test_check_group_refuses_a_cyclic_table_over_codes_listed_twice():
+    # Z_4's table is a group's, and its codes compose as it says, but they
+    # are Z_2's listed twice, so phi is no isomorphism
+    cyclic = [1, 2, 3, 0]
+    table = GroupTable(
+        dimension=1,
+        conductor=2,
+        codes=[(0,), (1,), (0,), (1,)],
+        gens=(1,),
+        parent_gen=[(-1, -1), (0, 0), (1, 0), (2, 0)],
+        right=(list(cyclic),),
+        left=(list(cyclic),),
+    )
+    assert table.inverse_index == (0, 3, 2, 1)
+    assert table.check_group() is False
+    assert all(table.mult(x, y) == (x + y) % 4 for x in range(4) for y in range(4))
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda spec: spec.name)
 def test_conjugation_permutation_matches_two_products(spec):
     table = spec.close()

@@ -13,11 +13,12 @@ of FACT_KINDS breaks one of those facts alone.  The doubling checks take
 only a model, its cotangent_model() and the identity bijection, and raise
 ValueError on any other doubled model or bijection.  With one datum that
 check_group reads corrupted (a left- or right-table entry, a search parent
-at or after its child, two whole rows exchanged, a code, a generator
-conjugation, a decoded element), check_group must answer False, and closure
-sanity, the axiom report and every check must give their scans' outcomes;
-the stored-row oracle (support.group_fact_by_rows) must agree, except on a
-right-table entry, which it never read.  verify builds the cr and virt constant tables of the model
+at or after its child, two whole rows exchanged, a code, an inverse, a
+generator conjugation, a decoded element, a row gather, a left table with
+its gather, inverses and conjugations made to agree), check_group must
+answer False, and closure sanity, the axiom report and every check must give
+their scans' outcomes; the stored-row oracle (support.group_fact_by_rows)
+must agree, except on a right-table entry, which it never read.  verify builds the cr and virt constant tables of the model
 alone, and no check runs a pair pass of its own.
 Pair dimensions are stored once, in subspace_pairs, so a pair bump at (g, h)
 edits the cell of the ids of g and h: it changes p at every pair with those
@@ -57,6 +58,7 @@ from orbring import (
     cli,
     cotangent,
     cotangent_double,
+    monomial,
     rings,
     verify_algebra,
 )
@@ -515,7 +517,10 @@ def test_closure_sanity_compares_products_with_composition_beyond_order_64():
 GROUP_FACT_NAMES = CORPUS_NAMES + ["G(4,1,2)", "G(2,1,3)"]
 
 
-GROUP_KINDS = ["left", "parent", "row", "right", "code", "conjugation", "element"]
+GROUP_KINDS = [
+    "left", "made left", "gather", "parent", "row", "right", "code", "inverse", "conjugation",
+    "element",
+]
 
 
 def corrupt_group_datum(data, table, kind):
@@ -528,7 +533,7 @@ def corrupt_group_datum(data, table, kind):
     order = table.order
     assert table.inverse_index[0] == 0 and len(table.generator_conjugations) == len(table.gens)
     other = st.integers(0, order - 1)
-    if kind in ("left", "right", "conjugation"):
+    if kind in ("left", "gather", "right", "conjugation"):
         k = data.draw(st.integers(0, len(table.gens) - 1))
         j = data.draw(other)
         if kind == "conjugation":
@@ -537,8 +542,34 @@ def corrupt_group_datum(data, table, kind):
             tables[k][j] = data.draw(other.filter(lambda y: y != tables[k][j]))
             table._shared["conjugations"] = tuple(map(tuple, tables))
         else:
-            edited = (table._left if kind == "left" else table._right)[k]
+            edited = (table._right if kind == "right" else table._left)[k]
+            if kind == "gather":
+                edited = list(edited)
             edited[j] = data.draw(other.filter(lambda y: y != edited[j]))
+            if kind == "gather":
+                # the row gather as a table made with the edited left table has it
+                table._gathers[k] = monomial._gatherer(edited)
+    elif kind == "made left":
+        # two entries of a left table exchanged, with its row gather, the
+        # inverses and its conjugation table (left_k[conj_k[x]] = right_k[x])
+        # made to agree, so only the left tables' recurrence is broken
+        k = data.draw(st.integers(0, len(table.gens) - 1))
+        i, j = data.draw(st.lists(other, min_size=2, max_size=2, unique=True))
+        left = table._left[k]
+        left[i], left[j] = left[j], left[i]
+        table._gathers[k] = monomial._gatherer(left)
+        back = {x: y for y, x in enumerate(left)}
+        conjugations = list(table.generator_conjugations)
+        conjugations[k] = tuple(back[x] for x in table._right[k])
+        table._shared["conjugations"] = tuple(conjugations)
+        for derived in ("inverses", "classes"):
+            table._shared.pop(derived, None)
+    elif kind == "inverse":
+        # an edited copy in the caches shared with the doubled table
+        inverse = list(table.inverse_index)
+        i = data.draw(other)
+        inverse[i] = data.draw(other.filter(lambda y: y != inverse[i]))
+        table._shared["inverses"] = tuple(inverse)
     elif kind == "parent":
         # rows built first, since row walks the parents up to a built row
         for x in range(order):
