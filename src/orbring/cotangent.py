@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import ConsistencyError
-from .monomial import GroupTable, _double, _gatherer
+from .monomial import GroupTable, _double
 from .orbifold import OrbifoldSpec
 from .rings import CR, VIRT, OrbifoldModel, SectorAlgebra
 
@@ -417,10 +417,7 @@ def _class_stage_follows(model: OrbifoldModel, virt: SectorAlgebra) -> bool:
     derives the report first.
     """
     table = model.table
-    degrees = virt.degrees
-    if any(_gatherer(conj)(degrees) != degrees for conj in table.generator_conjugations):
-        return False
-    if not table.is_group_table():
+    if not (table.is_class_function(virt.degrees) and table.is_group_table()):
         return False
     (equivariance,) = (c for c in model.algebra_report(VIRT).checks if c.name == "equivariance")
     return equivariance.passed

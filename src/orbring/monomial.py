@@ -94,13 +94,9 @@ class MonomialMap(Record):
         return MonomialMap(perm, phases)
 
     def inverse(self) -> "MonomialMap":
-        n = self.dimension
-        perm = [0] * n
-        phases: list[RationalPhase] = [RationalPhase(0)] * n
-        for j in range(n):
-            perm[self.perm[j]] = j
-            phases[self.perm[j]] = -self.phases[j]
-        return MonomialMap(tuple(perm), tuple(phases))
+        """The conjugate transpose: e_perm[j] goes back to e_j with the dual's phase."""
+        perm = self.perm
+        return MonomialMap(_scatter(perm, range(len(perm))), _scatter(perm, self.dual().phases))
 
     def dual(self) -> "MonomialMap":
         """The conjugate map: same permutation, every phase negated mod 1."""
@@ -108,10 +104,8 @@ class MonomialMap(Record):
 
     def double(self) -> "MonomialMap":
         """Block sum with the dual: the action on C^n + conjugate(C^n)."""
-        n = self.dimension
-        perm = self.perm + tuple(n + q for q in self.perm)
-        phases = self.phases + tuple(-p for p in self.phases)
-        return MonomialMap(perm, phases)
+        n, dual = self.dimension, self.dual()
+        return MonomialMap(self.perm + tuple(n + q for q in dual.perm), self.phases + dual.phases)
 
     # Called by no command; SectorGeometry.trace reads it, for perfbench's
     # traced sectors.traces span and the tests' projector oracle.
@@ -155,6 +149,15 @@ def _gatherer(indices: Sequence[int]) -> Callable[[tuple], tuple]:
     if not indices:
         return itemgetter(slice(0, 0))
     return itemgetter(*indices)
+
+
+def _scatter(keys: Sequence[int], values: Iterable) -> list:
+    """t from len(keys) zeros with t[k] = v for each pair; with values 0..n-1 it inverts keys."""
+    # a plain loop: 0.18 ms at order 6144, mapping t.__setitem__ 0.41 ms (CPython 3.11, x86-64)
+    t = [0] * len(keys)
+    for k, v in zip(keys, values):
+        t[k] = v
+    return t
 
 
 class GroupTable:
@@ -245,13 +248,7 @@ class GroupTable:
         if "inverses" in self._shared:
             return self._shared["inverses"]
         # row 0 is the identity permutation; its ints are reused, not made afresh
-        indices = self.row(0)
-        undo = []
-        for left in self._left:
-            back = [0] * len(left)
-            for y, x in zip(indices, left):
-                back[x] = y
-            undo.append(back)
+        undo = [_scatter(left, self.row(0)) for left in self._left]
         inverse = [0]
         for p, k in islice(self._parent_gen, 1, None):
             inverse.append(undo[k][inverse[p]])
@@ -486,14 +483,16 @@ class GroupTable:
         """
         shared = self._shared
         if "conjugations" not in shared:
-            tables = []
-            for right, left in zip(self._right, self._left):
-                conj = [0] * self.order
-                for x, y_s in zip(left, right):
-                    conj[x] = y_s
-                tables.append(tuple(conj))
-            shared["conjugations"] = tuple(tables)
+            shared["conjugations"] = tuple(map(tuple, map(_scatter, self._left, self._right)))
         return shared["conjugations"]
+
+    def is_class_function(self, values: Iterable) -> bool:
+        """Whether values, read as a tuple (a gather never equals a list), are unchanged
+        when gathered through each of generator_conjugations: on a group table,
+        whether they are constant on the conjugacy classes.
+        """
+        values = tuple(values)
+        return all(_gatherer(conj)(values) == values for conj in self.generator_conjugations)
 
     def conjugacy_classes(self) -> ConjugacyPartition:
         """Classes found by walking each one under conjugation by the generators.

@@ -23,7 +23,7 @@ from operator import add, eq, gt, mul
 
 from ._record import Record
 from .errors import ConsistencyError, InputError
-from .monomial import GroupTable, _gatherer
+from .monomial import GroupTable, _gatherer, _scatter
 from .orbifold import OrbifoldSpec, cotangent_double
 from .sectors import SectorData, SectorGeometry
 
@@ -217,8 +217,7 @@ class OrbifoldModel:
         if not (table._known_group() and self._conjugation_invariant()):
             return tuple(self._exact_rows(theory, range(order)))
         conjugations = table.generator_conjugations
-        # sorting the indices by sigma's images inverts sigma
-        back = [_gatherer(sorted(range(order), key=conj.__getitem__)) for conj in conjugations]
+        back = [_gatherer(_scatter(conj, range(order))) for conj in conjugations]
         rows: list[bytes | None] = [None] * order
         representatives = table.conjugacy_classes().representatives
         for r, row in zip(representatives, self._exact_rows(theory, representatives)):
@@ -281,15 +280,11 @@ class OrbifoldModel:
         themselves, a bijection.  O(|G| |gens| + S^2 |gens|) steps for S
         distinct subspaces.
         """
-        geometry = self.geometry
-        ages, fixed, ids, pairs = (
-            geometry.ages, geometry.fixed, geometry.subspace_ids, geometry.subspace_pairs
-        )
-        for conj in self.table.generator_conjugations:
-            if list(map(ages.__getitem__, conj)) != ages:
-                return False
-            if list(map(fixed.__getitem__, conj)) != fixed:
-                return False
+        geometry, table = self.geometry, self.table
+        if not (table.is_class_function(geometry.ages) and table.is_class_function(geometry.fixed)):
+            return False
+        ids, pairs = geometry.subspace_ids, geometry.subspace_pairs
+        for conj in table.generator_conjugations:
             moved = list(map(ids.__getitem__, conj))
             tau = dict(zip(ids, moved))
             if list(map(tau.__getitem__, ids)) != moved:
@@ -594,7 +589,7 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
     over every g: the triple scan _first_defect_by_rows, on the constants
     for associativity and on the trace rows for Frobenius
     (_frobenius_by_triples), and _equivariance's transported-row scan under
-    conjugation by every element.
+    conjugation by every element (a conjugator's inverse outside the table is a defect).
     """
     table = alg.table
     group = table.is_group_table()
@@ -605,7 +600,11 @@ def verify_algebra(alg: SectorAlgebra) -> AlgebraReport:
         if group:
             conjugators = zip(table.gens, table.generator_conjugations)
         else:
-            conjugators = ((k, table.conjugation_permutation(k)) for k in range(alg.order))
+            inside = range(alg.order).__contains__
+            conjugators = (
+                (k, table.conjugation_permutation(k) if inside(table.inverse_index[k]) else None)
+                for k in range(alg.order)
+            )
         equivariance = _equivariance(alg, conjugators)
         firsts = range(alg.order)
         if group and equivariance.passed:
@@ -642,7 +641,7 @@ def _degree_additive(alg: SectorAlgebra) -> bool:
     """
     table, rows = alg.table, alg.constants
     s = _scaled_degrees(alg)
-    if any(_gatherer(conj)(s) != s for conj in table.generator_conjugations):
+    if not table.is_class_function(s):
         return False
     representatives = set(table.conjugacy_classes().representatives)
     for degree, same in groupby(sorted(range(alg.order), key=s.__getitem__), s.__getitem__):
@@ -744,10 +743,14 @@ def _equivariance(alg: SectorAlgebra, conjugators) -> AxiomCheck:
     (_first_moved_defect): |G|^2 entries at C level per k.  verify_algebra
     reaches it only where degree additivity fails or the table is not known
     to be a group's; it then passes the generators' conjugations on a group
-    table and every element's otherwise.
+    table and every element's otherwise.  A conjugator given as None, one
+    whose inverse is outside the table, is reported where it comes.
     """
     rows = alg.constants
     for k, conj in conjugators:
+        if conj is None:
+            payload = {"conjugator": alg.labels[k], "problem": "inverse outside the table"}
+            return AxiomCheck("equivariance", False, payload)
         found = _first_moved_defect(rows, conj)
         if found is not None:
             g, h = found

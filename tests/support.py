@@ -692,6 +692,12 @@ def frobenius_scan(alg):
 def equivariance_scan(alg):
     order = alg.order
     for k in range(order):
+        if not 0 <= alg.table.inverse_index[k] < order:
+            return AxiomCheck(
+                "equivariance",
+                False,
+                {"conjugator": alg.labels[k], "problem": "inverse outside the table"},
+            )
         conj = [conjugate(alg.table, g, k) for g in range(order)]
         for g in range(order):
             row = alg.constants[g]

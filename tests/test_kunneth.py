@@ -37,6 +37,7 @@ from support import (
     diagonal_spec,
     gmpn_spec,
 )
+from test_literature import symmetric_spec
 
 
 def product_spec(spec_a, spec_b):
@@ -81,16 +82,26 @@ def assert_tensor_product(alg, alg_a, alg_b, split):
         row_a, row_b = alg_a.constants[xa], alg_b.constants[xb]
         assert alg.constants[x] == bytes(row_a[ya] * row_b[yb] for ya, yb in split)
 
-    ring, ring_a, ring_b = alg.invariant_ring(), alg_a.invariant_ring(), alg_b.invariant_ring()
     part = alg.table.conjugacy_classes()
     class_a, class_b = alg_a.table.conjugacy_classes(), alg_b.table.conjugacy_classes()
-    assert ring.order == ring_a.order * ring_b.order
     pair_of = [
         (class_a.class_of[split[rep][0]], class_b.class_of[split[rep][1]])
         for rep in part.representatives
     ]
+    assert_class_tensor_product(
+        alg.invariant_ring(), alg_a.invariant_ring(), alg_b.invariant_ring(), pair_of
+    )
+
+
+def assert_class_tensor_product(ring, ring_a, ring_b, pair_of):
+    """Class sizes multiply, degrees add and constants multiply, where pair_of[c]
+    is the pair of factor classes of product class c."""
+    assert ring.order == ring_a.order * ring_b.order
     assert sorted(pair_of) == list(itertools.product(range(ring_a.order), range(ring_b.order)))
     class_of = {pair: c for c, pair in enumerate(pair_of)}
+    assert list(ring.class_sizes) == [
+        ring_a.class_sizes[ca] * ring_b.class_sizes[cb] for ca, cb in pair_of
+    ]
     assert list(ring.degrees) == [
         ring_a.degrees[ca] + ring_b.degrees[cb] for ca, cb in pair_of
     ]
@@ -120,6 +131,26 @@ def assert_kunneth(spec_a, spec_b, forget, model_a=None, model_b=None):
         split,
     )
     assert run_full_verification(spec, forget_geometry=forget).all_passed
+
+
+def class_pairs(product, model_a, model_b):
+    """Each product class's (class in A, class in B), read from the two decoded
+    blocks of its representative; builds no product row."""
+    a = model_a.table.dimension
+    elements = product.table.elements
+    class_a, class_b = model_a.table.conjugacy_classes(), model_b.table.conjugacy_classes()
+    pairs = []
+    for rep in product.table.conjugacy_classes().representatives:
+        x = elements[rep]
+        left = MonomialMap(x.perm[:a], x.phases[:a])
+        right = MonomialMap(tuple(p - a for p in x.perm[a:]), x.phases[a:])
+        pairs.append(
+            (
+                class_a.class_of[model_a.table.index[left]],
+                class_b.class_of[model_b.table.index[right]],
+            )
+        )
+    return pairs
 
 
 FORGET = pytest.mark.parametrize("forget", [False, True], ids=["geometry", "dw"])
@@ -167,3 +198,20 @@ def test_kunneth_with_a_drawn_diagonal_factor(generators, data):
     for forget in (False, True):
         assert_kunneth(diagonal, other, forget)
         assert_kunneth(other, diagonal, forget)
+
+
+def test_kunneth_on_class_rings_at_order_3888():
+    # G(3,1,3) x S_4 has 110 classes; its class rings are built from the
+    # class representatives' rows, so the tensor rule is checked class by class
+    spec_a, spec_b = gmpn_spec(3, 1, 3), symmetric_spec(4)
+    model_a, model_b = OrbifoldModel(spec_a), OrbifoldModel(spec_b)
+    product = OrbifoldModel(product_spec(spec_a, spec_b))
+    assert (product.order, len(product.table.conjugacy_classes())) == (3888, 110)
+    pair_of = class_pairs(product, model_a, model_b)
+    assert_class_tensor_product(
+        product.class_ring(VIRT), model_a.class_ring(VIRT), model_b.class_ring(VIRT), pair_of
+    )
+    doubled, doubled_a, doubled_b = (m.cotangent_model() for m in (product, model_a, model_b))
+    assert_class_tensor_product(
+        doubled.class_ring(CR), doubled_a.class_ring(CR), doubled_b.class_ring(CR), pair_of
+    )

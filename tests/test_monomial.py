@@ -27,7 +27,9 @@ from support import (
     corpus_model,
     corpus_spec,
     element_order_scan,
+    basis_changed_spec,
     gmpn_spec,
+    group_fact_by_rows,
     monomial_generator_sets,
     monomial_maps,
 )
@@ -640,6 +642,61 @@ def test_conjugation_permutation_matches_two_products(spec):
         assert table.conjugation_permutation(k) == tuple(
             conjugate(table, x, k) for x in range(table.order)
         )
+
+
+# --- one scatter for every inverse permutation, one class-function test ---
+
+CLASS_FUNCTION_SPECS = [corpus_spec(name) for name in CORPUS_NAMES] + [gmpn_spec(4, 1, 2)]
+
+
+@pytest.mark.parametrize("spec", CLASS_FUNCTION_SPECS, ids=lambda spec: spec.name)
+def test_class_function_reads_a_list_as_its_tuple(spec):
+    # a gather gives a tuple, so a list compared as it is would never pass
+    table = spec.close()
+    class_of = table.conjugacy_classes().class_of
+    for values in (class_of, tuple(range(table.order)), table.inverse_index):
+        assert table.is_class_function(list(values)) is table.is_class_function(tuple(values))
+    assert table.is_class_function(list(class_of)) is True
+    abelian = len(table.conjugacy_classes()) == table.order
+    assert table.is_class_function(range(table.order)) is abelian
+
+
+@pytest.mark.parametrize(
+    "spec", [gmpn_spec(4, 1, 2), corpus_spec("s3-perm")], ids=lambda spec: spec.name
+)
+def test_class_function_refuses_one_member_off_its_representative(spec):
+    table = spec.close()
+    part = table.conjugacy_classes()
+    members = [(c[0], m) for c in part.classes for m in c[1:]]
+    assert members
+    for representative, member in members:
+        values = list(part.class_of)
+        values[member] = values[representative] + 1
+        assert table.is_class_function(values) is False
+
+
+SCATTER_SPECS = [corpus_spec(name) for name in CORPUS_NAMES] + [
+    basis_changed_spec(gmpn_spec(2, 1, 3), seed) for seed in (0, 1)
+]
+
+
+@pytest.mark.parametrize("spec", SCATTER_SPECS, ids=lambda spec: spec.name)
+def test_scatter_inverts_each_generator_conjugation(spec):
+    table = spec.close()
+    identity = list(range(table.order))
+    for conj in table.generator_conjugations:
+        back = monomial._scatter(conj, identity)
+        assert [back[x] for x in conj] == identity
+        assert [conj[x] for x in back] == identity
+
+
+@pytest.mark.parametrize("spec", SCATTER_SPECS + ORACLE_SPECS[-3:], ids=lambda spec: spec.name)
+def test_scattered_inverses_and_conjugations_agree_with_the_row_oracles(spec):
+    table = spec.close()
+    conjugations = tuple(map(table.conjugation_permutation, table.gens))
+    assert table.generator_conjugations == conjugations
+    assert [table.mult(x, t) for x, t in enumerate(table.inverse_index)] == [0] * table.order
+    assert group_fact_by_rows(spec.close())
 
 
 def test_close_lazy_mult_and_classes_form_no_monomial_products(monkeypatch):

@@ -586,6 +586,29 @@ def test_nondegeneracy_fails_when_inverse_index_is_not_a_permutation():
     )
 
 
+def test_verifier_reports_a_conjugator_whose_inverse_is_outside_the_table():
+    # no group verdict is kept, so check_group answers False and every k is a
+    # conjugator; conjugation by g2 would read row 6, past the last
+    model = OrbifoldModel(corpus_spec("s3-perm"))
+    alg = model.algebra(CR)
+    table = copy.copy(alg.table)
+    inverses = list(table.inverse_index)
+    inverses[2] = 6
+    table._shared = {
+        **{key: value for key, value in table._shared.items() if key != "group"},
+        "inverses": tuple(inverses),
+    }
+    broken = SectorAlgebra(alg.theory, table, alg.degrees, alg.constants, alg.labels)
+    report = verify_algebra(broken)
+    assert report == cube_report(broken)
+    assert [c.name for c in report.checks if not c.passed] == ["nondegeneracy", "equivariance"]
+    assert report.checks[5].counterexample == {
+        "conjugator": "g2",
+        "problem": "inverse outside the table",
+    }
+    assert table._shared["group"] is False and "group" not in model.table._shared
+
+
 # --- invariant rings ---
 
 def test_abelian_invariant_ring_equals_sector_algebra():
