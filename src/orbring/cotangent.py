@@ -99,7 +99,7 @@ def sector_bijection(original: GroupTable, doubled: GroupTable) -> tuple[int, ..
         target = by_code.get(_double(code, original.dimension, original.conductor))
         if target is None:
             raise ConsistencyError(
-                f"doubled element of {original.elements[i]} missing from closure"
+                f"doubled element of {original.element(i)} missing from closure"
             )
         mapping.append(target)
     if len(set(mapping)) != original.order:
@@ -113,19 +113,20 @@ def closure_sanity_check(model: OrbifoldModel) -> dict | None:
     Decided by the group fact: table.check_group(), kept for verify_algebra
     and main_theorem_check, implies every part.  It makes phi(i), the map
     of codes[i], an injective homomorphism onto |G| maps, a group, with
-    phi(0) the identity and the decoded elements, if read, equal to phi; so
-    each element order, read from its code, divides |G| (Lagrange),
-    products agree with composition, and inverse_index holds the inverses.
-    Only a False verdict runs the loops below, in order, to name the first
+    phi(0) the identity; so each element order, read from its code,
+    divides |G| (Lagrange), products agree with composition, and
+    inverse_index holds the inverses.  Only a False verdict decodes the
+    elements, once, and runs the loops below, in order, to name the first
     failure; an inverse that is no index of the table is reported as a
     broken inverse table.
     """
     table = model.table
     if table.check_group():
         return None
-    if not table.elements[0].is_identity():
-        return {"problem": "index 0 is not the identity"}
     order = table.order
+    elements = list(map(table.element, range(order)))
+    if not elements[0].is_identity():
+        return {"problem": "index 0 is not the identity"}
     for i in range(order):
         inverse = table.inverse_index[i]
         if inverse not in range(order) or table.mult(i, inverse) != 0:
@@ -139,7 +140,7 @@ def closure_sanity_check(model: OrbifoldModel) -> dict | None:
             }
     for i in range(order):
         for j in range(order):
-            if table.elements[table.mult(i, j)] != table.elements[i] * table.elements[j]:
+            if elements[table.mult(i, j)] != elements[i] * elements[j]:
                 return {
                     "problem": "multiplication table disagrees with composition",
                     "pair": [model.label(i), model.label(j)],

@@ -82,7 +82,7 @@ def _poly_mul(a: Iterable[int], b: Iterable[int]) -> list[int]:
 
 
 def _poly_divmod(num: Iterable[int], den: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Divide integer polynomials (low degree first); den must be monic."""
+    """Divide polynomials (low degree first) over Z or Q; den must be monic."""
     num = list(num)
     den = list(den)
     dd = len(den) - 1
@@ -197,17 +197,9 @@ class RationalPhase(Record):
 
 
 def _reduce_mod(vec: list[Fraction], mod: tuple[int, ...], phi: int) -> list[Fraction]:
-    if len(vec) < phi:
-        return vec + [Fraction(0)] * (phi - len(vec))
-    zero = Fraction(0)
-    for k in range(len(vec) - 1, phi - 1, -1):
-        c = vec[k]
-        if c:
-            vec[k] = zero
-            for i in range(phi):
-                if mod[i]:
-                    vec[k - phi + i] -= c * mod[i]
-    return vec[:phi]
+    """The remainder of vec by the monic mod of degree phi, padded with zeros to length phi."""
+    _, rest = _poly_divmod(vec, mod)
+    return rest + [Fraction(0)] * (phi - len(rest))
 
 
 class CyclotomicNumber(Record):
@@ -300,13 +292,7 @@ class CyclotomicNumber(Record):
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         m, a, b = self._align(other)
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] += ai * bj
-        return CyclotomicNumber(m, out)
+        return CyclotomicNumber(m, _poly_mul(a, b))
 
     __rmul__ = __mul__
 

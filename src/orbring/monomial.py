@@ -8,10 +8,11 @@ at a time, and stored as index tables of left and right multiplication by
 each generator.  Product rows are gathered from those on first use, the
 inverses are derived from the search's parents, the conjugacy classes are
 walked through per-generator conjugation tables, and the group fact is
-decided on the codes and those tables alone.  The table of the doubled maps
-g (+) conjugate(g) is derived from a closed table rather than closed again:
-a view that owns only its codes and what is decoded from them, and shares
-every index table and cache of the group.
+decided on the codes and those tables alone.  An element is its code:
+GroupTable.element decodes a MonomialMap on demand and keeps nothing.  The
+table of the doubled maps g (+) conjugate(g) is derived from a closed table
+rather than closed again: a view that owns only its codes and the cycles
+walked from them, and shares every index table and cache of the group.
 """
 
 from __future__ import annotations
@@ -93,11 +94,6 @@ class MonomialMap(Record):
         )
         return MonomialMap(perm, phases)
 
-    def inverse(self) -> "MonomialMap":
-        """The conjugate transpose: e_perm[j] goes back to e_j with the dual's phase."""
-        perm = self.perm
-        return MonomialMap(_scatter(perm, range(len(perm))), _scatter(perm, self.dual().phases))
-
     def dual(self) -> "MonomialMap":
         """The conjugate map: same permutation, every phase negated mod 1."""
         return MonomialMap(self.perm, tuple(-p for p in self.phases))
@@ -169,15 +165,16 @@ class GroupTable:
     and 0 <= a < conductor.  Read as a permutation of the n*conductor points
     a*n + k (the vectors zeta^a e_k), a monomial map is fixed by the images of
     the points 0*n + j, and those images are its code.  So composing two maps
-    needs only integer arithmetic mod n*conductor.
+    needs only integer arithmetic mod n*conductor.  The code is the one
+    stored form of an element; element(i) decodes it into a MonomialMap on
+    each call and keeps nothing, so no decoded copy can drift from the codes.
 
     Everything else is built on first read and then kept: the product rows
-    (one way at every order, see row), the decoded elements and their index,
-    the cycles of each element asked about, inverse_index, the conjugation
-    tables, the classes and the verdict of check_group.  All but the decoded
-    elements and the cycles are facts of the group, not of its codes, and a
-    table and its doubled table (see doubled) share them, each derived once
-    per group.
+    (one way at every order, see row), the cycles of each element asked
+    about, inverse_index, the conjugation tables, the classes and the
+    verdict of check_group.  All but the cycles are facts of the group, not
+    of its codes, and a table and its doubled table (see doubled) share
+    them, each derived once per group.
     """
 
     # Read by no code in orbring; kept only because perfbench/layers.py reads
@@ -215,19 +212,10 @@ class GroupTable:
         # use; the rows and this dict are shared with every doubled table
         self._shared: dict = {}
 
-    @cached_property
-    def elements(self) -> list[MonomialMap]:
-        """The elements as MonomialMaps, decoded from the codes on first read."""
-        phase_of = [RationalPhase(a, self.conductor) for a in range(self.conductor)]
-        n = self.dimension
-        return [
-            MonomialMap(tuple(c % n for c in code), tuple(phase_of[c // n] for c in code))
-            for code in self.codes
-        ]
-
-    @cached_property
-    def index(self) -> dict[MonomialMap, int]:
-        return {element: i for i, element in enumerate(self.elements)}
+    def element(self, i: int) -> MonomialMap:
+        """Element i as a MonomialMap, decoded from codes[i] on each call and not kept."""
+        code, n, conductor = self.codes[i], self.dimension, self.conductor
+        return MonomialMap([c % n for c in code], [RationalPhase(c // n, conductor) for c in code])
 
     @cached_property
     def _cycles(self) -> dict[int, tuple]:
@@ -385,7 +373,7 @@ class GroupTable:
         Doubling is an injective homomorphism, so element i's double is
         element i of the doubled group, and every index table here is the
         doubled group's too.  The derived table is a view that owns only its
-        codes, their dimension and what it decodes from them, and shares
+        codes, their dimension and the cycles it walks from them, and shares
         every other attribute, caches included.  generators are the doubled
         spec's.  Doubling keeps their sorted order, so GroupTable.close of
         them gives this same table.  Sorted, their codes must be the doubled
@@ -394,7 +382,7 @@ class GroupTable:
         (_composes).  Each i > 0 is right_k[p] (check_group's clause (b)), so
         code i is code p times code gens[k], here as in this table; doubling
         is a homomorphism, so by induction on i each code is that of
-        elements[i].double().  A mismatch raises ConsistencyError.
+        element(i).double().  A mismatch raises ConsistencyError.
         """
         n = self.dimension
         if 2 * n > DIMENSION_CAP:
@@ -408,8 +396,7 @@ class GroupTable:
             raise ConsistencyError("doubled codes do not compose along the search parents")
         table = copy.copy(self)
         table.dimension, table.codes = 2 * n, codes
-        for decoded in ("elements", "index", "_cycles"):
-            vars(table).pop(decoded, None)
+        vars(table).pop("_cycles", None)
         return table
 
     @property
@@ -568,8 +555,7 @@ class GroupTable:
               through left_k;
           (e) inverse_index holds indices, inverse[0] = 0 and
               left_k[inverse[i]] = inverse[p];
-          (f) the conjugations hold indices and left_j[conj_j[x]] = right_j[x];
-          (g) the decoded elements, if any, re-encode to the codes.
+          (f) the conjugations hold indices and left_j[conj_j[x]] = right_j[x].
         Proof.  By (b), phi(i) = phi(p) s_k, so by (c) and induction on i,
         phi(left_j[i]) = phi(left_j[p]) s_k = s_j phi(i).  By (e) and
         induction from phi(0), the identity, s_k phi(inverse[i]) =
@@ -582,15 +568,14 @@ class GroupTable:
         through left_k, as (d) makes every row, now and later, holds the
         products, by induction on i: phi(mult(i, x)) = phi(p) phi(left_k[x])
         = phi(p) s_k phi(x) = phi(i) phi(x).  By (f), phi(conj_j[x]) = s_j^-1
-        phi(x) s_j; by (g), closure_sanity_check and the scans may read the
-        elements as phi.  verify_algebra's reductions and main_theorem_check's
-        class stage assume a True verdict; a False one decides nothing.
+        phi(x) s_j.  element(i) decodes codes[i] afresh, so it is phi(i).
+        verify_algebra's reductions and main_theorem_check's class stage
+        assume a True verdict; a False one decides nothing.
         """
         order, n, codes, rows = self.order, self.dimension, self.codes, self._rows
         lefts, rights, gathers = self._left, self._right, self._gathers
         inside = range(order).__contains__
         ps, ks = tuple(zip(*self._parent_gen[1:])) or ((), ())
-        decoded = vars(self).get("elements")
 
         def through(tables, xs):  # tables[k][x] for each parent's k, x in turn
             return list(map(getitem, map(tables.__getitem__, ks), xs))
@@ -617,7 +602,6 @@ class GroupTable:
                 list(map(left.__getitem__, conj)) == list(right)
                 for conj, left, right in zip(self.generator_conjugations, lefts, rights)
             )
-            and (decoded is None or [_encode(e, n, self.conductor) for e in decoded] == codes)
         )
         self._shared["group"] = verdict
         return verdict

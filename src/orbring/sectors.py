@@ -159,7 +159,7 @@ class SectorGeometry:
     # Called by no command; kept because perfbench/layers.py times it in the
     # traced span sectors.traces, and the tests' projector oracle sums it.
     def trace(self, i: int) -> CyclotomicNumber:
-        return self.table.elements[i].trace()
+        return self.table.element(i).trace()
 
     @cached_property
     def subspace_pairs(self) -> list[list[int]]:

@@ -69,6 +69,16 @@ def derived_pair(spec: OrbifoldSpec, forget: bool = False):
     return model, model.cotangent_model(), tuple(range(model.order))
 
 
+def decoded(table) -> list[MonomialMap]:
+    """Every element of the table as a MonomialMap, each decoded once by GroupTable.element."""
+    return list(map(table.element, range(table.order)))
+
+
+def decoded_index(table) -> dict[MonomialMap, int]:
+    """Each decoded element's index, from one decode of the table."""
+    return {element: i for i, element in enumerate(decoded(table))}
+
+
 def built_rows(table) -> list[int]:
     """Indices of the product rows the table has built so far."""
     return [i for i, row in enumerate(table._rows) if row is not None]
@@ -86,7 +96,7 @@ def group_fact_by_rows(table) -> bool:
     of each generator must be its generator_conjugations table.  Reads, so
     builds, every product row: callers pass a copy of the table they check.
     """
-    order, elements, gens = table.order, table.elements, table.gens
+    order, elements, gens = table.order, decoded(table), table.gens
     codes = [_encode(element, table.dimension, table.conductor) for element in elements]
     if None in codes or codes[0] != tuple(range(table.dimension)) or len(set(codes)) != order:
         return False
@@ -220,7 +230,7 @@ def closure_oracle(generators, dimension, cap, rows=True):
         "elements": elements,
         "index": index,
         "gens": tuple(index[g] for g in gens),
-        "inverse_index": tuple(index[e.inverse()] for e in elements),
+        "inverse_index": tuple(index[inverse(e)] for e in elements),
         "rows": [tuple(index[x * y] for y in elements) for x in elements] if rows else None,
     }
 
@@ -248,14 +258,15 @@ def element_order_scan(table, i):
 
 
 def sector_bijection_scan(original, doubled):
-    """g -> g (+) conjugate(g) by looking up each MonomialMap.double() in doubled.index."""
+    """g -> g (+) conjugate(g) by looking up each MonomialMap.double() among doubled's elements."""
     if doubled.order != original.order:
         raise ConsistencyError(
             f"doubled group has order {doubled.order}, original {original.order}"
         )
+    index = decoded_index(doubled)
     mapping = []
-    for element in original.elements:
-        target = doubled.index.get(element.double())
+    for element in decoded(original):
+        target = index.get(element.double())
         if target is None:
             raise ConsistencyError(f"doubled element of {element} missing from closure")
         mapping.append(target)
@@ -349,6 +360,14 @@ def invariant_expansion_oracle(alg):
 def conjugate(table, g: int, by: int) -> int:
     """Index of by^-1 * g * by, from two products."""
     return table.mult(table.mult(table.inverse_index[by], g), by)
+
+
+def inverse(m: MonomialMap) -> MonomialMap:
+    """The conjugate transpose of m: e_perm[j] goes back to e_j with the negated phase."""
+    perm, phases = [0] * m.dimension, [None] * m.dimension
+    for j, (image, phase) in enumerate(zip(m.perm, m.phases)):
+        perm[image], phases[image] = j, -phase
+    return MonomialMap(perm, phases)
 
 
 def eigen_phases(m: MonomialMap) -> tuple[RationalPhase, ...]:
@@ -472,7 +491,8 @@ def structure_constant(model, theory: str, g: int, h: int) -> int:
 
 def closure_sanity_scan(model):
     table = model.table
-    if not table.elements[0].is_identity():
+    elements = decoded(table)
+    if not elements[0].is_identity():
         return {"problem": "index 0 is not the identity"}
     order = table.order
     for i in range(order):
@@ -488,7 +508,7 @@ def closure_sanity_scan(model):
             }
     for i in range(order):
         for j in range(order):
-            if table.elements[table.mult(i, j)] != table.elements[i] * table.elements[j]:
+            if elements[table.mult(i, j)] != elements[i] * elements[j]:
                 return {
                     "problem": "multiplication table disagrees with composition",
                     "pair": [model.label(i), model.label(j)],

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import budget
-from orbring import CR, OrbifoldModel, RationalPhase, cli, monomial
-from support import CORPUS_NAMES, built_rows, corpus_path, gmpn_spec
+from orbring import CR, GroupTable, OrbifoldModel, RationalPhase, cli, monomial
+from support import CORPUS_NAMES, built_rows, corpus_path, corpus_spec, gmpn_spec
 
 
 def run(capsys, *argv):
@@ -307,15 +307,59 @@ def test_out_of_memory_exits_3_without_a_traceback(capsys, monkeypatch):
     assert err == "resource cap exceeded: out of memory\n"
 
 
+# --- no command decodes an element ---
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The indices GroupTable.element is called with, one entry a call."""
+    calls = []
+    real = GroupTable.element
+
+    def counted(table, i):
+        calls.append(i)
+        return real(table, i)
+
+    monkeypatch.setattr(GroupTable, "element", counted)
+    return calls
+
+
+def every_command(spec):
+    """argv of each command on spec, in every mode and format."""
+    runs = [["cotangent", spec], ["cotangent", spec, "-o", spec + ".cotangent.json"]]
+    for dw in ([], ["--dw"]):
+        runs.append(["inspect", spec, *dw])
+        runs.extend(
+            ["ring", spec, "--theory", theory, "--basis", basis, "--format", fmt, *dw]
+            for theory in ("cr", "virt")
+            for basis in ("sector", "class")
+            for fmt in ("table", "json")
+        )
+        runs.extend(["verify", spec, "--format", fmt, *dw] for fmt in ("text", "json"))
+    return runs
+
+
+@pytest.mark.parametrize("name", ["G(2,1,3)", "s3-perm"])
+def test_no_command_decodes_an_element(name, decodes, tmp_path, capsys):
+    # an element is its code: every command reads the codes and the index
+    # tables, and GroupTable.element is left to the tests and the traces
+    spec = gmpn_spec(2, 1, 3) if name == "G(2,1,3)" else corpus_spec(name)
+    path = write_spec(tmp_path, spec.to_dict())
+    runs = every_command(path)
+    assert len(runs) == 24
+    for argv in runs:
+        assert run(capsys, *argv)[0] == 0, argv
+        assert decodes == [], argv
+
+
 # --- inspect ---
 
 @pytest.mark.parametrize("family", [(2, 1, 3), (3, 1, 3)], ids=lambda f: "G({},{},{})".format(*f))
-def test_inspect_builds_one_row_per_class_and_decodes_no_element(family):
+def test_inspect_builds_one_row_per_class_and_decodes_no_element(family, decodes):
     model = OrbifoldModel(gmpn_spec(*family))
     cli._inspect_text(model)
     table = model.table
     assert built_rows(table) == [0]
-    assert "elements" not in table.__dict__ and "index" not in table.__dict__
+    assert decodes == []
 
 
 @pytest.mark.parametrize("dw", [False, True], ids=["geometric", "dw"])

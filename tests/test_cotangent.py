@@ -19,6 +19,7 @@ from support import (
     CORPUS_NAMES,
     corpus_model,
     corpus_spec,
+    decoded,
     derived_pair,
     excess_rank,
     gmpn_spec,
@@ -51,8 +52,9 @@ def test_sector_bijection_is_total():
     doubled = model.cotangent_model()
     bij = sector_bijection(model.table, doubled.table)
     assert sorted(bij) == list(range(model.order))
+    elements, doubled_elements = decoded(model.table), decoded(doubled.table)
     for i in range(model.order):
-        assert doubled.table.elements[bij[i]] == model.table.elements[i].double()
+        assert doubled_elements[bij[i]] == elements[i].double()
 
 
 @pytest.mark.parametrize(
@@ -65,7 +67,6 @@ def test_sector_bijection_from_codes_matches_monomial_lookup(spec):
     original = spec.close()
     doubled = cotangent_double(spec).close()
     bijection = sector_bijection(original, doubled)
-    assert "elements" not in vars(original) and "elements" not in vars(doubled)
     assert bijection == sector_bijection_scan(original, doubled)
 
 

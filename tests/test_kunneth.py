@@ -33,6 +33,8 @@ from support import (
     CORPUS_NAMES,
     corpus_model,
     corpus_spec,
+    decoded,
+    decoded_index,
     diagonal_generators,
     diagonal_spec,
     gmpn_spec,
@@ -62,11 +64,12 @@ def factor_split(product, model_a, model_b):
     products.
     """
     a = model_a.table.dimension
+    index_a, index_b = decoded_index(model_a.table), decoded_index(model_b.table)
     split = []
-    for x in product.table.elements:
+    for x in decoded(product.table):
         left = MonomialMap(x.perm[:a], x.phases[:a])
         right = MonomialMap(tuple(p - a for p in x.perm[a:]), x.phases[a:])
-        split.append((model_a.table.index[left], model_b.table.index[right]))
+        split.append((index_a[left], index_b[right]))
     pairs = itertools.product(range(model_a.order), range(model_b.order))
     assert sorted(split) == list(pairs)
     for x, (xa, xb) in enumerate(split):
@@ -137,19 +140,14 @@ def class_pairs(product, model_a, model_b):
     """Each product class's (class in A, class in B), read from the two decoded
     blocks of its representative; builds no product row."""
     a = model_a.table.dimension
-    elements = product.table.elements
+    index_a, index_b = decoded_index(model_a.table), decoded_index(model_b.table)
     class_a, class_b = model_a.table.conjugacy_classes(), model_b.table.conjugacy_classes()
     pairs = []
     for rep in product.table.conjugacy_classes().representatives:
-        x = elements[rep]
+        x = product.table.element(rep)
         left = MonomialMap(x.perm[:a], x.phases[:a])
         right = MonomialMap(tuple(p - a for p in x.perm[a:]), x.phases[a:])
-        pairs.append(
-            (
-                class_a.class_of[model_a.table.index[left]],
-                class_b.class_of[model_b.table.index[right]],
-            )
-        )
+        pairs.append((class_a.class_of[index_a[left]], class_b.class_of[index_b[right]]))
     return pairs
 
 

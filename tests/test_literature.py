@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from orbring import CR, VIRT, OrbifoldModel, OrbifoldSpec, sector_bijection
-from support import diagonal_generators, diagonal_spec, gmpn_spec
+from support import decoded, diagonal_generators, diagonal_spec, gmpn_spec
 
 
 def symmetric_spec(n):
@@ -75,7 +75,7 @@ def lehn_sorger(n):
 def keyed_by_cycle_type(model, ring, n):
     """(degrees, constants) of a class ring, each class keyed by its cycle type on C^n."""
     part = model.table.conjugacy_classes()
-    key = [cycle_type(model.table.elements[rep].perm[:n]) for rep in part.representatives]
+    key = [cycle_type(model.table.element(rep).perm[:n]) for rep in part.representatives]
     degrees = dict(zip(key, ring.degrees))
     constants = {(key[a], key[b], key[c]): v for (a, b, c), v in ring.constants.items()}
     return degrees, constants
@@ -161,9 +161,9 @@ def assert_toric_rules(generators):
     """Both sector rings, and the doubled cr ring, against the phase rules of each pair."""
     model = OrbifoldModel(diagonal_spec(generators))
     doubled = model.cotangent_model()
-    vectors = [phase_vector(element) for element in model.table.elements]
+    vectors = [phase_vector(element) for element in decoded(model.table)]
     assert set(vectors) == diagonal_closure(generators)
-    doubled_index = {phase_vector(e): i for i, e in enumerate(doubled.table.elements)}
+    doubled_index = {phase_vector(e): i for i, e in enumerate(decoded(doubled.table))}
     image = [doubled_index[a + tuple(-x % 1 for x in a)] for a in vectors]
     assert tuple(image) == sector_bijection(model.table, doubled.table)
     cr, virt = model.algebra(CR).constants, model.algebra(VIRT).constants

@@ -440,16 +440,16 @@ def test_closure_sanity_matches_scan_with_two_row_entries_swapped(data, name):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), name=st.sampled_from(NAMES))
 def test_closure_sanity_matches_scan_with_two_elements_swapped(data, name):
-    # the product table stays a group table, so only the comparison of
-    # products with composition under the generators can catch the swap
+    # the product table stays a group table, so only the codes' composition
+    # (check_group, then the fallback's comparison with composition) sees the swap
     model = OrbifoldModel(spec_of(name))
-    elements = model.table.elements
-    if len(elements) < 2:
+    codes = model.table.codes
+    if len(codes) < 2:
         return
     i, j = data.draw(
-        st.lists(st.integers(0, len(elements) - 1), min_size=2, max_size=2, unique=True)
+        st.lists(st.integers(0, len(codes) - 1), min_size=2, max_size=2, unique=True)
     )
-    elements[i], elements[j] = elements[j], elements[i]
+    codes[i], codes[j] = codes[j], codes[i]
     assert outcome(closure_sanity_check, model) == outcome(closure_sanity_scan, model)
 
 
@@ -501,12 +501,12 @@ def test_closure_sanity_reports_an_inverse_out_of_range():
 
 
 def test_closure_sanity_compares_products_with_composition_beyond_order_64():
-    # G(3,1,3) has order 162; swapping two decoded elements leaves the
-    # product table a group table, so only the composition test can see it
+    # G(3,1,3) has order 162; swapping two codes leaves the product table a
+    # group table, so only the codes' composition can see it
     model = OrbifoldModel(gmpn_spec(3, 1, 3))
-    elements = model.table.elements
-    assert len(elements) == 162 and closure_sanity_check(model) is None
-    elements[5], elements[100] = elements[100], elements[5]
+    codes = model.table.codes
+    assert len(codes) == 162 and closure_sanity_check(model) is None
+    codes[5], codes[100] = codes[100], codes[5]
     expected = outcome(closure_sanity_scan, model)
     assert expected[1]["problem"] == "multiplication table disagrees with composition"
     assert outcome(closure_sanity_check, model) == expected
@@ -599,9 +599,9 @@ def corrupt_group_datum(data, table, kind):
             code[j], code[q] = code[q], code[j]
         table.codes[i] = tuple(code)
     elif kind == "element":
-        elements = table.elements
+        # one element's code made another's
         i, j = data.draw(st.lists(other, min_size=2, max_size=2, unique=True))
-        elements[i] = elements[j]
+        table.codes[i] = table.codes[j]
     else:
         # two whole rows exchanged: each is stored, and neither is its
         # parent's row gathered through a left table
@@ -701,11 +701,10 @@ def test_verify_reaches_no_per_entry_path(name, forget):
 
     with per_entry_paths_raise() as patch:
         patch.setattr(OrbifoldModel, "cotangent_model", recording_cotangent_model)
+        patch.setattr(GroupTable, "element", reached)
         report = run_full_verification(spec_of(name), forget_geometry=forget)
     assert report.all_passed
     assert len(tables) == 2
-    for table in tables:
-        assert "index" not in vars(table)
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)
