@@ -9,10 +9,12 @@ each generator.  Product rows are gathered from those on first use, the
 inverses are derived from the search's parents, the conjugacy classes are
 walked through per-generator conjugation tables, and the group fact is
 decided on the codes and those tables alone.  An element is its code:
-GroupTable.element decodes a MonomialMap on demand and keeps nothing.  The
-table of the doubled maps g (+) conjugate(g) is derived from a closed table
-rather than closed again: a view that owns only its codes and the cycles
-walked from them, and shares every index table and cache of the group.
+GroupTable.element decodes a MonomialMap on demand, and the readers of an
+element's order or sector walk its code's cycles on each call; neither keeps
+anything.  The table of the doubled maps g (+) conjugate(g) is derived
+from a closed table rather than closed again: a view that owns only its
+codes and their dimension, and shares every index table and cache of the
+group.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import copy
 import math
 from collections.abc import Callable, Iterable, Sequence
-from functools import cached_property
 from itertools import chain, compress, cycle, islice, repeat
 from operator import add, getitem, is_, itemgetter, lt, mod
 
@@ -37,7 +38,7 @@ __all__ = [
 ]
 
 DEFAULT_GROUP_ORDER_CAP = 10000  # also the largest cap a spec may set
-DIMENSION_CAP = 256  # verify also closes the doubled dimension 2n
+DIMENSION_CAP = 256  # verify also derives the doubled table, of dimension 2n
 # Elements per block of GroupTable.close's queue.  Median closure times of
 # G(3,1,4) and G(2,1,5) (orders 1944 and 3840), 40 alternating runs on one
 # x86-64 core: 8.0 and 20.7 ms at 64, 8.5 and 21.4 ms at 16, 9.1 and 22.3 ms
@@ -170,11 +171,10 @@ class GroupTable:
     each call and keeps nothing, so no decoded copy can drift from the codes.
 
     Everything else is built on first read and then kept: the product rows
-    (one way at every order, see row), the cycles of each element asked
-    about, inverse_index, the conjugation tables, the classes and the
-    verdict of check_group.  All but the cycles are facts of the group, not
-    of its codes, and a table and its doubled table (see doubled) share
-    them, each derived once per group.
+    (one way at every order, see row), inverse_index, the conjugation
+    tables, the classes and the verdict of check_group.  These are facts of
+    the group, not of its codes, so a table and its doubled table (see
+    doubled) share them, each derived once per group.
     """
 
     # Read by no code in orbring; kept only because perfbench/layers.py reads
@@ -216,11 +216,6 @@ class GroupTable:
         """Element i as a MonomialMap, decoded from codes[i] on each call and not kept."""
         code, n, conductor = self.codes[i], self.dimension, self.conductor
         return MonomialMap([c % n for c in code], [RationalPhase(c // n, conductor) for c in code])
-
-    @cached_property
-    def _cycles(self) -> dict[int, tuple]:
-        """The kept cycles of the elements asked about, by index (see cycles)."""
-        return {}
 
     @property
     def inverse_index(self) -> tuple[int, ...]:
@@ -372,17 +367,17 @@ class GroupTable:
 
         Doubling is an injective homomorphism, so element i's double is
         element i of the doubled group, and every index table here is the
-        doubled group's too.  The derived table is a view that owns only its
-        codes, their dimension and the cycles it walks from them, and shares
-        every other attribute, caches included.  generators are the doubled
-        spec's.  Doubling keeps their sorted order, so GroupTable.close of
-        them gives this same table.  Sorted, their codes must be the doubled
-        codes of gens (MonomialMap.double against _double), code 0 the
-        identity, and the codes must compose through the right tables
-        (_composes).  Each i > 0 is right_k[p] (check_group's clause (b)), so
-        code i is code p times code gens[k], here as in this table; doubling
-        is a homomorphism, so by induction on i each code is that of
-        element(i).double().  A mismatch raises ConsistencyError.
+        doubled group's too.  The derived table is this one with its codes
+        and their dimension replaced: it shares every other attribute,
+        caches included.  generators are the doubled spec's.  Doubling keeps
+        their sorted order, so GroupTable.close of them gives this same
+        table.  Sorted, their codes must be the doubled codes of gens
+        (MonomialMap.double against _double), code 0 the identity, and the
+        codes must compose through the right tables (_composes).  Each i > 0
+        is right_k[p] (check_group's clause (b)), so code i is code p times
+        code gens[k], here as in this table; doubling is a homomorphism, so
+        by induction on i each code is that of element(i).double().  A
+        mismatch raises ConsistencyError.
         """
         n = self.dimension
         if 2 * n > DIMENSION_CAP:
@@ -396,7 +391,6 @@ class GroupTable:
             raise ConsistencyError("doubled codes do not compose along the search parents")
         table = copy.copy(self)
         table.dimension, table.codes = 2 * n, codes
-        vars(table).pop("_cycles", None)
         return table
 
     @property
@@ -428,19 +422,8 @@ class GroupTable:
                 rows[x] = self._gathers[k](rows[p])
         return rows[i]
 
-    def cycles(self, i: int) -> tuple:
-        """Element i's permutation cycles (see _code_cycles), walked on first read and kept.
-
-        element_order and SectorGeometry.sector both read them, so inspect
-        walks each class representative once.
-        """
-        walked = self._cycles.get(i)
-        if walked is None:
-            walked = self._cycles[i] = _code_cycles(self.codes[i], self.dimension)
-        return walked
-
     def element_order(self, i: int) -> int:
-        """Least m >= 1 with i^m = e, read from the permutation cycles of element i's code.
+        """Least m >= 1 with i^m = e, read from one walk of the cycles of element i's code.
 
         On a cycle of length L whose phases sum to s/N mod 1, N the
         conductor, i^L is the scalar zeta^s.  So i^m moves the cycle's
@@ -449,7 +432,7 @@ class GroupTable:
         of L*N/gcd(s, N).
         """
         modulus = self.conductor
-        cycles = self.cycles(i)
+        cycles = _code_cycles(self.codes[i], self.dimension)
         return math.lcm(*(len(steps) * modulus // math.gcd(s, modulus) for steps, s in cycles))
 
     def conjugation_permutation(self, by: int) -> tuple[int, ...]:

@@ -62,7 +62,6 @@ class OrbifoldModel:
     ):
         """table, if given, is the group spec closes to; by default it is closed here."""
         self.spec = spec
-        self.forget_geometry = forget_geometry
         self.table = spec.close() if table is None else table
         self.geometry = SectorGeometry(self.table, forget=forget_geometry)
         self._algebras: dict[str, SectorAlgebra] = {}
@@ -307,7 +306,7 @@ class OrbifoldModel:
             spec = cotangent_double(self.spec)
             self._cotangent = OrbifoldModel(
                 spec,
-                forget_geometry=self.forget_geometry,
+                forget_geometry=self.geometry.forget,
                 table=self.table.doubled(spec.generators),
             )
         return self._cotangent

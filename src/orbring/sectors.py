@@ -72,13 +72,14 @@ class SectorGeometry:
     def subspace_ids(self) -> list[int]:
         return self._element_arrays[2]
 
-    def _walk(self, cycles) -> tuple[int, int, tuple[int, ...]]:
-        """Age (times scale), fixed dimension and subspace key from one code's cycles.
+    def _walk(self, code: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+        """Age (times scale), fixed dimension and subspace key from one walk of a code.
 
-        cycles is the code's _code_cycles: (steps, s) per cycle.  A cycle
-        of length L whose phases sum to s/N (0 <= s < N) has the
-        eigen-phases (s/N + t)/L, t = 0..L-1, since the element's L-th power
-        is the scalar e^(2 pi i s/N) on the cycle's span.  They sum
+        The walk is over the code's cycles on C^n, (steps, s) per cycle
+        (_code_cycles), and keeps none of them.  A cycle of length L whose
+        phases sum to s/N (0 <= s < N) has the eigen-phases (s/N + t)/L,
+        t = 0..L-1, since the element's L-th power is the scalar
+        e^(2 pi i s/N) on the cycle's span.  They sum
         to s/N + (L-1)/2, which is (2s + (L-1)N) over 2N, and one of them
         is zero exactly when s = 0.
 
@@ -104,7 +105,7 @@ class SectorGeometry:
         killed = self.n * modulus  # no entry m * N + p, with m < n and p < N, equals it
         key = [killed] * self.n
         age = dim = 0
-        for steps, s in cycles:
+        for steps, s in _code_cycles(code, self.n):
             s %= modulus
             age += 2 * s + (len(steps) - 1) * modulus
             if not s:
@@ -119,9 +120,8 @@ class SectorGeometry:
         """Ages (times scale), fixed dimensions, subspace ids and their representatives.
 
         One _walk per code gives the age, the fixed dimension and the key;
-        the cycles are walked here and not kept (GroupTable.cycles keeps
-        those it is asked for).  The ids number the distinct keys in order
-        of first appearance, and the representative of an id is its least
+        no cycle is kept.  The ids number the distinct keys in order of
+        first appearance, and the representative of an id is its least
         element.
         """
         ages = []
@@ -130,7 +130,7 @@ class SectorGeometry:
         representatives = []
         id_of_key: dict[tuple[int, ...], int] = {}
         for i, code in enumerate(self.table.codes):
-            age, dim, key = self._walk(_code_cycles(code, self.n))
+            age, dim, key = self._walk(code)
             ages.append(age)
             fixed.append(dim)
             sid = id_of_key.setdefault(key, len(representatives))
@@ -140,19 +140,13 @@ class SectorGeometry:
         return ages, fixed, ids, representatives
 
     def sector(self, i: int) -> SectorData:
-        """Age, fixed dimension and degree shifts of element i.
+        """Age, fixed dimension and degree shifts of element i, from one _walk of code i.
 
-        Read from the arrays once they exist, so a change to ages or fixed
-        shows here.  Before that, one _walk of the table's kept cycles of
-        element i gives the same numbers and builds no array: inspect reads
-        only the class representatives.  The virtual shift is twice the
-        codimension and the cr shift twice the age.
+        It builds no list and reads none, so inspect, which reads only the
+        class representatives, builds no per-element array.  The virtual
+        shift is twice the codimension and the cr shift twice the age.
         """
-        arrays = self.__dict__.get("_element_arrays")
-        if arrays is not None:
-            age, dim = arrays[0][i], arrays[1][i]
-        else:
-            age, dim, _key = self._walk(self.table.cycles(i) if self.n else ())
+        age, dim, _key = self._walk(self.table.codes[i])
         age = Fraction(age, self.scale)
         return SectorData(age, dim, 2 * (self.n - dim), 2 * age)
 

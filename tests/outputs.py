@@ -4,11 +4,13 @@ Usage: PYTHONPATH=src python tests/outputs.py > outputs.txt
 
 Each line gives the spec, the arguments, the exit code and the sha256 of the
 standard output with every "millis": <number> set to 0.  The outputs are
-`verify --format json` and `ring --format json` for cr and virt on the
-sector and class bases, each with and without --dw, on the 9 corpus specs
-and on G(4,1,2), G(6,2,2), G(2,1,3), G(5,1,2), G(2,1,4) and G(5,1,3): 150
-lines.  The G(m,p,n) specs come from perfbench's workloads.Family.  Every
-command runs in this process, against the orbring that PYTHONPATH names.
+`verify --format json`, `ring --format json` for cr and virt on the sector
+and class bases, and `inspect`, each with and without --dw, and `cotangent`
+(which has no --dw), on the 9 corpus specs and on G(4,1,2), G(6,2,2),
+G(2,1,3), G(5,1,2), G(2,1,4) and G(5,1,3): 195 lines, 30 verify, 120 ring,
+30 inspect and 15 cotangent.  The G(m,p,n) specs come from perfbench's
+workloads.Family.  Every command runs in this process, against the orbring
+that PYTHONPATH names.
 
 To compare a change with its parent commit, run this script against the
 parent's src from a worktree of it:
@@ -37,11 +39,15 @@ from workloads import Family  # noqa: E402
 from orbring.cli import main  # noqa: E402
 
 FAMILIES = ((4, 1, 2), (6, 2, 2), (2, 1, 3), (5, 1, 2), (2, 1, 4), (5, 1, 3))
-COMMANDS = [["verify", "--format", "json"]] + [
-    ["ring", "--theory", theory, "--basis", basis, "--format", "json"]
-    for theory in ("cr", "virt")
-    for basis in ("sector", "class")
-]
+COMMANDS = (
+    [["verify", "--format", "json"]]
+    + [
+        ["ring", "--theory", theory, "--basis", basis, "--format", "json"]
+        for theory in ("cr", "virt")
+        for basis in ("sector", "class")
+    ]
+    + [["inspect"]]
+)
 MILLIS = re.compile(r'"millis": [-+0-9.eE]+')
 
 
@@ -71,6 +77,7 @@ def run() -> int:
             for dw in ([], ["--dw"]):
                 for args in COMMANDS:
                     print(line(name, path, args + dw), flush=True)
+            print(line(name, path, ["cotangent"]), flush=True)
     return 0
 
 

@@ -421,14 +421,24 @@ def fixed_dim_of_subgroup(geometry, members) -> int:
     return int(value)
 
 
+def age_of(model, g: int) -> tuple[Fraction, int]:
+    """Age and fixed dimension of element g, read from the geometry's arrays.
+
+    The row passes read the same arrays, so a test that bumps an entry
+    compares like with like.
+    """
+    geometry = model.geometry
+    return Fraction(geometry.ages[g], geometry.scale), geometry.fixed[g]
+
+
 def obstruction_rank(model, g: int, h: int) -> int:
     """Rank of the correction bundle gating the cr product at (g, h)."""
-    product = model.sector(model.table.mult(g, h))
+    product_age, product_dim = age_of(model, model.table.mult(g, h))
     value = (
-        model.sector(g).age
-        + model.sector(h).age
-        - product.age
-        - product.fixed_dim
+        age_of(model, g)[0]
+        + age_of(model, h)[0]
+        - product_age
+        - product_dim
         + model.fixed_dim_pair(g, h)
     )
     return model.checked_rank("obstruction", g, h, value.numerator, value.denominator)
@@ -438,9 +448,9 @@ def obstruction_rank_dual_form(model, g: int, h: int) -> int:
     """Triple-age form of the same rank; an independent cross-check."""
     gh_inv = model.table.inverse_index[model.table.mult(g, h)]
     value = (
-        model.sector(g).age
-        + model.sector(h).age
-        + model.sector(gh_inv).age
+        age_of(model, g)[0]
+        + age_of(model, h)[0]
+        + age_of(model, gh_inv)[0]
         - (model.n - model.fixed_dim_pair(g, h))
     )
     return model.checked_rank(
@@ -455,8 +465,8 @@ def excess_rank(model, g: int, h: int) -> int:
     """
     value = (
         model.n
-        - model.sector(g).fixed_dim
-        - model.sector(h).fixed_dim
+        - age_of(model, g)[1]
+        - age_of(model, h)[1]
         + model.fixed_dim_pair(g, h)
     )
     return model.checked_rank("excess", g, h, value)
@@ -465,7 +475,7 @@ def excess_rank(model, g: int, h: int) -> int:
 def k_rank(model, g: int, h: int) -> int:
     """Rank of the virtual difference bundle at (g, h); may be negative."""
     gh = model.table.mult(g, h)
-    return model.fixed_dim_pair(g, h) - model.sector(gh).fixed_dim
+    return model.fixed_dim_pair(g, h) - age_of(model, gh)[1]
 
 
 def structure_constant(model, theory: str, g: int, h: int) -> int:
@@ -479,13 +489,13 @@ def structure_constant(model, theory: str, g: int, h: int) -> int:
     if rank != 0:
         return 0
     gh = model.table.mult(g, h)
-    return 1 if model.fixed_dim_pair(g, h) == model.sector(gh).fixed_dim else 0
+    return 1 if model.fixed_dim_pair(g, h) == age_of(model, gh)[1] else 0
 
 
 # --- per-pair scans: the references for the row-wise verify checks ---
 #
 # Each is the check as a plain loop over every element or pair, reading the
-# per-entry forms above and sector(), constant, pairing and mult.
+# per-entry forms above and age_of, constant, pairing and mult.
 # The checks in orbring must return the same payload or raise the same
 # ConsistencyError text.
 
@@ -528,9 +538,9 @@ def pair_row_scan(geometry, g):
 
 def age_duality_scan(model):
     for g in range(model.order):
-        sector = model.sector(g)
-        lhs = sector.age + model.sector(model.table.inverse_index[g]).age
-        rhs = model.n - sector.fixed_dim
+        age, dim = age_of(model, g)
+        lhs = age + age_of(model, model.table.inverse_index[g])[0]
+        rhs = model.n - dim
         if lhs != rhs:
             return {"element": model.label(g), "age_sum": str(lhs), "codimension": str(rhs)}
     return None
@@ -552,8 +562,8 @@ def rank_oracle_scan(model):
 
 def grading_check_scan(model, doubled, bijection):
     for g in range(model.order):
-        doubled_s = doubled.sector(bijection[g]).cr_shift
-        sigma = model.sector(g).virtual_shift
+        doubled_s = 2 * age_of(doubled, bijection[g])[0]
+        sigma = 2 * (model.n - age_of(model, g)[1])
         if doubled_s != sigma:
             return {
                 "element": model.label(g),

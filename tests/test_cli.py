@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import budget
-from orbring import CR, GroupTable, OrbifoldModel, RationalPhase, cli, monomial
+from orbring import CR, GroupTable, OrbifoldModel, RationalPhase, cli, monomial, sectors
 from support import CORPUS_NAMES, built_rows, corpus_path, corpus_spec, gmpn_spec
 
 
@@ -375,8 +375,9 @@ def test_inspect_walks_only_class_representatives(family, dw):
 @pytest.mark.parametrize("dw", [False, True], ids=["geometric", "dw"])
 @pytest.mark.parametrize("family", [(3, 1, 3), (2, 1, 4)], ids=lambda f: "G({},{},{})".format(*f))
 def test_inspect_walks_each_class_representative_once(family, dw, monkeypatch):
-    # the age, fixed dimension and element order all come from the table's
-    # kept cycles of the representative
+    # only the representatives' codes are walked, each once per reading: once
+    # for its sector and once for its order; sectors imports the walk by
+    # name, so it is patched in both modules
     walked = []
     real = monomial._code_cycles
 
@@ -385,10 +386,15 @@ def test_inspect_walks_each_class_representative_once(family, dw, monkeypatch):
         return real(code, n)
 
     monkeypatch.setattr(monomial, "_code_cycles", counted)
+    monkeypatch.setattr(sectors, "_code_cycles", counted)
     model = OrbifoldModel(gmpn_spec(*family), forget_geometry=dw)
+    attributes = (set(vars(model.table)), set(vars(model.geometry)))
     cli._inspect_text(model)
+    codes = model.table.codes
     representatives = model.table.conjugacy_classes().representatives
-    assert walked == [model.table.codes[r] for r in representatives]
+    assert walked == [codes[r] for r in representatives for _ in range(2)]
+    # no walk is kept: neither the table nor the geometry gains an attribute
+    assert (set(vars(model.table)), set(vars(model.geometry))) == attributes
 
 
 def test_inspect_s3(capsys):

@@ -35,9 +35,10 @@ from orbring import (
 from orbring import monomial
 from orbring.cotangent import closure_sanity_check
 from orbring.cyclotomic import RationalPhase
-from orbring.monomial import _encode, _products
+from orbring.monomial import _code_cycles, _encode, _products
 from support import (
     CORPUS_NAMES,
+    age_of,
     built_rows,
     corpus_spec,
     decoded,
@@ -289,8 +290,8 @@ def test_encode_refuses_a_phase_off_the_conductor():
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
 def test_a_derived_table_walks_the_cycles_of_its_own_codes(spec):
-    # the original's kept cycles are read first, so a view that shared them
-    # would report the original's orders and sectors
+    # the original's orders and sectors are read first, so a view that kept
+    # anything walked from the original's codes would report those
     model = OrbifoldModel(spec)
     table = model.table
     for i in range(table.order):
@@ -303,8 +304,24 @@ def test_a_derived_table_walks_the_cycles_of_its_own_codes(spec):
     ]
     walked = [doubled.sector(i) for i in range(derived.order)]
     for i in range(derived.order):
-        assert sum(len(steps) for steps, _ in derived.cycles(i)) == 2 * spec.dimension
-    doubled.geometry.ages  # from here on sector reads the arrays
-    assert walked == [doubled.sector(i) for i in range(derived.order)]
+        cycles = _code_cycles(derived.codes[i], derived.dimension)
+        assert sum(len(steps) for steps, _ in cycles) == 2 * spec.dimension
+    assert [(s.age, s.fixed_dim) for s in walked] == [
+        age_of(doubled, i) for i in range(derived.order)
+    ]
     closed = OrbifoldModel(cotangent_double(spec))
     assert walked == [closed.sector(j) for j in sector_bijection(table, closed.table)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
+def test_a_derived_table_is_the_original_with_its_codes_and_dimension_replaced(spec):
+    model = OrbifoldModel(spec)
+    table = model.table
+    for i in range(table.order):
+        table.element_order(i)
+        model.sector(i)
+    derived = table.doubled(cotangent_double(spec).generators)
+    assert vars(derived).keys() == vars(table).keys()
+    for name, value in vars(derived).items():
+        if name not in ("codes", "dimension"):
+            assert value is vars(table)[name], name

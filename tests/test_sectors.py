@@ -15,6 +15,7 @@ from orbring import (
 from support import (
     CORPUS_NAMES,
     SMALL_NAMES,
+    age_of,
     corpus_model,
     corpus_spec,
     decoded,
@@ -164,27 +165,29 @@ def test_sector_arrays_match_eigen_phases_on_random_groups(generated):
 @pytest.mark.parametrize("forget", [False, True], ids=["geometric", "dw"])
 @pytest.mark.parametrize("spec", SECTOR_SPECS, ids=lambda spec: spec.name)
 def test_sector_from_cycles_equals_sector_from_arrays(spec, forget):
-    # before the arrays exist, sector(i) walks the cycles of element i alone
+    # sector(i) walks the cycles of code i alone and builds no array
     original = OrbifoldModel(spec, forget_geometry=forget)
     for model in (original, original.cotangent_model()):
         geometry = model.geometry
         walked = [geometry.sector(i) for i in range(model.order)]
         assert "_element_arrays" not in geometry.__dict__
-        geometry.ages  # builds the arrays
-        assert walked == [geometry.sector(i) for i in range(model.order)]
+        assert [(s.age, s.fixed_dim) for s in walked] == [
+            age_of(model, i) for i in range(model.order)
+        ]
 
 
 @pytest.mark.parametrize("forget", [False, True], ids=["geometric", "dw"])
-def test_sector_reads_a_bumped_age_once_the_arrays_exist(forget):
-    geometry = OrbifoldModel(gmpn_spec(2, 1, 3), forget_geometry=forget).geometry
-    g = 5
-    before = geometry.sector(g)
-    geometry.ages[g] += 1
-    geometry.fixed[g] += 1
-    after = geometry.sector(g)
-    assert after.age == before.age + Fraction(1, geometry.scale)
-    assert after.fixed_dim == before.fixed_dim + 1
-    assert after.virtual_shift == before.virtual_shift - 2
+def test_sector_is_a_fresh_walk_of_its_code_after_the_arrays_are_bumped(forget):
+    model = OrbifoldModel(gmpn_spec(2, 1, 3), forget_geometry=forget)
+    geometry = model.geometry
+    for i in range(model.order):
+        geometry.ages[i] += 1
+        geometry.fixed[i] += 1
+    fresh = SectorGeometry(model.table, forget=forget)
+    assert [geometry.sector(i) for i in range(model.order)] == [
+        fresh.sector(i) for i in range(model.order)
+    ]
+    assert "_element_arrays" not in fresh.__dict__
 
 
 def test_forget_geometry_arrays_are_zero_over_one():
